@@ -316,15 +316,42 @@ def unpack_planes(planes: np.ndarray, count: int) -> list[int]:
     return out
 
 
-def lower_mcx(circuit: Circuit) -> Circuit:
-    """Replace every MCX by NOT/CNOT/CCX using clean ancillas.
+def emit_mcx_lowered(sink, controls, t: int, anc):
+    """Emit a multi-controlled X as NOT/CNOT/CCX/CCXU into ``sink``.
 
-    A k-control MCX costs k-1 CCX: an AND ladder into ancillas, with the
-    final CCX targeting the MCX target directly; the ladder is then undone
+    ``controls`` are (qubit, closed) pairs.  A k-control MCX costs k-1 CCX:
+    an AND ladder into the clean ancillas ``anc`` (at least k-2 of them),
+    with the final CCX targeting ``t`` directly; the ladder is then undone
     with measurement-based uncomputations (CCXU).  Open controls are
-    realized by X conjugation.  One shared clean-ancilla register of width
-    max(k-1) is appended.
+    realized by X conjugation.
     """
+    opens = [q for q, closed in controls if not closed]
+    for q in opens:
+        sink.x(q)
+    cq = [q for q, _ in controls]
+    k = len(cq)
+    if k == 0:
+        sink.x(t)
+    elif k == 1:
+        sink.cnot(cq[0], t)
+    elif k == 2:
+        sink.ccx(cq[0], cq[1], t)
+    else:
+        # ladder: anc[0] = c0&c1, anc[i] = anc[i-1]&c(i+1), last CCX -> t
+        sink.ccx(cq[0], cq[1], anc[0])
+        for i in range(k - 3):
+            sink.ccx(anc[i], cq[i + 2], anc[i + 1])
+        sink.ccx(anc[k - 3], cq[k - 1], t)
+        for i in range(k - 4, -1, -1):
+            sink.ccxu(anc[i], cq[i + 2], anc[i + 1])
+        sink.ccxu(cq[0], cq[1], anc[0])
+    for q in opens:
+        sink.x(q)
+
+
+def lower_mcx(circuit: Circuit) -> Circuit:
+    """Replace every MCX by its :func:`emit_mcx_lowered` gates, sharing one
+    appended clean-ancilla register of width max(k-1)."""
     max_k = 0
     for g in circuit.gates:
         if g[0] == "MCX":
@@ -337,30 +364,7 @@ def lower_mcx(circuit: Circuit) -> Circuit:
         if g[0] != "MCX":
             out.gates.append(g)
             continue
-        controls, t = g[1], g[2]
-        qs = [_dec_control(c) for c in controls]
-        opens = [q for q, closed in qs if not closed]
-        for q in opens:
-            out.x(q)
-        cq = [q for q, _ in qs]
-        k = len(cq)
-        if k == 0:
-            out.x(t)
-        elif k == 1:
-            out.cnot(cq[0], t)
-        elif k == 2:
-            out.ccx(cq[0], cq[1], t)
-        else:
-            # ladder: anc[0] = c0&c1, anc[i] = anc[i-1]&c(i+1), last CCX -> t
-            out.ccx(cq[0], cq[1], anc[0])
-            for i in range(k - 3):
-                out.ccx(anc[i], cq[i + 2], anc[i + 1])
-            out.ccx(anc[k - 3], cq[k - 1], t)
-            for i in range(k - 4, -1, -1):
-                out.ccxu(anc[i], cq[i + 2], anc[i + 1])
-            out.ccxu(cq[0], cq[1], anc[0])
-        for q in opens:
-            out.x(q)
+        emit_mcx_lowered(out, [_dec_control(c) for c in g[1]], g[2], anc)
     out.groups = list(circuit.groups)
     return out
 

@@ -12,7 +12,8 @@ from . import pipeline
 from .circuit import serialize, simulate
 from .gf2 import BinaryPoly, GF2Error, field_inv, poly_mul_mod
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
-from .shor import AVWeights, optimize_window, pointadd_cost, round_sig
+from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
+                   stream_pointadd_counts)
 from .synth import synth_crt_modmult, synth_flt_inversion
 from .ecc import (TABLE_CENSUS, ec_add_classical, pointadd_census,
                   slope_for, synth_ecpointadd)
@@ -23,8 +24,12 @@ FIELDS = (163, 233, 283, 571)
 def _write_atomic(path: str, text: str):
     p = Path(path)
     tmp = p.with_suffix(p.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(p)
+    try:
+        tmp.write_text(text)
+        tmp.replace(p)
+    except OSError as e:
+        # report the destination the user named, not the temporary file
+        raise type(e)(e.errno, e.strerror, path) from None
 
 
 def _field_arg(args) -> int:
@@ -51,14 +56,12 @@ def cmd_synth(args) -> int:
         circ = synth_flt_inversion(plan) if args.emit else None
     elif args.target == "ecpointadd":
         plan = pipeline.pointadd_plan(n, args.curve_a, args.curve_b, poly_bits)
-        from .shor import pointadd_census_counts, stream_pointadd_counts
-
         streamed = stream_pointadd_counts(plan)
         cost = pointadd_cost(plan)
-        report["counts"] = streamed.as_dict()
+        report["counts"] = streamed.counts.as_dict()
         report["toffoli_decomposition"] = cost.toffoli
         report["qubits_model"] = cost.qubits
-        report["census"] = pointadd_census_counts(plan)
+        report["census"] = pointadd_census(streamed)
         circ = synth_ecpointadd(plan) if args.emit else None
     else:
         print(f"unknown target {args.target!r}", file=sys.stderr)
@@ -117,6 +120,8 @@ def _validate_circuit_file(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise GF2Error(f"--samples must be at least 1, got {args.samples}")
     if args.circuit:
         return _validate_circuit_file(args)
     n = args.field
@@ -158,12 +163,10 @@ def cmd_validate(args) -> int:
         vals = range(1, 1 << n)
         label = "inversion exhaustive"
     else:
-        vals = [rng.getrandbits(n) | 1 for _ in range(args.samples // 10 + 1)]
+        vals = [rng.randrange(1, 1 << n) for _ in range(args.samples // 10 + 1)]
         label = f"inversion sampled ({len(vals)})"
     bad = None
     for v in vals:
-        if v == 0:
-            continue
         out = simulate(icirc, v)
         got = (out >> (rs * n)) & mask
         want = field_inv(BinaryPoly(v), field).bits
@@ -344,7 +347,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (GF2Error, FileNotFoundError, ValueError) as e:
+    except (GF2Error, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from .synth import (
     emit_controlled_addition,
     emit_controlled_constants,
     emit_inplace_linear,
-    _single_square_plu,
+    squaring_method,
 )
 
 
@@ -188,7 +188,26 @@ class PointAddPlan:
         self.n = curve.field.n
         self.modmult = modmult
         self.inversion = inversion
-        self.sq_plu = _single_square_plu(curve.field)
+        self.sq_plu = squaring_method(curve.field, 1)[1]
+        # one emission's counts and census, kept by shor.stream_pointadd_counts
+        self.streamed: CountSink | None = None
+
+
+def pointadd_layout(plan: PointAddPlan) -> Circuit:
+    """Empty circuit over the point-addition registers, in wire order.
+
+    x1, y1 (become x3, y3), x2, y2 and the table slope lr (restored), the
+    flags [f1, f2, f3, f4, ctrl] (end at 0), the slope workspace lam, the
+    inverter workspace w and one scratch bit s (all end at 0).
+    """
+    n = plan.n
+    return Circuit([
+        Register("x1", n), Register("y1", n), Register("x2", n),
+        Register("y2", n), Register("lr", n), Register("flags", 5, "flag"),
+        Register("lam", n, "ancilla-clean"),
+        Register("w", (plan.inversion.num_registers - 1) * n, "ancilla-clean"),
+        Register("s", 1, "ancilla-clean"),
+    ])
 
 
 class RealBlocks:
@@ -224,21 +243,14 @@ class CountBlocks:
         sink.add_counts(self.mm_counts)
 
 
-def emit_pointadd(sink, plan: PointAddPlan, A, B, C, D, L, flags, LAM, W, S,
-                  blocks=None):
-    """Six-stage in-place point addition.
-
-    Registers: A,B = x1,y1 (become x3,y3), C,D = x2,y2 (restored), L = the
-    table slope (restored), flags = [f1, f2, f3, f4, ctrl] (end at 0),
-    LAM = slope workspace (ends 0), W = inverter workspace (ends 0),
-    S = one scratch bit (ends 0).
-    """
+def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit, blocks=None):
+    """Six-stage in-place point addition over the wires of ``layout``
+    (see :func:`pointadd_layout`)."""
     n = plan.n
+    A, B, C, D, L, flags, LAM, W, (S,) = (layout.reg(name) for name in (
+        "x1", "y1", "x2", "y2", "lr", "flags", "lam", "w", "s"))
     f1, f2, f3, f4, ctrl = flags
     inv = plan.inversion
-    nreg = inv.num_registers - 1
-    if len(W) < nreg * n:
-        raise CurveError("inversion workspace too small")
     if blocks is None:
         blocks = RealBlocks(plan, A, W)
     wslot = lambda i: W[(i - 1) * n: i * n]
@@ -449,19 +461,8 @@ def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
     Output (x3, y3) lands in the x1/y1 registers; x2, y2 and the slope input
     are restored; flags and all clean ancillas return to zero.
     """
-    n = plan.n
-    circ = Circuit()
-    A = circ.add_register(Register("x1", n))
-    B = circ.add_register(Register("y1", n))
-    C = circ.add_register(Register("x2", n))
-    D = circ.add_register(Register("y2", n))
-    L = circ.add_register(Register("lr", n))
-    flags = circ.add_register(Register("flags", 5, "flag"))
-    LAM = circ.add_register(Register("lam", n, "ancilla-clean"))
-    W = circ.add_register(Register(
-        "w", (plan.inversion.num_registers - 1) * n, "ancilla-clean"))
-    S = circ.add_register(Register("s", 1, "ancilla-clean"))[0]
-    emit_pointadd(circ, plan, A, B, C, D, L, flags, LAM, W, S)
+    circ = pointadd_layout(plan)
+    emit_pointadd(circ, plan, circ)
     return circ
 
 

@@ -5,25 +5,18 @@ products; v is exactly the Toffoli cost of the synthesized multiplier, so
 the shipped formulas must hit the known best product counts
 {2:3, 3:6, 4:9, 5:13, 6:17, 7:22, 8:26}.
 
-The formulas are data files.  This module provides the loader and validity
-check, a generic solver that recovers R from a set of product masks T, a
-recursive 2-way fallback generator (more products, always available), and
-the constructions/searches used to produce the shipped files:
-
-* d <= 4 and the fallback: classic Karatsuba recursion;
-* d = 7, 8: evaluation/interpolation at small coprime moduli with
-  multiplicity (truncated products at x^3 and (x+1)^3, full products modulo
-  small irreducibles, top coefficients at infinity);
-* d = 5, 6: exhaustive search over product-mask sets, with R solved per
-  candidate.
+The formulas are data files (``data/formulas/d*.txt``); this module parses
+and writes them.  :meth:`KaratsubaFormula.from_text` checks every formula
+against carry-less multiplication when it is loaded (exhaustively for
+d <= 6, on 10,000 random pairs for d = 7, 8), so a shipped formula that
+computes the wrong product is rejected before any circuit uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .gf2 import BinaryPoly, GF2Error, clmod, clmul
+from .gf2 import GF2Error, clmul
 from .linalg import BitMatrix
 
 BEST_PRODUCT_COUNTS = {1: 1, 2: 3, 3: 6, 4: 9, 5: 13, 6: 17, 7: 22, 8: 26}
@@ -103,346 +96,3 @@ class KaratsubaFormula:
         f = cls(d, T, R, source=source)
         f.verify()
         return f
-
-
-# -- solving R from a mask set ----------------------------------------------
-
-def _sym_index(d: int):
-    """Index map for the symmetric-matrix coordinate space."""
-    idx = {}
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            idx[(i, j)] = k
-            k += 1
-    return idx, k
-
-
-def _mask_sym_vec(u: int, d: int, idx) -> int:
-    """vec(u u^T) over F2: diagonal bits are u, off-diagonal (i<j) u_i u_j."""
-    v = 0
-    for i in range(d):
-        if not (u >> i) & 1:
-            continue
-        v |= 1 << idx[(i, i)]
-        for j in range(i + 1, d):
-            if (u >> j) & 1:
-                v |= 1 << idx[(i, j)]
-    return v
-
-
-def _coeff_sym_vec(l: int, d: int, idx) -> int:
-    """Symmetric matrix of the bilinear form c_l = sum_{i+j=l} f_i g_j."""
-    v = 0
-    for i in range(d):
-        j = l - i
-        if i <= j < d:
-            v |= 1 << idx[(i, j)]
-    return v
-
-
-def solve_recombination(masks: list[int], d: int) -> BitMatrix | None:
-    """Solve for R given product masks; None if the masks cannot express
-    every product coefficient."""
-    idx, dim = _sym_index(d)
-    v = len(masks)
-    ncoef = 2 * d - 1
-    # rows of [A | B]: one per symmetric coordinate; A bits = products,
-    # B bits = coefficient targets
-    rows = []
-    for coord in range(dim):
-        a = 0
-        for r, u in enumerate(masks):
-            if (_mask_sym_vec(u, d, idx) >> coord) & 1:
-                a |= 1 << r
-        rows.append([a, 0])
-    for l in range(ncoef):
-        cv = _coeff_sym_vec(l, d, idx)
-        for coord in range(dim):
-            if (cv >> coord) & 1:
-                rows[coord][1] |= 1 << l
-    # Gaussian elimination on A
-    pivots = []
-    r = 0
-    for c in range(v):
-        piv = next((i for i in range(r, len(rows)) if (rows[i][0] >> c) & 1),
-                   None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i][0] >> c) & 1:
-                rows[i][0] ^= rows[r][0]
-                rows[i][1] ^= rows[r][1]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][1]:
-            return None  # inconsistent: some coefficient not in the span
-    # back-substitute: free variables set to zero
-    sol_rows = [0] * ncoef
-    for l in range(ncoef):
-        x = 0
-        for rr, c in enumerate(pivots):
-            if (rows[rr][1] >> l) & 1:
-                x |= 1 << c
-        sol_rows[l] = x
-    return BitMatrix(sol_rows, v)
-
-
-def formula_from_masks(d: int, masks: list[int],
-                       source: str = "generated") -> KaratsubaFormula:
-    R = solve_recombination(masks, d)
-    if R is None:
-        raise GF2Error("mask set cannot express the product")
-    T = BitMatrix(list(masks), d)
-    f = KaratsubaFormula(d, T, R, source=source)
-    return f
-
-
-# -- constructions -----------------------------------------------------------
-
-def karatsuba_masks(d: int) -> list[int]:
-    """Recursive 2-way Karatsuba product masks (fallback generator)."""
-    if d == 1:
-        return [1]
-    lo = (d + 1) // 2
-    hi = d - lo
-    lo_masks = karatsuba_masks(lo)
-    hi_masks = karatsuba_masks(hi)
-    sum_masks = karatsuba_masks(lo)  # halves padded to lo terms
-    out = list(lo_masks)
-    out += [m << lo for m in hi_masks]
-    for m in sum_masks:
-        out.append(m | ((m << lo) & ((1 << d) - 1)))
-    # dedupe while keeping order
-    seen, uniq = set(), []
-    for m in out:
-        if m not in seen:
-            seen.add(m)
-            uniq.append(m)
-    return uniq
-
-
-def fallback_formula(d: int) -> KaratsubaFormula:
-    return formula_from_masks(d, karatsuba_masks(d), source="fallback-karatsuba")
-
-
-_TRUNC_MASKS = {
-    1: [0b1],
-    2: [0b01, 0b10, 0b11],
-    3: [0b001, 0b010, 0b011, 0b101, 0b100],
-    4: [0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b1001, 0b0110],
-}
-
-_FULL_MASKS = {
-    1: [0b1],
-    2: [0b01, 0b10, 0b11],
-    3: [0b001, 0b010, 0b100, 0b011, 0b101, 0b110],
-}
-
-
-def _reduction_rows(q: BinaryPoly, d: int) -> list[int]:
-    """Rows of the map (f mod q) <- f for f of degree < d (deg q rows)."""
-    e = q.degree
-    cols = [clmod(1 << k, q.bits) for k in range(d)]
-    rows = [0] * e
-    for k, col in enumerate(cols):
-        for i in range(e):
-            if (col >> i) & 1:
-                rows[i] |= 1 << k
-    return rows
-
-
-def _to_shifted_basis(e: int) -> list[int]:
-    """Basis change x -> y with y = x+1 on polynomials of degree < e."""
-    from math import comb
-
-    rows = [0] * e
-    for k in range(e):
-        for j in range(k + 1):
-            if comb(k, j) & 1:
-                rows[j] |= 1 << k
-    return rows
-
-
-def _compose(sub_masks: list[int], rows: list[int]) -> list[int]:
-    """Lift masks over residue coordinates to masks over f coordinates."""
-    out = []
-    for m in sub_masks:
-        acc = 0
-        for i, row in enumerate(rows):
-            if (m >> i) & 1:
-                acc ^= row
-        out.append(acc)
-    return out
-
-
-def _matrows_mul(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        rr = row
-        while rr:
-            low = rr & -rr
-            acc ^= b[low.bit_length() - 1]
-            rr ^= low
-        out.append(acc)
-    return out
-
-
-def interpolation_masks(d: int, plan) -> list[int]:
-    """Masks from evaluation at moduli with multiplicity plus infinity.
-
-    ``plan`` is a list of entries: ("x", e) truncated product at x^e,
-    ("x1", e) truncated product at (x+1)^e, ("irr", poly) full product
-    modulo an irreducible, ("inf", e) top-e coefficients.
-    """
-    masks: list[int] = []
-    for entry in plan:
-        kind = entry[0]
-        if kind == "x":
-            e = entry[1]
-            red = _reduction_rows(BinaryPoly(1 << e), d)
-            masks += _compose(_TRUNC_MASKS[e], red)
-        elif kind == "x1":
-            e = entry[1]
-            q = BinaryPoly(3) ** e
-            red = _reduction_rows(q, d)
-            change = _to_shifted_basis(e)
-            masks += _compose(_TRUNC_MASKS[e], _matrows_mul(change, red))
-        elif kind == "irr":
-            q = entry[1]
-            red = _reduction_rows(q, d)
-            masks += _compose(_FULL_MASKS[q.degree], red)
-        elif kind == "inf":
-            e = entry[1]
-            rows = [1 << (d - 1 - i) for i in range(e)]
-            masks += _compose(_TRUNC_MASKS[e], rows)
-        else:
-            raise GF2Error(f"unknown plan entry {entry}")
-    seen, uniq = set(), []
-    for m in masks:
-        if m and m not in seen:
-            seen.add(m)
-            uniq.append(m)
-    return uniq
-
-
-CONSTRUCTION_PLANS = {
-    7: [("x", 3), ("x1", 3), ("irr", BinaryPoly(0b111)),
-        ("irr", BinaryPoly(0b1011)), ("inf", 2)],
-    8: [("x", 3), ("x1", 3), ("irr", BinaryPoly(0b111)),
-        ("irr", BinaryPoly(0b1011)), ("irr", BinaryPoly(0b1101)), ("inf", 1)],
-}
-
-
-# -- search (used offline to produce the d = 5, 6 data files) ----------------
-
-def _offdiag_index(d: int):
-    idx = {}
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            idx[(i, j)] = k
-            k += 1
-    return idx, k
-
-
-def _offdiag_vec(u: int, d: int, idx) -> int:
-    v = 0
-    for i in range(d):
-        if not (u >> i) & 1:
-            continue
-        for j in range(i + 1, d):
-            if (u >> j) & 1:
-                v |= 1 << idx[(i, j)]
-    return v
-
-
-def search_formula_masks(d: int, v: int) -> list[int] | None:
-    """Exhaustive search for a v-product mask set containing all singletons.
-
-    With all d singleton products included, the diagonal coordinates of the
-    symmetric space are free, so feasibility reduces to spanning the
-    off-diagonal parts of the coefficient forms.  Reversal symmetry of the
-    product (c reversed = product of reversed inputs) is used to restrict
-    candidates for d = 6.
-    """
-    idx, dim = _offdiag_index(d)
-    singles = [1 << i for i in range(d)]
-    cands = [u for u in range(1, 1 << d) if u.bit_count() >= 2]
-    targets = []
-    for l in range(2 * d - 1):
-        t = 0
-        for i in range(d):
-            j = l - i
-            if i < j < d:
-                t |= 1 << idx[(i, j)]
-        if t:
-            targets.append(t)
-    vecs = {u: _offdiag_vec(u, d, idx) for u in cands}
-    need = v - d
-
-    def feasible(chosen):
-        basis = []
-        for u in chosen:
-            x = vecs[u]
-            for b in basis:
-                x = min(x, x ^ b)
-            if x:
-                basis.append(x)
-                basis.sort(reverse=True)
-        for t in targets:
-            x = t
-            for b in basis:
-                x = min(x, x ^ b)
-            if x:
-                return False
-        return True
-
-    if d <= 5:
-        for combo in combinations(cands, need):
-            if feasible(combo):
-                return singles + list(combo)
-        return None
-
-    # reversal-symmetric restriction
-    def rev(u):
-        return int(format(u, f"0{d}b")[::-1], 2)
-
-    pal = sorted(u for u in cands if rev(u) == u)
-    pairs = sorted({tuple(sorted((u, rev(u)))) for u in cands if rev(u) != u})
-    for npal in range(need % 2, min(need, len(pal)) + 1, 2):
-        npair = (need - npal) // 2
-        if npair > len(pairs):
-            continue
-        for pal_pick in combinations(pal, npal):
-            base = list(pal_pick)
-            for pair_pick in combinations(pairs, npair):
-                chosen = base + [u for pr in pair_pick for u in pr]
-                if feasible(chosen):
-                    return singles + chosen
-    return None
-
-
-def best_formula(d: int) -> KaratsubaFormula:
-    """Build a formula achieving the best known product count for d <= 8."""
-    v = BEST_PRODUCT_COUNTS[d]
-    if d == 1:
-        return formula_from_masks(1, [1], source="trivial")
-    if d == 2:
-        return formula_from_masks(2, [0b01, 0b10, 0b11], source="karatsuba")
-    if d == 3:
-        return formula_from_masks(3, list(_FULL_MASKS[3]), source="3-term")
-    if d == 4:
-        return formula_from_masks(4, karatsuba_masks(4), source="2-level-karatsuba")
-    if d in CONSTRUCTION_PLANS:
-        masks = interpolation_masks(d, CONSTRUCTION_PLANS[d])
-        if len(masks) != v:
-            raise GF2Error(f"construction for d={d} gave {len(masks)} products")
-        return formula_from_masks(d, masks, source="crt-interpolation")
-    masks = search_formula_masks(d, v)
-    if masks is None:
-        raise GF2Error(f"search found no {v}-product formula for d={d}")
-    return formula_from_masks(d, masks, source="search")

@@ -317,10 +317,10 @@ def crt_recombination_matrix(q_i: BinaryPoly, m: BinaryPoly,
     return BitMatrix.from_columns(cols, n)
 
 
-def correction_matrix(modset: ModulusSet, field: FieldSpec) -> BitMatrix:
+def correction_matrix(modset: ModulusSet, n: int, p: BinaryPoly) -> BitMatrix:
     """n x omega matrix of the correction terms ((x^i)+(x^i mod m)) mod p,
-    for i from 2n-1-omega up to 2n-2 (ascending column order)."""
-    n = field.n
+    for i from 2n-1-omega up to 2n-2 (ascending column order).  p has
+    degree n and need not be irreducible (inner CRT stages)."""
     omega = modset.omega(n)
     if omega < 1:
         raise GF2Error("modulus set needs no correction (omega = 0)")
@@ -328,5 +328,5 @@ def correction_matrix(modset: ModulusSet, field: FieldSpec) -> BitMatrix:
     cols = []
     for i in range(2 * n - 1 - omega, 2 * n - 1):
         v = (1 << i) ^ clmod(1 << i, m.bits)
-        cols.append(clmod(v, field.p.bits))
+        cols.append(clmod(v, p.bits))
     return BitMatrix.from_columns(cols, n)

@@ -6,7 +6,8 @@ same data files the same way.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import inspect
+from functools import lru_cache, wraps
 
 from .datafiles import (
     data_dir,
@@ -21,6 +22,22 @@ from .synth import InversionPlan, ModmultPlan
 
 def load_formulas() -> dict:
     return {d: load_formula(d) for d in range(1, 9)}
+
+
+def _plan_cache(fn):
+    """``lru_cache`` keyed on the arguments with defaults filled in, so
+    ``f(5)`` and ``f(5, None)`` share one entry (and one plan build)."""
+    sig = inspect.signature(fn)
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
 
 
 def clear_caches():
@@ -45,14 +62,14 @@ def modulus_set_for(n: int):
     raise FileNotFoundError(f"no modulus set for n = {n}: tried {path} and {toy}")
 
 
-@lru_cache(maxsize=None)
+@_plan_cache
 def modmult_plan(n: int, poly_bits: int | None = None) -> ModmultPlan:
     field = field_for(n, poly_bits)
     return ModmultPlan(n, field.p, modulus_set_for(n), _cached_formulas(),
                        inner_sets=load_inner_modulus_set)
 
 
-@lru_cache(maxsize=None)
+@_plan_cache
 def field_for(n: int, poly_bits: int | None = None) -> FieldSpec:
     if poly_bits is not None:
         return FieldSpec(n, BinaryPoly(poly_bits))
@@ -64,14 +81,14 @@ def field_for(n: int, poly_bits: int | None = None) -> FieldSpec:
         return FieldSpec(n, enumerate_irreducibles(n)[0])
 
 
-@lru_cache(maxsize=None)
+@_plan_cache
 def inversion_plan(n: int, clearing: bool = True,
                    poly_bits: int | None = None) -> InversionPlan:
     return InversionPlan(field_for(n, poly_bits), load_chain(n),
                          modmult_plan(n, poly_bits), clearing=clearing)
 
 
-@lru_cache(maxsize=None)
+@_plan_cache
 def pointadd_plan(n: int, a_bits: int = 1, b_bits: int = 1,
                   poly_bits: int | None = None) -> PointAddPlan:
     field = field_for(n, poly_bits)

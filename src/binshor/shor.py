@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import GateCounts
 from .gf2 import GF2Error
 from .synth import CountSink
-from .ecc import CountBlocks, PointAddPlan, emit_pointadd, pointadd_census
+from .ecc import CountBlocks, PointAddPlan, emit_pointadd, pointadd_layout
 
 
 @dataclass
@@ -96,7 +95,7 @@ def pointadd_cost(plan: PointAddPlan,
     inv = plan.inversion.counts()
     mm = plan.modmult.counts()
     toffoli = 4 * inv.toffoli + 8 * mm.toffoli + 39 * (n - 1) + 6 * n
-    streamed = stream_pointadd_counts(plan)
+    streamed = stream_pointadd_counts(plan).counts
     av = 0.0
     if weights is not None:
         av = (weights["cnot"] * streamed.cnot + weights["swap"] * streamed.swap
@@ -106,34 +105,21 @@ def pointadd_cost(plan: PointAddPlan,
                        active_volume=av)
 
 
-def stream_pointadd_counts(plan: PointAddPlan) -> GateCounts:
-    """Exact synthesized gate totals (arithmetic blocks injected from their
-    cached counts; structural gates streamed)."""
-    n = plan.n
-    cs = CountSink()
-    regs = [list(range(i * n, (i + 1) * n)) for i in range(5)]
-    flags = list(range(5 * n, 5 * n + 5))
-    lam = list(range(5 * n + 5, 6 * n + 5))
-    wreg = list(range(6 * n + 5,
-                      6 * n + 5 + (plan.inversion.num_registers - 1) * n))
-    scratch = wreg[-1] + 1
-    emit_pointadd(cs, plan, regs[0], regs[1], regs[2], regs[3], regs[4],
-                  flags, lam, wreg, scratch, blocks=CountBlocks(plan))
-    return cs.counts
+def stream_pointadd_counts(plan: PointAddPlan) -> CountSink:
+    """Exact synthesized gate totals (``.counts``) and census groups
+    (``.census``) of one point addition.
 
-
-def pointadd_census_counts(plan: PointAddPlan) -> dict[str, int]:
-    n = plan.n
-    cs = CountSink()
-    regs = [list(range(i * n, (i + 1) * n)) for i in range(5)]
-    flags = list(range(5 * n, 5 * n + 5))
-    lam = list(range(5 * n + 5, 6 * n + 5))
-    wreg = list(range(6 * n + 5,
-                      6 * n + 5 + (plan.inversion.num_registers - 1) * n))
-    scratch = wreg[-1] + 1
-    emit_pointadd(cs, plan, regs[0], regs[1], regs[2], regs[3], regs[4],
-                  flags, lam, wreg, scratch, blocks=CountBlocks(plan))
-    return pointadd_census(cs)
+    One emission over the :func:`~binshor.ecc.pointadd_layout` wires, with
+    the arithmetic blocks injected from their cached counts and the
+    structural gates streamed.  The sink is kept on the plan, so later
+    calls reuse it.
+    """
+    if plan.streamed is None:
+        cs = CountSink()
+        emit_pointadd(cs, plan, pointadd_layout(plan),
+                      blocks=CountBlocks(plan))
+        plan.streamed = cs
+    return plan.streamed
 
 
 # -- phase estimation -----------------------------------------------------------
@@ -202,6 +188,9 @@ def optimize_window(n: int, point_add: LogicalCost, metric: str = "toffoli",
         key = cost.toffoli if metric == "toffoli" else cost.active_volume
         if best is None or key < best[0]:
             best = (key, s, cost)
+    if best is None:
+        raise GF2Error(f"no window size in {lo}..{s_range[1]} fits n = {n} "
+                       f"with {precomputed_bits} precomputed bits")
     return best[1], best[2], landscape
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateCounts, Register
+from .circuit import Circuit, GateCounts, Register, emit_mcx_lowered
 from .gf2 import (
     BinaryPoly,
     FieldSpec,
@@ -28,6 +28,7 @@ from .linalg import (
     reduction_matrix,
     crt_recombination_matrix,
     correction_matrix,
+    squaring_matrix,
 )
 from .formulas import KaratsubaFormula
 
@@ -57,18 +58,8 @@ class CountSink:
         self.counts.ccx_uncompute += 1
 
     def mcx(self, controls, t):
-        # mirrors the clean-ancilla lowering in circuit.lower_mcx
-        k = len(controls)
-        self.counts.not_ += 2 * sum(1 for _, closed in controls if not closed)
-        if k == 0:
-            self.counts.not_ += 1
-        elif k == 1:
-            self.counts.cnot += 1
-        elif k == 2:
-            self.counts.toffoli += 1
-        else:
-            self.counts.toffoli += k - 1
-            self.counts.ccx_uncompute += k - 2
+        # a tally reads no wire, so any indices stand in for the ancillas
+        emit_mcx_lowered(self, controls, t, range(len(controls)))
 
     def add_counts(self, other: GateCounts):
         c = self.counts
@@ -400,7 +391,7 @@ class ModmultPlan:
                 q_out=q_out, q_perm=plu.transpositions(),
                 formula=formula, inner=inner))
         if self.omega:
-            H = correction_matrix(modset, FieldLike(n, p))
+            H = correction_matrix(modset, n, p)
             plu = plu_decompose(H)
             LU = plu.L @ plu.U
             self.h_plu = plu_decompose(BitMatrix(LU.rows[:self.omega],
@@ -487,14 +478,6 @@ class ModmultPlan:
         return self._counts
 
 
-class FieldLike:
-    """Duck-typed stand-in for FieldSpec when p need not be irreducible."""
-
-    def __init__(self, n: int, p: BinaryPoly):
-        self.n = n
-        self.p = p
-
-
 # -- addition chains and inversion -------------------------------------------
 
 @dataclass(frozen=True)
@@ -562,7 +545,7 @@ class InversionPlan:
     price of more workspace.
     """
 
-    def __init__(self, field: FieldSpec | FieldLike, chain: AdditionChain,
+    def __init__(self, field: FieldSpec, chain: AdditionChain,
                  modmult: ModmultPlan, clearing: bool = True):
         if chain.target != field.n - 1:
             raise GF2Error(
@@ -572,7 +555,7 @@ class InversionPlan:
         self.modmult = modmult
         self.clearing = clearing
         self.n = field.n
-        self._sq_cache: dict[int, tuple[str, object]] = {}
+        self._sq_cache: dict[int, tuple[str, PLUFactors | None, int]] = {}
         self._sq_counts: dict[int, GateCounts] = {}
         self.mult_calls = 0
         # worked out during the dry run
@@ -584,36 +567,16 @@ class InversionPlan:
 
     # squaring circuits ------------------------------------------------------
 
-    def _square_parts(self, k: int):
-        """Fused-vs-sequential choice for k consecutive squarings.
-
-        Comparison is by total CNOT count with each swap at its three-CNOT
-        equivalent; ties go to the fused circuit.
-        """
-        k = k % _frobenius_order(self.field)
-        if k == 0:
-            return ("fused", None)
-        if k not in self._sq_cache:
-            plu1 = _single_square_plu(self.field)
-            fused = plu_decompose(squaring_matrix_like(self.field, k))
-            if _plu_cnot_equiv(fused) <= k * _plu_cnot_equiv(plu1):
-                self._sq_cache[k] = ("fused", fused)
-            else:
-                self._sq_cache[k] = ("seq", (plu1, k))
-        return self._sq_cache[k]
-
     def _emit_square_power(self, sink, k: int, wires, rev: bool = False):
-        k = k % _frobenius_order(self.field)
+        k %= self.n
         if k == 0:
             return
-        method, data = self._square_parts(k)
+        if k not in self._sq_cache:
+            self._sq_cache[k] = squaring_method(self.field, k)
+        method, plu, reps = self._sq_cache[k]
         sink.begin_group(f"square^{k} ({method})")
-        if method == "fused":
-            emit_inplace_linear(sink, data, wires, rev=rev)
-        else:
-            plu1, kk = data
-            for _ in range(kk):
-                emit_inplace_linear(sink, plu1, wires, rev=rev)
+        for _ in range(reps):
+            emit_inplace_linear(sink, plu, wires, rev=rev)
         sink.end_group()
 
     # scheduling -------------------------------------------------------------
@@ -804,7 +767,7 @@ class InversionPlan:
         n = self.n
 
         def sq_counts(k):
-            k = k % _frobenius_order(self.field)
+            k %= n
             if k == 0:
                 return GateCounts()
             if k not in self._sq_counts:
@@ -835,20 +798,25 @@ class InversionPlan:
         return total
 
 
-def _frobenius_order(field) -> int:
-    # f -> f^2 has order n on GF(2^n); for non-irreducible inner moduli the
-    # order may differ, so fall back to the matrix order lazily.
-    return field.n
+def squaring_method(field: FieldSpec, k: int
+                    ) -> tuple[str, PLUFactors | None, int]:
+    """Circuit for k consecutive squarings f -> f^(2^k): one fused circuit
+    or k single squarings, whichever is cheaper.
 
-
-def squaring_matrix_like(field, k: int) -> BitMatrix:
-    cols = [clmod(1 << (2 * j), field.p.bits) for j in range(field.n)]
-    S = BitMatrix.from_columns(cols, field.n)
-    return S ** k if k > 1 else S
-
-
-def _single_square_plu(field) -> PLUFactors:
-    return plu_decompose(squaring_matrix_like(field, 1))
+    Returns (method, plu, reps): the circuit applies ``plu`` in place
+    ``reps`` times.  Squaring has order n on GF(2^n), so k counts modulo n
+    and a multiple of n is the empty fused circuit.  Comparison is by total
+    CNOT count with each swap at its three-CNOT equivalent; ties go to the
+    fused circuit.
+    """
+    k %= field.n
+    if k == 0:
+        return ("fused", None, 0)
+    plu1 = plu_decompose(squaring_matrix(field, 1))
+    fused = plu1 if k == 1 else plu_decompose(squaring_matrix(field, k))
+    if _plu_cnot_equiv(fused) <= k * _plu_cnot_equiv(plu1):
+        return ("fused", fused, 1)
+    return ("sequential", plu1, k)
 
 
 def _plu_cnot(plu: PLUFactors) -> int:
@@ -918,26 +886,15 @@ def synth_in_place_mul(M: BitMatrix) -> Circuit:
 
 
 def synth_square(field: FieldSpec, k: int = 1) -> Circuit:
-    """In-place |f> -> |f^(2^k)>, choosing the cheaper of k single squarings
-    or one fused circuit by CNOT-equivalents (swap = 3 CNOTs); ties go to
-    the fused circuit."""
+    """In-place |f> -> |f^(2^k)> by the :func:`squaring_method` choice."""
     if k < 1:
         raise GF2Error("k must be >= 1")
     circ = Circuit()
     wires = circ.add_register(Register("f", field.n))
-    keff = k % field.n
-    if keff == 0:
-        circ.meta = {"method": "fused", "k": k}
-        return circ
-    plu1 = _single_square_plu(field)
-    fused = plu_decompose(squaring_matrix_like(field, keff))
-    if _plu_cnot_equiv(fused) <= keff * _plu_cnot_equiv(plu1):
-        emit_inplace_linear(circ, fused, wires)
-        circ.meta = {"method": "fused", "k": k}
-    else:
-        for _ in range(keff):
-            emit_inplace_linear(circ, plu1, wires)
-        circ.meta = {"method": "sequential", "k": k}
+    method, plu, reps = squaring_method(field, k)
+    for _ in range(reps):
+        emit_inplace_linear(circ, plu, wires)
+    circ.meta = {"method": method, "k": k}
     return circ
 
 

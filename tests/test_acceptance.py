@@ -18,6 +18,7 @@ from binshor.datafiles import load_chain, load_formula
 from binshor.ecc import (
     TABLE_CENSUS,
     ec_add_classical,
+    pointadd_census,
     slope_for,
     synth_ecpointadd,
 )
@@ -34,7 +35,6 @@ from binshor.shor import (
     optimize_window,
     pe_cost,
     pointadd_cost,
-    pointadd_census_counts,
     round_sig,
     stream_pointadd_counts,
 )
@@ -128,7 +128,7 @@ def test_criterion_3_pointadd(field_plans):
         ok &= (round_sig(cost.toffoli) == tab
                or abs(cost.toffoli - tab) / tab <= 0.002)
         ok &= cost.qubits == 12 * n + 7 == TABLE_PA_QUBITS[n]
-        census = pointadd_census_counts(plan)
+        census = pointadd_census(stream_pointadd_counts(plan))
         ok &= census == TABLE_CENSUS
         details.append(f"n={n}: toffoli {cost.toffoli:.0f} vs {tab:.3g}, "
                        f"qubits {cost.qubits}")

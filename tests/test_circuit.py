@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binshor.circuit import (
     Circuit,
@@ -210,3 +211,34 @@ def test_plane_simulation_matches_single():
     outs = unpack_planes(simulate_planes(c, planes), len(inputs))
     for v, o in zip(inputs, outs):
         assert simulate(c, v) == o
+
+
+MCX_WIDTH = 8
+_ARITY = {"x": 1, "cnot": 2, "swap": 2, "ccx": 3, "ccxu": 3}
+
+
+@st.composite
+def _gate_ops(draw):
+    kind = draw(st.sampled_from(["x", "cnot", "swap", "ccx", "ccxu", "mcx"]))
+    qs = draw(st.permutations(range(MCX_WIDTH)))
+    if kind != "mcx":
+        return kind, tuple(qs[:_ARITY[kind]])
+    k = draw(st.integers(0, MCX_WIDTH - 1))
+    closed = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return kind, (list(zip(qs[:k], closed)), qs[k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_gate_ops(), max_size=40))
+def test_count_sink_matches_lowered_counts(ops):
+    from binshor.synth import CountSink
+
+    circ = Circuit([Register("q", MCX_WIDTH)])
+    sink = CountSink()
+    for kind, args in ops:
+        getattr(circ, kind)(*args)
+        getattr(sink, kind)(*args)
+    low = counts(lower_mcx(circ))
+    kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
+    assert ([getattr(sink.counts, k) for k in kinds]
+            == [getattr(low, k) for k in kinds])

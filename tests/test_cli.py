@@ -56,6 +56,23 @@ def test_synth_missing_formula_file_reports_path(tmp_path, capsys, monkeypatch):
         pipeline.clear_caches()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--field", "5"], "no window size"),
+    (["landscape", "--field", "163", "--precomp", "200"], "no window size"),
+    (["validate", "--mode", "sampled", "--samples", "0"], "--samples"),
+    (["synth", "--field", "4", "--emit", "{missing}/x.txt"], "{missing}/x.txt"),
+], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
+        "emit-missing-dir"])
+def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing) for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert message.format(missing=missing) in err
+    assert ".tmp" not in err
+
+
 def test_validate_toy_curve_passes(capsys):
     rc, out, _ = run(capsys, "validate", "--field", "4")
     assert rc == 0

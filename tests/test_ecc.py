@@ -225,9 +225,10 @@ def test_pointadd_stage2_postconditions():
 
 
 def test_pointadd_census_at_n8():
-    from binshor.shor import pointadd_census_counts
+    from binshor.shor import stream_pointadd_counts
 
-    assert pointadd_census_counts(pointadd_plan(8, 1, 1)) == TABLE_CENSUS
+    streamed = stream_pointadd_counts(pointadd_plan(8, 1, 1))
+    assert pointadd_census(streamed) == TABLE_CENSUS
 
 
 def test_pointadd_synthesized_vs_decomposition_toffoli():
@@ -239,11 +240,25 @@ def test_pointadd_synthesized_vs_decomposition_toffoli():
 
     for n, a, b in ((4, 0, 1), (5, 2, 3), (8, 1, 1)):
         plan = pointadd_plan(n, a, b)
-        streamed = stream_pointadd_counts(plan)
+        streamed = stream_pointadd_counts(plan).counts
         formula = (4 * inversion_plan(n).counts().toffoli
                    + 8 * modmult_plan(n).counts().toffoli
                    + 39 * (n - 1) + 6 * n)
         assert streamed.toffoli == formula - 11 * n + 50
+
+
+@pytest.mark.parametrize("n, a, b", [(4, 0, 1), (5, 2, 3), (8, 1, 1)])
+def test_streamed_pointadd_counts_equal_lowered_circuit(n, a, b):
+    from binshor.shor import stream_pointadd_counts
+
+    plan = pointadd_plan(n, a, b)
+    streamed = stream_pointadd_counts(plan).counts
+    lowered = counts(lower_mcx(synth_ecpointadd(plan)))
+    kinds = ("cnot", "toffoli", "swap", "not_", "ccx_uncompute")
+    got = [getattr(streamed, k) for k in kinds]
+    assert got == [getattr(lowered, k) for k in kinds]
+    if n == 8:
+        assert got == [7883, 931, 410, 360, 153]
 
 
 def test_pointadd_sampled_n8():

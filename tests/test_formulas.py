@@ -1,15 +1,8 @@
 import pytest
 
 from binshor.datafiles import load_formula
-from binshor.formulas import (
-    BEST_PRODUCT_COUNTS,
-    best_formula,
-    fallback_formula,
-    formula_from_masks,
-    karatsuba_masks,
-    solve_recombination,
-)
-from binshor.gf2 import GF2Error, clmul
+from binshor.formulas import BEST_PRODUCT_COUNTS
+from binshor.gf2 import clmul
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -30,35 +23,6 @@ def test_shipped_formula_exhaustive(d):
 @pytest.mark.parametrize("d", (7, 8))
 def test_shipped_formula_sampled(d):
     load_formula(d).verify(exhaustive=False, samples=10_000, seed=1)
-
-
-def test_classic_karatsuba_is_three_products():
-    f = best_formula(2)
-    assert f.v == 3
-
-
-def test_fallback_generator_valid_but_larger():
-    f = fallback_formula(6)
-    f.verify(exhaustive=True)
-    assert f.v == 18  # recursive 2-way splits exceed the searched 17
-    assert f.source == "fallback-karatsuba"
-
-
-def test_fallback_masks_cover_all_sizes():
-    for d in range(1, 9):
-        masks = karatsuba_masks(d)
-        f = formula_from_masks(d, masks)
-        f.verify(exhaustive=(d <= 6), samples=2000)
-
-
-def test_solver_rejects_insufficient_masks():
-    # three singleton products cannot express the cross terms
-    assert solve_recombination([0b001, 0b010, 0b100], 3) is None
-
-
-def test_formula_from_masks_raises_when_unsolvable():
-    with pytest.raises(GF2Error):
-        formula_from_masks(3, [0b001, 0b010, 0b100])
 
 
 def test_text_roundtrip():

@@ -177,7 +177,7 @@ def test_crt_recombination_two_factor_toy():
     qs = crt_constants(ms)
     m = ms.m
     mats = [crt_recombination_matrix(q, m, 1, 2, f2.p) for q in qs]
-    H = correction_matrix(ms, f2)
+    H = correction_matrix(ms, 2, f2.p)
     for fv in range(4):
         for gv in range(4):
             want = poly_mul_mod(BinaryPoly(fv), BinaryPoly(gv), f2.p).bits
@@ -214,7 +214,7 @@ def test_correction_matrix_single_column():
     # toy3 set {x, x+1, x^2+x+1}: deg m = 4 = 2n-2 at n = 3, omega = 1
     ms = ModulusSet(((BinaryPoly(0b10), 1), (BinaryPoly(0b11), 1),
                      (BinaryPoly(0b111), 1)))
-    H = correction_matrix(ms, F3)
+    H = correction_matrix(ms, 3, P3)
     assert H.shape == (3, 1)
     i = 2 * 3 - 2
     want = clmod((1 << i) ^ clmod(1 << i, ms.m.bits), P3.bits)
@@ -224,7 +224,7 @@ def test_correction_matrix_single_column():
 def test_correction_matrix_283_columns():
     ms = load_modulus_set(283)
     f = FieldSpec.standard(283)
-    H = correction_matrix(ms, f)
+    H = correction_matrix(ms, 283, f.p)
     assert H.shape == (283, 4)
     m = ms.m
     for j, i in enumerate(range(2 * 283 - 1 - 4, 2 * 283 - 1)):
@@ -235,7 +235,7 @@ def test_correction_matrix_283_columns():
 def test_correction_matrix_omega_zero_errors():
     ms = load_modulus_set(163)
     with pytest.raises(GF2Error):
-        correction_matrix(ms, F163)
+        correction_matrix(ms, 163, F163.p)
 
 
 def test_matrix_text_roundtrip():
