@@ -14,7 +14,7 @@ synthesizers consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, cached_property, reduce
 
 
 class GF2Error(ValueError):
@@ -139,10 +139,12 @@ def cldivmod(a: int, m: int) -> tuple[int, int]:
         raise ZeroModulusError("division by the zero polynomial")
     dm = m.bit_length() - 1
     q = 0
-    while a.bit_length() - 1 >= dm and a:
-        shift = (a.bit_length() - 1) - dm
+    da = a.bit_length() - 1
+    while da >= dm:
+        shift = da - dm
         q ^= 1 << shift
         a ^= m << shift
+        da = a.bit_length() - 1
     return q, a
 
 
@@ -326,11 +328,12 @@ class ModulusSet:
                 raise InvalidModulusSetError(f"repeated base {base}")
             seen.add(base.bits)
 
-    @property
-    def moduli(self) -> list[BinaryPoly]:
-        return [base ** exp for base, exp in self.factors]
+    # computed on first access; equality and hashing still use ``factors``
+    @cached_property
+    def moduli(self) -> tuple[BinaryPoly, ...]:
+        return tuple(base ** exp for base, exp in self.factors)
 
-    @property
+    @cached_property
     def m(self) -> BinaryPoly:
         return reduce(lambda a, b: a * b, self.moduli, ONE)
 
@@ -360,25 +363,34 @@ def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
     return omega
 
 
-def crt_constants(modset: ModulusSet) -> list[BinaryPoly]:
-    """CRT recombination constants q_i with q_i = 1 mod m_i, 0 mod m_j."""
-    mods = modset.moduli
-    m = modset.m
+@cache
+def crt_constants(modset: ModulusSet) -> tuple[BinaryPoly, ...]:
+    """CRT recombination constants q_i with q_i = 1 mod m_i, 0 mod m_j.
+
+    Computed once per distinct modulus set.  q_i = c_i * (c_i^-1 mod m_i)
+    with c_i = m / m_i; an exact division makes q_i = 0 mod every other
+    m_j, so checking q_i = 1 mod m_i and sum(q_i) = 1 mod m verifies the
+    whole residue matrix in O(k) reductions.
+    """
+    m = modset.m.bits
     out = []
-    for mi in mods:
-        cofactor = BinaryPoly(cldivmod(m.bits, mi.bits)[0])
+    total = 0
+    for mi in modset.moduli:
+        cofactor, rem = cldivmod(m, mi.bits)
+        if rem:
+            raise InvalidModulusSetError(f"{mi} does not divide m")
         try:
-            inv = poly_inv_mod(BinaryPoly(clmod(cofactor.bits, mi.bits)), mi)
+            inv = poly_inv_mod(BinaryPoly(clmod(cofactor, mi.bits)), mi)
         except GF2Error as e:
             raise InvalidModulusSetError(f"factors not coprime: {e}") from e
-        qi = cofactor * inv
-        out.append(qi)
-    for i, qi in enumerate(out):
-        for j, mj in enumerate(mods):
-            want = 1 if i == j else 0
-            if clmod(qi.bits, mj.bits) != want:
-                raise InvalidModulusSetError("CRT residue check failed")
-    return out
+        qi = clmul(cofactor, inv.bits)
+        if clmod(qi, mi.bits) != 1:
+            raise InvalidModulusSetError("CRT residue check failed")
+        total ^= qi
+        out.append(BinaryPoly(qi))
+    if clmod(total, m) != 1:
+        raise InvalidModulusSetError("CRT constants do not sum to 1 mod m")
+    return tuple(out)
 
 
 def parse_modulus_set(text: str) -> ModulusSet:

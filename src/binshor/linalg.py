@@ -9,6 +9,7 @@ polynomial oracles in :mod:`binshor.gf2`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, ModulusSet, clmod
 
@@ -117,18 +118,16 @@ class BitMatrix:
         return BitMatrix.from_columns(list(self.rows), self.ncols)
 
     def rank(self) -> int:
-        rows = sorted(self.rows, reverse=True)
-        rank = 0
-        basis: list[int] = []
-        for r in self.rows:
-            v = r
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-                rank += 1
-        return rank
+        basis: dict[int, int] = {}  # leading bit -> basis row with that lead
+        for v in self.rows:
+            while v:
+                lead = v.bit_length() - 1
+                b = basis.get(lead)
+                if b is None:
+                    basis[lead] = v
+                    break
+                v ^= b
+        return len(basis)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -233,28 +232,25 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     n, d = M.shape
     if n < d:
         raise GF2Error("plu_decompose needs nrows >= ncols")
+    mask = (1 << d) - 1
+    # bits d and up of a working row collect its L entries (L[i, c] at d + c)
     A = list(M.rows)
     perm = list(range(n))  # tracks source row currently at each position
-    l_rows = [0] * n
     for c in range(d):
-        piv = next((i for i in range(c, n) if (A[i] >> c) & 1), None)
+        bit = 1 << c
+        piv = next((i for i in range(c, n) if A[i] & bit), None)
         if piv is None:
-            rank = BitMatrix(A, d).rank() if n else 0
+            rank = BitMatrix([a & mask for a in A], d).rank()
             raise SingularMatrixError("matrix has deficient column rank",
                                       rank=rank)
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
             perm[c], perm[piv] = perm[piv], perm[c]
-            l_rows[c], l_rows[piv] = l_rows[piv], l_rows[c]
-        for i in range(c + 1, n):
-            if (A[i] >> c) & 1:
-                A[i] ^= A[c]
-                l_rows[i] |= 1 << c
-    for i in range(n):
-        if i < d:
-            l_rows[i] |= 1 << i
-    L = BitMatrix(l_rows, d)
-    U = BitMatrix(A[:d], d)
+        w = (A[c] & mask) | (1 << (d + c))
+        A[c + 1:] = [a ^ w if a & bit else a for a in A[c + 1:]]
+    L = BitMatrix([(a >> d) | (1 << i if i < d else 0)
+                   for i, a in enumerate(A)], d)
+    U = BitMatrix([a & mask for a in A[:d]], d)
     # perm currently maps position -> original row index after forward swaps;
     # the permutation matrix P must undo that reordering: P[orig, pos] = 1.
     inv = [0] * n
@@ -290,30 +286,74 @@ def reduction_matrix(m_i: BinaryPoly, n: int) -> BitMatrix:
     if not 1 <= d < n:
         raise GF2Error("reduction modulus degree out of range")
     cols = []
-    acc = clmod(1 << d, m_i.bits)
+    top = 1 << d
+    acc = clmod(top, m_i.bits)
     for _ in range(n - d):
         cols.append(acc)
-        acc = clmod(acc << 1, m_i.bits)
+        acc <<= 1  # acc is reduced, so one conditional subtraction reduces
+        if acc & top:
+            acc ^= m_i.bits
     return BitMatrix.from_columns(cols, d)
 
 
+@cache
+def _squaring_powers(field: FieldSpec) -> dict[int, BitMatrix]:
+    """The powers S^k of one field's squaring matrix built so far, by k."""
+    cols = [clmod(1 << (2 * j), field.p.bits) for j in range(field.n)]
+    return {1: BitMatrix.from_columns(cols, field.n)}
+
+
 def squaring_matrix(field: FieldSpec, k: int = 1) -> BitMatrix:
-    """n x n matrix of the k-fold Frobenius f -> f^(2^k) mod p."""
+    """n x n matrix of the k-fold Frobenius f -> f^(2^k) mod p.
+
+    Powers of one field are kept and composed, S^(a+b) = S^a @ S^b, so a
+    sequence of k (an addition chain's) costs a few products in all.  The
+    returned matrix is shared: do not modify it.
+    """
     if k < 1:
         raise GF2Error("k must be >= 1")
-    cols = [clmod(1 << (2 * j), field.p.bits) for j in range(field.n)]
-    S = BitMatrix.from_columns(cols, field.n)
-    return S ** k if k > 1 else S
+    powers = _squaring_powers(field)
+    if k not in powers:
+        top = max(powers)
+        while 2 * top <= k:  # so that k splits into O(log k) stored powers
+            powers[2 * top] = powers[top] @ powers[top]
+            top *= 2
+        acc, rest = None, k
+        while rest:
+            a = max(j for j in powers if j <= rest)
+            rest -= a
+            if acc is None:
+                acc = powers[a]
+            else:
+                # A @ B costs a row XOR per set entry of A, and powers
+                # commute: put the sparser one on the left
+                A, B = sorted((acc, powers[a]), key=BitMatrix.popcount)
+                acc = A @ B
+        powers[k] = acc
+    return powers[k]
 
 
 def crt_recombination_matrix(q_i: BinaryPoly, m: BinaryPoly,
                              d_i: int, n: int, p: BinaryPoly) -> BitMatrix:
-    """n x d_i matrix with column k = ((x^k * q_i mod m) mod p)."""
+    """n x d_i matrix with column k = ((x^k * q_i mod m) mod p).
+
+    x^k q_i is stepped modulo m and modulo p side by side: a shift, then a
+    conditional subtraction of p, and of m (with m mod p on the p side).
+    """
+    top_m, top_p = 1 << m.degree, 1 << p.degree
+    m_mod_p = clmod(m.bits, p.bits)
     cols = []
     acc = clmod(q_i.bits, m.bits)
+    acc_p = clmod(acc, p.bits)
     for _ in range(d_i):
-        cols.append(clmod(acc, p.bits))
-        acc = clmod(acc << 1, m.bits)
+        cols.append(acc_p)
+        acc <<= 1
+        acc_p <<= 1
+        if acc_p & top_p:
+            acc_p ^= p.bits
+        if acc & top_m:
+            acc ^= m.bits
+            acc_p ^= m_mod_p
     return BitMatrix.from_columns(cols, n)
 
 

@@ -41,14 +41,18 @@ def _plan_cache(fn):
 
 
 def clear_caches():
-    for fn in (_cached_formulas, modmult_plan, field_for, inversion_plan,
-               pointadd_plan):
+    for fn in (_cached_formulas, _cached_inner_set, modmult_plan, field_for,
+               inversion_plan, pointadd_plan):
         fn.cache_clear()
 
 
 @lru_cache(maxsize=None)
 def _cached_formulas():
     return load_formulas()
+
+
+# one parse per inner set: the 78 inner plans at n = 571 share two sets
+_cached_inner_set = lru_cache(maxsize=None)(load_inner_modulus_set)
 
 
 def modulus_set_for(n: int):
@@ -66,7 +70,7 @@ def modulus_set_for(n: int):
 def modmult_plan(n: int, poly_bits: int | None = None) -> ModmultPlan:
     field = field_for(n, poly_bits)
     return ModmultPlan(n, field.p, modulus_set_for(n), _cached_formulas(),
-                       inner_sets=load_inner_modulus_set)
+                       inner_sets=_cached_inner_set)
 
 
 @_plan_cache

@@ -10,6 +10,7 @@ stream, never from closed-form shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .circuit import Circuit, GateCounts, Register, emit_mcx_lowered
 from .gf2 import (
@@ -191,39 +192,27 @@ def emit_inplace_linear(sink, plu: PLUFactors, wires, rev: bool = False):
     emit_block(sink, build, rev=rev)
 
 
-def merged_cnot_lists(Ma: BitMatrix | None, da: int,
-                      Mb: BitMatrix | None, db: int):
-    """CNOT lists for two stacked reduction applications with shared pairs
-    cancelled; emission order keeps reads of the overlap region correct."""
-
-    def pairs(M, d):
-        out = []
-        if M is None:
-            return out
-        for i, row in enumerate(M.rows):
-            r = row
-            while r:
-                low = r & -r
-                out.append((d + low.bit_length() - 1, i))
-                r ^= low
-        return out
-
-    a = pairs(Ma, da)
-    b = pairs(Mb, db)
-    bset = set(b)
-    common = [p for p in a if p in bset]
-    cset = set(common)
-    return ([p for p in a if p not in cset], [p for p in b if p not in cset])
-
-
 def emit_reduction_step(sink, Ma, da, Mb, db, wires):
     """Un-apply reduction A then apply reduction B on one register, with the
-    shared CNOTs of the padded matrices cancelled."""
-    la, lb = merged_cnot_lists(Ma, da, Mb, db)
-    for c, t in la:
-        sink.cnot(wires[c], wires[t])
-    for c, t in lb:
-        sink.cnot(wires[c], wires[t])
+    CNOTs the padded matrices share cancelled.
+
+    Bit j of row i of a reduction matrix at offset d is a CNOT from wire
+    d + j onto wire i, so each target's controls are one mask.  A's gates
+    come first, so reads of the overlap region stay correct.  ``None``
+    stands for no reduction.
+    """
+    a_rows = Ma.rows if Ma is not None else []
+    b_rows = Mb.rows if Mb is not None else []
+    for rows, d, other, d_other in ((a_rows, da, b_rows, db),
+                                    (b_rows, db, a_rows, da)):
+        for i, row in enumerate(rows):
+            r = row << d
+            if i < len(other):
+                r &= ~(other[i] << d_other)
+            while r:
+                low = r & -r
+                sink.cnot(wires[low.bit_length() - 1], wires[i])
+                r ^= low
 
 
 def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
@@ -334,6 +323,21 @@ def emit_correction(sink, omega: int, n: int, fw, gw, tw):
 
 # -- modular multiplication plan ---------------------------------------------
 
+def _split_plu(M: BitMatrix) -> tuple[PLUFactors, BitMatrix | None, list]:
+    """M = P L U for an n x d matrix, as the three pieces of its circuit:
+    the PLU factors of the in-place d x d top block of L U, the
+    out-of-place (n-d) x d rest (None when n = d) and P's transpositions.
+    """
+    n, d = M.shape
+    plu = plu_decompose(M)
+    lu = [0] * n  # L U = P^-1 M: row perm[i] of L U is row i of M
+    for i, j in enumerate(plu.perm):
+        lu[j] = M.rows[i]
+    return (plu_decompose(BitMatrix(lu[:d], d)),
+            BitMatrix(lu[d:], d) if n > d else None,
+            plu.transpositions())
+
+
 @dataclass
 class _Factor:
     m: BinaryPoly
@@ -370,11 +374,8 @@ class ModmultPlan:
         for (mi, qi) in zip(modset.moduli, qs):
             d = mi.degree
             red = reduction_matrix(mi, n) if d < n else None
-            Q = crt_recombination_matrix(qi, m, d, n, p)
-            plu = plu_decompose(Q)
-            LU = plu.L @ plu.U
-            q_in = BitMatrix(LU.rows[:d], d)
-            q_out = BitMatrix(LU.rows[d:], d) if n > d else None
+            q_plu, q_out, q_perm = _split_plu(
+                crt_recombination_matrix(qi, m, d, n, p))
             inner = None
             formula = None
             if d <= 8:
@@ -387,18 +388,12 @@ class ModmultPlan:
                                     inner_sets=inner_sets,
                                     max_omega=max_omega, _depth=_depth + 1)
             self.factors.append(_Factor(
-                m=mi, d=d, reduction=red, q_plu=plu_decompose(q_in),
-                q_out=q_out, q_perm=plu.transpositions(),
+                m=mi, d=d, reduction=red, q_plu=q_plu,
+                q_out=q_out, q_perm=q_perm,
                 formula=formula, inner=inner))
         if self.omega:
-            H = correction_matrix(modset, n, p)
-            plu = plu_decompose(H)
-            LU = plu.L @ plu.U
-            self.h_plu = plu_decompose(BitMatrix(LU.rows[:self.omega],
-                                                 self.omega))
-            self.h_out = (BitMatrix(LU.rows[self.omega:], self.omega)
-                          if n > self.omega else None)
-            self.h_perm = plu.transpositions()
+            self.h_plu, self.h_out, self.h_perm = _split_plu(
+                correction_matrix(modset, n, p))
         self._counts: GateCounts | None = None
 
     # Q_i sandwich: the inverse is applied before the residue product so the
@@ -555,8 +550,7 @@ class InversionPlan:
         self.modmult = modmult
         self.clearing = clearing
         self.n = field.n
-        self._sq_cache: dict[int, tuple[str, PLUFactors | None, int]] = {}
-        self._sq_counts: dict[int, GateCounts] = {}
+        self._counts: GateCounts | None = None
         self.mult_calls = 0
         # worked out during the dry run
         self.num_registers = 0
@@ -571,9 +565,7 @@ class InversionPlan:
         k %= self.n
         if k == 0:
             return
-        if k not in self._sq_cache:
-            self._sq_cache[k] = squaring_method(self.field, k)
-        method, plu, reps = self._sq_cache[k]
+        method, plu, reps = squaring_method(self.field, k)
         sink.begin_group(f"square^{k} ({method})")
         for _ in range(reps):
             emit_inplace_linear(sink, plu, wires, rev=rev)
@@ -761,20 +753,24 @@ class InversionPlan:
                 raise GF2Error(f"unknown op {kind}")
 
     def counts(self) -> GateCounts:
-        """Counts assembled from the scheduled blocks (cached per block)."""
+        """Counts assembled from the scheduled blocks (each block counted
+        once from its emission); computed on the first call."""
+        if self._counts is not None:
+            return self._counts
         total = GateCounts()
         mm = self.modmult.counts()
         n = self.n
+        sq: dict[int, GateCounts] = {}
 
         def sq_counts(k):
             k %= n
             if k == 0:
                 return GateCounts()
-            if k not in self._sq_counts:
+            if k not in sq:
                 cs = CountSink()
                 self._emit_square_power(cs, k, list(range(n)))
-                self._sq_counts[k] = cs.counts
-            return self._sq_counts[k]
+                sq[k] = cs.counts
+            return sq[k]
 
         def add(c):
             nonlocal total
@@ -795,9 +791,11 @@ class InversionPlan:
             else:
                 add(mm)
         total.qubits_total = self.num_registers * n
+        self._counts = total
         return total
 
 
+@cache
 def squaring_method(field: FieldSpec, k: int
                     ) -> tuple[str, PLUFactors | None, int]:
     """Circuit for k consecutive squarings f -> f^(2^k): one fused circuit
@@ -807,13 +805,16 @@ def squaring_method(field: FieldSpec, k: int
     ``reps`` times.  Squaring has order n on GF(2^n), so k counts modulo n
     and a multiple of n is the empty fused circuit.  Comparison is by total
     CNOT count with each swap at its three-CNOT equivalent; ties go to the
-    fused circuit.
+    fused circuit.  Memoised per (field, k): the single-squaring PLU is
+    decomposed once per field.
     """
     k %= field.n
     if k == 0:
         return ("fused", None, 0)
-    plu1 = plu_decompose(squaring_matrix(field, 1))
-    fused = plu1 if k == 1 else plu_decompose(squaring_matrix(field, k))
+    if k == 1:
+        return ("fused", plu_decompose(squaring_matrix(field, 1)), 1)
+    plu1 = squaring_method(field, 1)[1]
+    fused = plu_decompose(squaring_matrix(field, k))
     if _plu_cnot_equiv(fused) <= k * _plu_cnot_equiv(plu1):
         return ("fused", fused, 1)
     return ("sequential", plu1, k)

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import binshor.gf2
 from binshor.gf2 import (
     BinaryPoly,
     FieldSpec,
@@ -168,6 +170,56 @@ def test_crt_constants_table_set_residues():
     for i, qi in enumerate(qs):
         for j, mj in enumerate(mods):
             assert clmod(qi.bits, mj.bits) == (1 if i == j else 0)
+
+
+# the 14 monic irreducibles of degree 1 to 5, bases of random modulus sets
+SMALL_IRREDUCIBLES = [p for d in range(1, 6) for p in enumerate_irreducibles(d)]
+
+
+@st.composite
+def modulus_sets(draw):
+    bases = draw(st.lists(st.sampled_from(SMALL_IRREDUCIBLES), min_size=1,
+                          max_size=7, unique=True))
+    exps = draw(st.lists(st.integers(1, 3), min_size=len(bases),
+                         max_size=len(bases)))
+    return ModulusSet(tuple(zip(bases, exps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus_sets(), st.randoms(use_true_random=False))
+def test_crt_constants_residue_matrix_and_reconstruction(ms, rng):
+    qs = crt_constants(ms)
+    mods = ms.moduli
+    # the full k x k residue matrix: q_i = 1 mod m_i and 0 mod every m_j
+    for i, qi in enumerate(qs):
+        for j, mj in enumerate(mods):
+            assert clmod(qi.bits, mj.bits) == (1 if i == j else 0)
+    # sum_i r_i q_i mod m is the unique f of degree < deg m with f = r_i mod m_i
+    rs = [rng.getrandbits(mi.degree) for mi in mods]
+    f = 0
+    for r, qi in zip(rs, qs):
+        f ^= clmul(r, qi.bits)
+    f = clmod(f, ms.m.bits)
+    assert [clmod(f, mi.bits) for mi in mods] == rs
+    # cached per distinct set; the cached products leave equality alone
+    twin = ModulusSet(ms.factors)
+    assert twin == ms and hash(twin) == hash(ms)
+    assert crt_constants(twin) is qs
+    assert twin.m == ms.m and twin.moduli == mods
+
+
+def test_crt_constants_rejects_wrong_inverse(monkeypatch):
+    # the O(k) check must catch a constant that is not 1 mod its own factor
+    ms = ModulusSet(((P3, 1), (BinaryPoly(0b111), 2), (BinaryPoly(0b10), 1)))
+    real = binshor.gf2.poly_inv_mod
+    monkeypatch.setattr(binshor.gf2, "poly_inv_mod",
+                        lambda a, m: real(a, m) + BinaryPoly(1))
+    crt_constants.cache_clear()
+    try:
+        with pytest.raises(InvalidModulusSetError):
+            crt_constants(ms)
+    finally:
+        crt_constants.cache_clear()
 
 
 @pytest.mark.parametrize("n,omega", [(163, 0), (233, 0), (283, 4), (571, 6)])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binshor.gf2 import (
     BinaryPoly,
@@ -112,6 +113,81 @@ def test_squaring_power_composition():
         for k in range(2, 2 * n + 1):
             acc = S1 @ acc
             assert squaring_matrix(f, k) == acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(n, p) for n in range(2, 9)
+                        for p in enumerate_irreducibles(n)[:2]]),
+       st.integers(1, 40))
+def test_squaring_matrix_composed_equals_power(field, k):
+    # composed from whichever powers of the field are cached by now
+    f = FieldSpec(*field)
+    assert squaring_matrix(f, k) == squaring_matrix(f, 1) ** k
+
+
+def rank_reference(M):
+    # the earlier elimination: reduce each row by a sorted basis
+    basis = []
+    for r in M.rows:
+        v = r
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+@st.composite
+def bit_matrices(draw, max_rows=12, max_cols=12, min_rows=1):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(max(min_rows, 1), max(max_rows, min_rows)))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=nrows,
+                         max_size=nrows))
+    return BitMatrix(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_matrices())
+def test_rank_matches_reference(M):
+    assert M.rank() == rank_reference(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(max_rows=16, max_cols=8, min_rows=8))
+def test_plu_tall_roundtrip_or_rank(M):
+    n, d = M.shape
+    rank = M.rank()
+    if rank < d:
+        with pytest.raises(SingularMatrixError) as e:
+            plu_decompose(M)
+        assert e.value.rank == rank
+        return
+    plu = plu_decompose(M)
+    assert plu.reconstruct() == M
+    assert plu.U.shape == (d, d) and plu.L.shape == (n, d)
+    for i in range(n):
+        assert plu.L.rows[i] >> (i + 1) == 0
+        if i < d:
+            assert plu.L.get(i, i) == 1
+            assert plu.U.rows[i] & ((1 << i) - 1) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_stepped_matrices_match_clmod_columns(dm, n, data):
+    m = (1 << dm) | data.draw(st.integers(0, (1 << dm) - 1))
+    p = (1 << n) | data.draw(st.integers(0, (1 << n) - 1))
+    q = data.draw(st.integers(0, (1 << (2 * dm)) - 1))
+    d_i = data.draw(st.integers(1, 12))
+    M = crt_recombination_matrix(BinaryPoly(q), BinaryPoly(m), d_i, n,
+                                 BinaryPoly(p))
+    for k in range(d_i):
+        assert M.column(k) == clmod(clmod(q << k, m), p)
+    if dm < n:
+        R = reduction_matrix(BinaryPoly(m), n)
+        for k in range(n - dm):
+            assert R.column(k) == clmod(1 << (k + dm), m)
 
 
 def test_plu_identity():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import binshor.synth
 from binshor.circuit import counts, lower_mcx, simulate
 from binshor.circuit import pack_planes, simulate_planes, unpack_planes
 from binshor.datafiles import load_chain, load_formula, load_modulus_set
@@ -22,6 +24,7 @@ from binshor.pipeline import (
 )
 from binshor.synth import (
     AdditionChain,
+    BufferSink,
     CountSink,
     InversionPlan,
     ModmultPlan,
@@ -33,6 +36,7 @@ from binshor.synth import (
     synth_kmult,
     synth_out_of_place_mul,
     synth_square,
+    emit_reduction_step,
 )
 
 FORMULAS = {d: load_formula(d) for d in range(1, 9)}
@@ -367,6 +371,48 @@ def test_modmult_stream_equals_circuit_counts():
     assert (cc.cnot, cc.toffoli, cc.swap) == (sc.cnot, sc.toffoli, sc.swap)
 
 
+def reduction_pairs_reference(Ma, da, Mb, db):
+    """(control, target) CNOT pairs of a reduction step by the pair-list
+    algorithm: both pair lists, with the pairs they share removed."""
+
+    def pairs(M, d):
+        out = []
+        if M is None:
+            return out
+        for i, row in enumerate(M.rows):
+            for j in range(M.ncols):
+                if (row >> j) & 1:
+                    out.append((d + j, i))
+        return out
+
+    a, b = pairs(Ma, da), pairs(Mb, db)
+    common = set(a) & set(b)
+    return ([p for p in a if p not in common]
+            + [p for p in b if p not in common])
+
+
+@st.composite
+def reduction_sides(draw, n):
+    d = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        return None, 0
+    rows = draw(st.lists(st.integers(0, (1 << (n - d)) - 1), min_size=d,
+                         max_size=d))
+    return BitMatrix(rows, n - d), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 24).flatmap(
+    lambda n: st.tuples(st.just(n), reduction_sides(n), reduction_sides(n))))
+def test_reduction_step_masks_match_pair_lists(case):
+    n, (Ma, da), (Mb, db) = case
+    wires = [100 + w for w in range(n)]
+    buf = BufferSink()
+    emit_reduction_step(buf, Ma, da, Mb, db, wires)
+    assert buf.ops == [("cnot", wires[c], wires[t])
+                       for c, t in reduction_pairs_reference(Ma, da, Mb, db)]
+
+
 # -- addition chains and inversion -------------------------------------------------
 
 def test_chain_properties_shipped():
@@ -408,6 +454,18 @@ def test_inversion_mult_counts_and_identity():
             plan = inversion_plan(n, clearing)
             assert plan.mult_calls == mults[n]
             assert plan.counts().toffoli == plan.mult_calls * mm.toffoli
+
+
+def test_inversion_counts_emitted_once(monkeypatch):
+    plan = InversionPlan(field_for(8), load_chain(8), modmult_plan(8))
+    first = plan.counts()
+
+    def no_emission(*args, **kwargs):
+        raise AssertionError("counts() emitted again")
+
+    monkeypatch.setattr(binshor.synth, "emit_inplace_linear", no_emission)
+    monkeypatch.setattr(plan.modmult, "emit", no_emission)
+    assert plan.counts() is first
 
 
 def test_inversion_clearing_uses_5n_ancilla():
