@@ -265,8 +265,22 @@ def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
     ``planes[q, w]`` is qubit q of batch element 64*w + b.  Returns a new
     array; the input is not modified.
     """
-    pl = planes.copy()
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
+    if planes.dtype != np.uint64 or planes.ndim != 2:
+        raise GF2Error(f"planes must be a 2-d uint64 array, got "
+                       f"{planes.ndim}-d {planes.dtype}")
+    if planes.shape[0] != circuit.width:
+        raise GF2Error(f"plane count {planes.shape[0]} != qubit count "
+                       f"{circuit.width}")
+    # Each plane is held as one Python int (bit 64*w + b = word w, bit b),
+    # so a gate is one or two big-int operations: their fixed cost per call
+    # is far below that of numpy row operations, which dominates on the
+    # few-word batches of an oracle sweep.
+    width, words = planes.shape
+    nbytes = 8 * words
+    raw = np.ascontiguousarray(planes, "<u8").tobytes()
+    pl = [int.from_bytes(raw[q * nbytes:(q + 1) * nbytes], "little")
+          for q in range(width)]
+    full = (1 << (64 * words)) - 1
     for g in circuit.gates:
         kind = g[0]
         if kind == "CNOT":
@@ -276,44 +290,45 @@ def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
         elif kind == "X":
             pl[g[1]] ^= full
         elif kind == "SWAP":
-            a, b = g[1], g[2]
-            tmp = pl[a].copy()
-            pl[a] = pl[b]
-            pl[b] = tmp
+            pl[g[1]], pl[g[2]] = pl[g[2]], pl[g[1]]
         elif kind == "MCX":
-            acc = np.full(pl.shape[1], full, dtype=np.uint64)
+            acc = full
             for c in g[1]:
                 q, closed = _dec_control(c)
                 acc &= pl[q] if closed else pl[q] ^ full
             pl[g[2]] ^= acc
         else:
             raise GF2Error(f"unknown gate kind {kind}")
-    return pl
+    out = b"".join(v.to_bytes(nbytes, "little") for v in pl)
+    return np.frombuffer(out, "<u8").reshape(width, words).copy()
 
 
 def pack_planes(inputs: list[int], width: int) -> np.ndarray:
-    words = (len(inputs) + 63) // 64
-    pl = np.zeros((width, words), dtype=np.uint64)
-    for b, v in enumerate(inputs):
-        w, bit = divmod(b, 64)
-        for q in range(width):
-            if (v >> q) & 1:
-                pl[q, w] |= np.uint64(1 << bit)
-    return pl
+    """Bit-planes of basis states: bit q of ``inputs[b]`` becomes bit b % 64
+    of ``planes[q, b // 64]``; lanes past ``len(inputs)`` are zero."""
+    count = len(inputs)
+    if count and (min(inputs) < 0 or max(inputs) >> width):
+        raise GF2Error("input out of range for qubit count")
+    nbytes = (width + 7) // 8
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in inputs)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(count, nbytes),
+                         axis=1, count=width, bitorder="little")
+    lanes = np.zeros((width, -(-count // 64) * 64), dtype=np.uint8)
+    lanes[:, :count] = bits.T
+    return np.packbits(lanes, axis=1, bitorder="little").view("<u8")
 
 
 def unpack_planes(planes: np.ndarray, count: int) -> list[int]:
-    width = planes.shape[0]
-    out = []
-    for b in range(count):
-        w, bit = divmod(b, 64)
-        v = 0
-        one = np.uint64(1 << bit)
-        for q in range(width):
-            if planes[q, w] & one:
-                v |= 1 << q
-        out.append(v)
-    return out
+    """Inverse of :func:`pack_planes`: the first ``count`` basis states."""
+    width, words = planes.shape
+    if count > 64 * words:
+        raise GF2Error(f"{count} cases requested from {64 * words} lanes")
+    lanes = np.unpackbits(np.ascontiguousarray(planes, "<u8").view(np.uint8),
+                          axis=1, count=count, bitorder="little")
+    rows = np.packbits(lanes.T, axis=1, bitorder="little")
+    nbytes, raw = rows.shape[1], rows.tobytes()
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+            for i in range(count)]
 
 
 def emit_mcx_lowered(sink, controls, t: int, anc):

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .circuit import serialize, simulate
+from .circuit import serialize
 from .gf2 import BinaryPoly, GF2Error, field_inv, poly_mul_mod
+from .oracle import first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
                    stream_pointadd_counts)
@@ -88,6 +89,27 @@ def _check(name, ok, detail=""):
     return ok
 
 
+def _modmult_cases(n: int, exhaustive: bool, rng, samples: int) -> list:
+    """(f, g, h) cases: every f, g with h = 0, or ``samples`` random triples."""
+    if exhaustive:
+        return [(f, g, 0) for f in range(1 << n) for g in range(1 << n)]
+    return [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
+            for _ in range(samples)]
+
+
+def _modmult_sweep(circ, cases, n: int, p: BinaryPoly):
+    """First (index, got, want) where ``circ`` is not h ^= f*g mod p on the
+    f | g << n | h << 2n register layout, or None."""
+    def want(i):
+        f, g, h = cases[i]
+        prod = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
+        return f | (g << n) | (prod << (2 * n))
+
+    states = [f | (g << n) | (h << (2 * n)) for f, g, h in cases]
+    bad = first_mismatch(circ, states, lambda i, out: out == want(i))
+    return None if bad is None else (*bad, want(bad[0]))
+
+
 def _validate_circuit_file(args) -> int:
     """Check a serialized circuit against the modular-multiplication oracle."""
     from .circuit import parse
@@ -96,25 +118,22 @@ def _validate_circuit_file(args) -> int:
     field = pipeline.field_for(n)
     text = Path(args.circuit).read_text()
     circ = parse(text)
+    if circ.width < 3 * n:
+        raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "
+                       f"multiplier needs at least {3 * n}")
     rng = random.Random(args.seed)
-    if 3 * n > args.exhaustive_cap:
-        cases = [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
-                 for _ in range(args.samples)]
-    else:
-        cases = [(f, g, 0) for f in range(1 << n) for g in range(1 << n)]
-    for f, g, h in cases:
+    cases = _modmult_cases(n, 3 * n <= args.exhaustive_cap, rng, args.samples)
+    bad = _modmult_sweep(circ, cases, n, field.p)
+    if bad is not None:
+        f, g, h = cases[bad[0]]
         state = f | (g << n) | (h << (2 * n))
-        out = simulate(circ, state)
-        want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-        expect = f | (g << n) | (want << (2 * n))
-        if out != expect:
-            bits = circ.width
-            _check(f"circuit file vs modmult oracle", False,
-                   f"counterexample input="
-                   f"{bin(state)[2:].zfill(bits)[::-1]} got="
-                   f"{bin(out)[2:].zfill(bits)[::-1]} want="
-                   f"{bin(expect)[2:].zfill(bits)[::-1]}")
-            return 1
+        bits = circ.width
+        _check("circuit file vs modmult oracle", False,
+               f"counterexample input="
+               f"{bin(state)[2:].zfill(bits)[::-1]} got="
+               f"{bin(bad[1])[2:].zfill(bits)[::-1]} want="
+               f"{bin(bad[2])[2:].zfill(bits)[::-1]}")
+        return 1
     _check("circuit file vs modmult oracle", True)
     return 0
 
@@ -134,72 +153,57 @@ def cmd_validate(args) -> int:
         print(f"refusing exhaustive mode: 3n = {3 * n} qubits exceeds the cap "
               f"{args.exhaustive_cap}; running sampled mode instead")
     circ = synth_crt_modmult(plan)
-    if exhaustive:
-        cases = ((f, g, h) for f in range(1 << n) for g in range(1 << n)
-                 for h in (0,))
-        label = "modmult exhaustive"
-    else:
-        cases = ((rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
-                 for _ in range(args.samples))
-        label = f"modmult sampled ({args.samples})"
-    bad = None
-    for f, g, h in cases:
-        state = f | (g << n) | (h << (2 * n))
-        out = simulate(circ, state)
-        want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-        got = (f | (g << n) | (want << (2 * n)))
-        if out != got:
-            bad = (f, g, h, out)
-            break
+    cases = _modmult_cases(n, exhaustive, rng, args.samples)
+    label = ("modmult exhaustive" if exhaustive
+             else f"modmult sampled ({args.samples})")
+    bad = _modmult_sweep(circ, cases, n, field.p)
     all_ok &= _check(label, bad is None,
-                     "" if bad is None else f"counterexample f={bad[0]:#x} "
-                     f"g={bad[1]:#x} h={bad[2]:#x} -> {bad[3]:#x}")
+                     "" if bad is None else "counterexample f={:#x} g={:#x} "
+                     "h={:#x} -> {:#x}".format(*cases[bad[0]], bad[1]))
     # inversion sweep
     inv_plan = pipeline.inversion_plan(n)
     icirc = synth_flt_inversion(inv_plan)
     rs = icirc.meta["result_slot"]
     mask = (1 << n) - 1
     if exhaustive:
-        vals = range(1, 1 << n)
+        vals = list(range(1, 1 << n))
         label = "inversion exhaustive"
     else:
         vals = [rng.randrange(1, 1 << n) for _ in range(args.samples // 10 + 1)]
         label = f"inversion sampled ({len(vals)})"
-    bad = None
-    for v in vals:
-        out = simulate(icirc, v)
-        got = (out >> (rs * n)) & mask
-        want = field_inv(BinaryPoly(v), field).bits
-        if out & mask != v or got != want:
-            bad = (v, got, want)
-            break
+
+    def inverted(i, out):
+        return (out & mask == vals[i] and (out >> (rs * n)) & mask
+                == field_inv(BinaryPoly(vals[i]), field).bits)
+
+    bad = first_mismatch(icirc, vals, inverted)
     all_ok &= _check(label, bad is None,
-                     "" if bad is None else f"f={bad[0]:#x} got {bad[1]:#x} "
-                     f"want {bad[2]:#x}")
+                     "" if bad is None else f"f={vals[bad[0]]:#x} got "
+                     f"{(bad[1] >> (rs * n)) & mask:#x} want "
+                     f"{field_inv(BinaryPoly(vals[bad[0]]), field).bits:#x}")
     # point addition on the toy curve (only for small fields)
     if exhaustive and n <= 8:
         pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
         pcirc = synth_ecpointadd(pa)
         pts = pa.curve.points()
-        bad = None
-        for p1 in pts:
-            for p2 in pts:
-                lam = slope_for(p2, field)
-                state = (p1.x.bits | (p1.y.bits << n) | (p2.x.bits << 2 * n)
-                         | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-                out = simulate(pcirc, state)
-                p3 = ec_add_classical(p1, p2, pa.curve)
-                want = (p3.x.bits | (p3.y.bits << n) | (p2.x.bits << 2 * n)
-                        | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-                if out != want:
-                    bad = (p1, p2, out)
-                    break
-            if bad:
-                break
+        # P2 and its slope ride through unchanged; P1 becomes P1 + P2
+        tails = [(p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
+                 | (slope_for(p2, field).bits << 4 * n) for p2 in pts]
+        states = [p1.x.bits | (p1.y.bits << n) | tail
+                  for p1 in pts for tail in tails]
+
+        def added(k, out):
+            i, j = divmod(k, len(pts))
+            p3 = ec_add_classical(pts[i], pts[j], pa.curve)
+            return out == p3.x.bits | (p3.y.bits << n) | tails[j]
+
+        bad = first_mismatch(pcirc, states, added)
+        if bad is not None:
+            p1, p2 = pts[bad[0] // len(pts)], pts[bad[0] % len(pts)]
         all_ok &= _check(f"point addition exhaustive ({len(pts)}^2 pairs)",
                          bad is None,
-                         "" if bad is None else f"P1=({bad[0].x},{bad[0].y}) "
-                         f"P2=({bad[1].x},{bad[1].y}) out={bad[2]:#x}")
+                         "" if bad is None else f"P1=({p1.x},{p1.y}) "
+                         f"P2=({p2.x},{p2.y}) out={bad[1]:#x}")
         census = pointadd_census(pcirc)
         all_ok &= _check("point addition census", census == TABLE_CENSUS,
                          str(census))

@@ -16,7 +16,8 @@ from .datafiles import (
     load_inner_modulus_set,
 )
 from .ecc import CurveSpec, PointAddPlan
-from .gf2 import BinaryPoly, FieldSpec, GF2Error, parse_modulus_set
+from .gf2 import (BinaryPoly, FieldSpec, GF2Error, is_irreducible,
+                  parse_modulus_set)
 from .synth import InversionPlan, ModmultPlan
 
 
@@ -80,9 +81,12 @@ def field_for(n: int, poly_bits: int | None = None) -> FieldSpec:
     try:
         return FieldSpec.standard(n)
     except GF2Error:
-        from .gf2 import enumerate_irreducibles
-
-        return FieldSpec(n, enumerate_irreducibles(n)[0])
+        if n < 2:
+            raise GF2Error("extension degree must be >= 2") from None
+        # enumerate_irreducibles(n)[0], without testing the rest of degree n
+        bits = next(b for b in range((1 << n) + 1, 2 << n, 2)
+                    if is_irreducible(BinaryPoly(b)))
+        return FieldSpec(n, BinaryPoly(bits))
 
 
 @_plan_cache

@@ -7,13 +7,7 @@ import time
 
 import pytest
 
-from binshor.circuit import (
-    counts,
-    pack_planes,
-    simulate,
-    simulate_planes,
-    unpack_planes,
-)
+from binshor.circuit import counts, simulate
 from binshor.datafiles import load_chain, load_formula
 from binshor.ecc import (
     TABLE_CENSUS,
@@ -29,6 +23,7 @@ from binshor.pipeline import (
     modmult_plan,
     pointadd_plan,
 )
+from binshor.oracle import first_mismatch
 from binshor.physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from binshor.shor import (
     AVWeights,
@@ -204,15 +199,23 @@ def test_criterion_6_av_physical():
     report(6, ok, "; ".join(details))
 
 
-def _sweep(circ, cases, width, oracle):
+def _sweep(circ, cases, oracle):
     inputs = list(cases)
-    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, width)),
-                         len(inputs))
-    for v, o in zip(inputs, outs):
-        want = oracle(v)
-        if o != want:
-            return f"input {v:#x}: got {o:#x}, want {want:#x}"
-    return None
+    bad = first_mismatch(circ, inputs, lambda i, o: o == oracle(inputs[i]))
+    if bad is None:
+        return None
+    v, o = inputs[bad[0]], bad[1]
+    return f"input {v:#x}: got {o:#x}, want {oracle(v):#x}"
+
+
+def _inversion_sweep(circ, field, vals):
+    """First v in ``vals`` the inversion circuit does not map to v, 1/v."""
+    mask = (1 << field.n) - 1
+    rs = circ.meta["result_slot"]
+    bad = first_mismatch(circ, vals, lambda i, out: (
+        out & mask == vals[i] and (out >> (rs * field.n)) & mask
+        == field_inv(BinaryPoly(vals[i]), field).bits))
+    return None if bad is None else vals[bad[0]]
 
 
 def test_criterion_7_oracle_suite():
@@ -227,7 +230,7 @@ def test_criterion_7_oracle_suite():
         mask = (1 << n) - 1
 
         c = synth_addition("plain", n)
-        bad = _sweep(c, range(1 << (2 * n)), 2 * n,
+        bad = _sweep(c, range(1 << (2 * n)),
                      lambda v: (v & mask) | ((((v >> n) ^ v) & mask) << n))
         if bad:
             failures.append(f"addition n={n}: {bad}")
@@ -235,14 +238,14 @@ def test_criterion_7_oracle_suite():
         h = BinaryPoly((rng.getrandbits(n) | 1) & mask)
         M = const_mul_matrix(h, field)
         c = synth_out_of_place_mul(M)
-        bad = _sweep(c, range(1 << (2 * n)), 2 * n, lambda v: (v & mask) | (
+        bad = _sweep(c, range(1 << (2 * n)), lambda v: (v & mask) | (
             (((v >> n) ^ poly_mul_mod(BinaryPoly(v & mask), h, p).bits) & mask)
             << n))
         if bad:
             failures.append(f"out-of-place mul n={n}: {bad}")
 
         c = synth_in_place_mul(M)
-        bad = _sweep(c, range(1 << n), n,
+        bad = _sweep(c, range(1 << n),
                      lambda v: poly_mul_mod(BinaryPoly(v), h, p).bits)
         if bad:
             failures.append(f"in-place mul n={n}: {bad}")
@@ -254,7 +257,7 @@ def test_criterion_7_oracle_suite():
         # register layout: the (n-d)-wide high part first, then the d-wide
         # low part that the reduction folds into
         hi_mask = (1 << (n - d)) - 1
-        bad = _sweep(c, range(1 << n), n, lambda v: (
+        bad = _sweep(c, range(1 << n), lambda v: (
             (v & hi_mask) | ((((v >> (n - d)))
                               ^ red.mat_vec(v & hi_mask)) << (n - d))))
         if bad:
@@ -267,7 +270,7 @@ def test_criterion_7_oracle_suite():
                 for _ in range(k):
                     b = poly_mul_mod(b, b, p)
                 return b.bits
-            bad = _sweep(c, range(1 << n), n, oracle_sq)
+            bad = _sweep(c, range(1 << n), oracle_sq)
             if bad:
                 failures.append(f"squaring n={n} k={k}: {bad}")
 
@@ -276,7 +279,7 @@ def test_criterion_7_oracle_suite():
         space = 1 << (3 * n)
         cases = range(space) if space <= (1 << 12) else (
             rng.getrandbits(3 * n) for _ in range(4096))
-        bad = _sweep(c, cases, 3 * n, lambda v: (v & mask) | (v >> n & mask) << n | (
+        bad = _sweep(c, cases, lambda v: (v & mask) | (v >> n & mask) << n | (
             ((v >> 2 * n) ^ poly_mul_mod(BinaryPoly(v & mask),
                                          BinaryPoly((v >> n) & mask), p).bits)
             << 2 * n))
@@ -286,21 +289,16 @@ def test_criterion_7_oracle_suite():
         for clearing in (True, False):
             plan = inversion_plan(n, clearing)
             circ = synth_flt_inversion(plan)
-            rs = circ.meta["result_slot"]
-            for v in range(1, 1 << n):
-                out = simulate(circ, v)
-                if (out & mask != v or
-                        (out >> (rs * n)) & mask != field_inv(BinaryPoly(v),
-                                                              field).bits):
-                    failures.append(f"inversion n={n} clearing={clearing} v={v}")
-                    break
+            v = _inversion_sweep(circ, field, list(range(1, 1 << n)))
+            if v is not None:
+                failures.append(f"inversion n={n} clearing={clearing} v={v}")
 
     # split multipliers d <= 5, exhaustive per degree
     for d in (2, 3, 4, 5):
         f = load_formula(d)
         mi = enumerate_irreducibles(d)[0]
         c = synth_kmult(f, mi)
-        bad = _sweep(c, range(1 << min(3 * d, 14)), 3 * d, lambda v: (
+        bad = _sweep(c, range(1 << min(3 * d, 14)), lambda v: (
             (v & ((1 << d) - 1)) | (v >> d & ((1 << d) - 1)) << d | (
                 ((v >> 2 * d) ^ poly_mul_mod(
                     BinaryPoly(v & ((1 << d) - 1)),
@@ -328,7 +326,7 @@ def test_criterion_7_oracle_suite():
             return f | (g << 6) | ((t ^ out) << 12)
         cases = [f | (g << 6) | (rng.getrandbits(omega) << 12)
                  for f in range(64) for g in range(64)]
-        bad = _sweep(circ, cases, 12 + omega, oracle_corr)
+        bad = _sweep(circ, cases, oracle_corr)
         if bad:
             failures.append(f"correction omega={omega}: {bad}")
 
@@ -339,7 +337,7 @@ def test_criterion_7_oracle_suite():
         plan = modmult_plan(n)
         c = synth_crt_modmult(plan)
         cases = [rng.getrandbits(3 * n) for _ in range(1000)]
-        bad = _sweep(c, cases, 3 * n, lambda v: (v & mask) | (v >> n & mask) << n | (
+        bad = _sweep(c, cases, lambda v: (v & mask) | (v >> n & mask) << n | (
             ((v >> 2 * n) ^ poly_mul_mod(BinaryPoly(v & mask),
                                          BinaryPoly((v >> n) & mask),
                                          field.p).bits) << 2 * n))
@@ -347,17 +345,10 @@ def test_criterion_7_oracle_suite():
             failures.append(f"modmult n={n}: {bad}")
         plan = inversion_plan(n, True)
         circ = synth_flt_inversion(plan)
-        rs = circ.meta["result_slot"]
-        for _ in range(1000 if n == 8 else 300):
-            v = rng.getrandbits(n)
-            if v == 0:
-                continue
-            out = simulate(circ, v)
-            if (out & mask != v
-                    or (out >> (rs * n)) & mask
-                    != field_inv(BinaryPoly(v), field).bits):
-                failures.append(f"inversion n={n} v={v:#x}")
-                break
+        draws = [rng.getrandbits(n) for _ in range(1000 if n == 8 else 300)]
+        v = _inversion_sweep(circ, field, [v for v in draws if v])
+        if v is not None:
+            failures.append(f"inversion n={n} v={v:#x}")
 
     # point addition: exhaustive over both toy curves, all ancillas clean
     for n, a, b in ((4, 0, 1), (5, 2, 3)):
@@ -376,10 +367,7 @@ def test_criterion_7_oracle_suite():
                 wants.append(p3.x.bits | (p3.y.bits << n)
                              | (p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
                              | (lam.bits << 4 * n))
-        outs = unpack_planes(
-            simulate_planes(circ, pack_planes(inputs, circ.width)),
-            len(inputs))
-        if outs != wants:
+        if first_mismatch(circ, inputs, lambda i, o: o == wants[i]):
             failures.append(f"point addition n={n}")
 
     elapsed = time.time() - t0

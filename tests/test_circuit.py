@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,6 +214,48 @@ def test_plane_simulation_matches_single():
         assert simulate(c, v) == o
 
 
+def _pack_planes_reference(inputs, width):
+    """The bit-by-bit loop that ``pack_planes`` vectorises."""
+    pl = np.zeros((width, (len(inputs) + 63) // 64), dtype=np.uint64)
+    for b, v in enumerate(inputs):
+        w, bit = divmod(b, 64)
+        for q in range(width):
+            if (v >> q) & 1:
+                pl[q, w] |= np.uint64(1 << bit)
+    return pl
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 130).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, (1 << w) - 1), min_size=1,
+                         max_size=200))))
+def test_pack_unpack_roundtrip(case):
+    # widths cross the byte and 64-bit word boundaries, counts the lane words
+    width, xs = case
+    planes = pack_planes(xs, width)
+    assert planes.dtype == np.uint64
+    assert np.array_equal(planes, _pack_planes_reference(xs, width))
+    assert unpack_planes(planes, len(xs)) == xs
+
+
+@pytest.mark.parametrize("inputs", [[3, -1], [0, 1 << 8]],
+                         ids=["negative", "too-wide"])
+def test_pack_planes_rejects_out_of_range_inputs(inputs):
+    with pytest.raises(GF2Error):
+        pack_planes(inputs, 8)
+
+
+def test_simulate_planes_rejects_bad_batches():
+    c = Circuit([Register("q", 8)])
+    c.cnot(0, 1)
+    with pytest.raises(GF2Error):
+        simulate_planes(c, pack_planes([1, 2, 3], 7))
+    with pytest.raises(GF2Error):
+        simulate_planes(c, pack_planes([1, 2, 3], 8).astype(np.int64))
+    with pytest.raises(GF2Error):
+        unpack_planes(pack_planes([1, 2, 3], 8), 65)
+
+
 MCX_WIDTH = 8
 _ARITY = {"x": 1, "cnot": 2, "swap": 2, "ccx": 3, "ccxu": 3}
 
@@ -242,3 +285,17 @@ def test_count_sink_matches_lowered_counts(ops):
     kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_gate_ops(), max_size=40),
+       st.lists(st.integers(0, (1 << MCX_WIDTH) - 1), min_size=1,
+                max_size=150))
+def test_simulate_planes_matches_simulate(ops, inputs):
+    # every gate kind, MCX with open and closed controls, per-case reference
+    circ = Circuit([Register("q", MCX_WIDTH)])
+    for kind, args in ops:
+        getattr(circ, kind)(*args)
+    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, MCX_WIDTH)),
+                         len(inputs))
+    assert outs == [simulate(circ, v) for v in inputs]

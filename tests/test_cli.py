@@ -56,21 +56,38 @@ def test_synth_missing_formula_file_reports_path(tmp_path, capsys, monkeypatch):
         pipeline.clear_caches()
 
 
+def _write_modmult_circuit(path, n):
+    from binshor.circuit import serialize
+    from binshor.pipeline import modmult_plan
+    from binshor.synth import synth_crt_modmult
+
+    path.write_text(serialize(synth_crt_modmult(modmult_plan(n))))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--field", "5"], "no window size"),
     (["landscape", "--field", "163", "--precomp", "200"], "no window size"),
     (["validate", "--mode", "sampled", "--samples", "0"], "--samples"),
     (["synth", "--field", "4", "--emit", "{missing}/x.txt"], "{missing}/x.txt"),
+    # a 12-qubit (n = 4) multiplier checked as a field-5 or field-16 one
+    (["validate", "--field", "5", "--circuit", "{modmult4}"],
+     "needs at least 15"),
+    (["validate", "--field", "16", "--circuit", "{modmult4}", "--samples",
+      "5"], "needs at least 48"),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
-        "emit-missing-dir"])
+        "emit-missing-dir", "narrow-circuit-exhaustive",
+        "narrow-circuit-sampled"])
 def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     missing = tmp_path / "missing"
-    argv = [a.format(missing=missing) for a in argv]
+    modmult4 = tmp_path / "modmult4.txt"
+    _write_modmult_circuit(modmult4, 4)
+    argv = [a.format(missing=missing, modmult4=modmult4) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
     assert message.format(missing=missing) in err
     assert ".tmp" not in err
+    assert "FAIL" not in out
 
 
 def test_validate_toy_curve_passes(capsys):
@@ -80,24 +97,51 @@ def test_validate_toy_curve_passes(capsys):
 
 
 def test_validate_corrupted_circuit_reports_counterexample(tmp_path, capsys):
-    from binshor.circuit import serialize
-    from binshor.pipeline import modmult_plan
-    from binshor.synth import synth_crt_modmult
+    path = tmp_path / "modmult3.txt"
+    _write_modmult_circuit(path, 3)
+    lines = path.read_text().splitlines()
+    first_cnot = next(i for i, line in enumerate(lines)
+                      if line.startswith("CNOT"))
+    retargeted = lines.copy()
+    retargeted[first_cnot] = f"X {lines[first_cnot].split()[1]}"
+    deleted = lines[:first_cnot] + lines[first_cnot + 1:]
+    for corrupted, counterexample in (
+            (retargeted, "input=000000000 got=110000000 want=000000000"),
+            (deleted, "input=010000000 got=110000000 want=010000000")):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(corrupted) + "\n")
+        rc, out, _ = run(capsys, "validate", "--field", "3", "--circuit",
+                         str(bad))
+        assert rc == 1
+        assert out == ("FAIL  circuit file vs modmult oracle  counterexample "
+                       + counterexample + "\n")
 
-    circ = synth_crt_modmult(modmult_plan(3))
-    text = serialize(circ)
-    lines = text.splitlines()
-    # corrupt the first CNOT line by retargeting it
-    for i, line in enumerate(lines):
-        if line.startswith("CNOT"):
-            toks = line.split()
-            lines[i] = f"X {toks[1]}"
-            break
-    bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join(lines) + "\n")
-    rc, out, _ = run(capsys, "validate", "--field", "3", "--circuit", str(bad))
+
+def _drop_middle_gate(synth):
+    def synth_without_one_gate(plan):
+        circ = synth(plan)
+        del circ.gates[len(circ.gates) // 2]
+        return circ
+    return synth_without_one_gate
+
+
+@pytest.mark.parametrize("synth, line", [
+    ("synth_crt_modmult",
+     "FAIL  modmult exhaustive  counterexample f=0x0 g=0x8 h=0x0 -> 0xa0"),
+    ("synth_flt_inversion", "FAIL  inversion exhaustive  f=0x1 got 0x0 want 0x1"),
+    ("synth_ecpointadd", "FAIL  point addition exhaustive (16^2 pairs)  "
+                         "P1=(0,1) P2=(x^2+x,0) out=0x160617"),
+], ids=["modmult", "inversion", "pointadd"])
+def test_validate_sweeps_catch_a_dropped_gate(synth, line, monkeypatch,
+                                              capsys):
+    # the batched sweeps must still reach and report a broken circuit
+    import binshor.cli as cli
+
+    monkeypatch.setattr(cli, synth, _drop_middle_gate(getattr(cli, synth)))
+    rc, out, _ = run(capsys, "validate", "--field", "4")
     assert rc == 1
-    assert "counterexample" in out
+    fails = [s for s in out.splitlines() if s.startswith("FAIL")]
+    assert fails == [line]
 
 
 def test_validate_cap_falls_back_to_sampled(capsys):

@@ -1,4 +1,7 @@
-from binshor.pipeline import inversion_plan, modmult_plan, pointadd_plan
+import pytest
+
+from binshor.gf2 import enumerate_irreducibles
+from binshor.pipeline import field_for, inversion_plan, modmult_plan, pointadd_plan
 
 
 def test_plan_cache_ignores_spelled_out_defaults():
@@ -6,3 +9,12 @@ def test_plan_cache_ignores_spelled_out_defaults():
     assert modmult_plan(5) is modmult_plan(5, None)
     assert inversion_plan(5).modmult is modmult_plan(5)
     assert pointadd_plan(5) is pointadd_plan(5, 1, 1, None)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_field_for_takes_the_first_irreducible(n):
+    assert field_for(n).p == enumerate_irreducibles(n)[0]
+
+
+def test_field_for_16():
+    assert field_for(16).p.bits == 0x1002B   # x^16 + x^5 + x^3 + x + 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import binshor.synth
 from binshor.circuit import counts, lower_mcx, simulate
-from binshor.circuit import pack_planes, simulate_planes, unpack_planes
+from binshor.oracle import first_mismatch
 from binshor.datafiles import load_chain, load_formula, load_modulus_set
 from binshor.gf2 import (
     BinaryPoly,
@@ -122,10 +122,8 @@ def test_in_place_const_mul_oracle_gf163():
     c = synth_in_place_mul(M)
     assert counts(c).cnot <= 163 * 163 - 163
     inputs = [rng.getrandbits(163) for _ in range(1000)]
-    outs = unpack_planes(simulate_planes(c, pack_planes(inputs, 163)),
-                         len(inputs))
-    for f, o in zip(inputs, outs):
-        assert o == poly_mul_mod(BinaryPoly(f), h, f163.p).bits
+    assert first_mismatch(c, inputs, lambda i, o: o == poly_mul_mod(
+        BinaryPoly(inputs[i]), h, f163.p).bits) is None
 
 
 def test_in_place_singular_rejected():
@@ -275,13 +273,16 @@ def exhaustive_modmult(n, a_bits=None):
     if inputs is None:
         rng = random.Random(n)
         inputs = [rng.getrandbits(3 * n) for _ in range(4000)]
-    planes = pack_planes(inputs, circ.width)
-    outs = unpack_planes(simulate_planes(circ, planes), len(inputs))
+    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
+        inputs[i], n, field.p)) is None
+
+
+def modmult_oracle(v, n, p):
+    """f | g << n | h << 2n  ->  f | g << n | (h ^ f*g mod p) << 2n."""
     mask = (1 << n) - 1
-    for v, o in zip(inputs, outs):
-        f, g, h = v & mask, (v >> n) & mask, (v >> (2 * n)) & mask
-        want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-        assert o == f | (g << n) | (want << (2 * n))
+    f, g, h = v & mask, (v >> n) & mask, (v >> (2 * n)) & mask
+    want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
+    return f | (g << n) | (want << (2 * n))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -310,14 +311,9 @@ def test_modmult_sampled_n9_with_recursion():
                        inner_sets=load_inner_modulus_set)
     circ = synth_crt_modmult(plan)
     rng = random.Random(99)
-    mask = (1 << 9) - 1
     inputs = [rng.getrandbits(27) for _ in range(2000)]
-    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, 27)),
-                         len(inputs))
-    for v, o in zip(inputs, outs):
-        f, g, h = v & mask, (v >> 9) & mask, (v >> 18) & mask
-        want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-        assert o == f | (g << 9) | (want << 18)
+    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
+        inputs[i], 9, field.p)) is None
 
 
 def test_modmult_sampled_n10_with_squared_quintic_factor():
@@ -340,14 +336,9 @@ def test_modmult_sampled_n10_with_squared_quintic_factor():
     assert deg10.inner.counts().toffoli == 39
     circ = synth_crt_modmult(plan)
     rng = random.Random(10)
-    mask = (1 << 10) - 1
     inputs = [rng.getrandbits(30) for _ in range(1500)]
-    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, 30)),
-                         len(inputs))
-    for v, o in zip(inputs, outs):
-        f, g, h = v & mask, (v >> 10) & mask, (v >> 20) & mask
-        want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-        assert o == f | (g << 10) | (want << 20)
+    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
+        inputs[i], 10, field.p)) is None
 
 
 def test_modmult_missing_formula_errors():
