@@ -9,15 +9,19 @@ separately.  MCX controls are signed qubit indices shifted by one:
 
 Every gate kind permutes computational basis states, so the simulator works
 on bitstrings (single inputs) or on numpy bit-planes (batched inputs).
+Only the bit-plane functions import numpy, so counting and synthesis never
+load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2 import GF2Error
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 REG_KINDS = ("input", "output", "ancilla-clean", "ancilla-garbage", "flag")
@@ -101,6 +105,7 @@ class Circuit:
     def __init__(self, registers: list[Register] | None = None):
         self.registers: list[Register] = []
         self._offsets: dict[str, int] = {}
+        self.width = 0  # qubit count: the register widths, summed as added
         self.gates: list[tuple] = []
         self.groups: list[tuple[str, int, int, int]] = []
         self._group_stack: list[tuple[str, int, int]] = []
@@ -116,11 +121,8 @@ class Circuit:
             raise GF2Error(f"duplicate register name {reg.name!r}")
         self._offsets[reg.name] = self.width
         self.registers.append(reg)
+        self.width += reg.width
         return self.reg(reg.name)
-
-    @property
-    def width(self) -> int:
-        return sum(r.width for r in self.registers)
 
     def reg(self, name: str) -> list[int]:
         off = self._offsets[name]
@@ -265,6 +267,8 @@ def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
     ``planes[q, w]`` is qubit q of batch element 64*w + b.  Returns a new
     array; the input is not modified.
     """
+    import numpy as np
+
     if planes.dtype != np.uint64 or planes.ndim != 2:
         raise GF2Error(f"planes must be a 2-d uint64 array, got "
                        f"{planes.ndim}-d {planes.dtype}")
@@ -306,6 +310,8 @@ def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
 def pack_planes(inputs: list[int], width: int) -> np.ndarray:
     """Bit-planes of basis states: bit q of ``inputs[b]`` becomes bit b % 64
     of ``planes[q, b // 64]``; lanes past ``len(inputs)`` are zero."""
+    import numpy as np
+
     count = len(inputs)
     if count and (min(inputs) < 0 or max(inputs) >> width):
         raise GF2Error("input out of range for qubit count")
@@ -320,6 +326,8 @@ def pack_planes(inputs: list[int], width: int) -> np.ndarray:
 
 def unpack_planes(planes: np.ndarray, count: int) -> list[int]:
     """Inverse of :func:`pack_planes`: the first ``count`` basis states."""
+    import numpy as np
+
     width, words = planes.shape
     if count > 64 * words:
         raise GF2Error(f"{count} cases requested from {64 * words} lanes")

@@ -90,9 +90,12 @@ def _check(name, ok, detail=""):
 
 
 def _modmult_cases(n: int, exhaustive: bool, rng, samples: int) -> list:
-    """(f, g, h) cases: every f, g with h = 0, or ``samples`` random triples."""
+    """(f, g, h) cases: every f, g with h = 0 and then every f, g again with
+    a random prior target h, or ``samples`` random triples."""
     if exhaustive:
-        return [(f, g, 0) for f in range(1 << n) for g in range(1 << n)]
+        pairs = [(f, g) for f in range(1 << n) for g in range(1 << n)]
+        return ([(f, g, 0) for f, g in pairs]
+                + [(f, g, rng.getrandbits(n)) for f, g in pairs])
     return [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
             for _ in range(samples)]
 

@@ -6,10 +6,10 @@ the shipped formulas must hit the known best product counts
 {2:3, 3:6, 4:9, 5:13, 6:17, 7:22, 8:26}.
 
 The formulas are data files (``data/formulas/d*.txt``); this module parses
-and writes them.  :meth:`KaratsubaFormula.from_text` checks every formula
-against carry-less multiplication when it is loaded (exhaustively for
-d <= 6, on 10,000 random pairs for d = 7, 8), so a shipped formula that
-computes the wrong product is rejected before any circuit uses it.
+and writes them.  :meth:`KaratsubaFormula.from_text` proves every formula
+equal to carry-less multiplication when it is loaded, from its d^2 pairs of
+basis monomials (see :meth:`KaratsubaFormula.verify`), so a shipped formula
+that computes the wrong product is rejected before any circuit uses it.
 """
 
 from __future__ import annotations
@@ -52,13 +52,18 @@ class KaratsubaFormula:
                seed: int = 0) -> None:
         """Check the formula against carry-less multiplication.
 
-        Exhaustive for d <= 6 (default), sampled otherwise.
+        By default on the d^2 basis pairs (x^i, x^j): ``multiply`` is
+        bilinear (R is linear, and each product is the parity of T_r f
+        times the parity of T_r g), as is clmul, so agreement on the basis
+        proves agreement on every input.  ``exhaustive=True`` compares all
+        pairs and ``exhaustive=False`` ``samples`` random ones.
         """
         import random
 
         if exhaustive is None:
-            exhaustive = self.d <= 6
-        if exhaustive:
+            pairs = ((1 << i, 1 << j) for i in range(self.d)
+                     for j in range(self.d))
+        elif exhaustive:
             pairs = ((f, g) for f in range(1 << self.d)
                      for g in range(1 << self.d))
         else:

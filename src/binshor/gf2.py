@@ -349,13 +349,13 @@ def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
         avail = len(enumerate_irreducibles(base.degree)) if base.degree > 1 else 2
         if avail < 1:
             raise InvalidModulusSetError("no irreducibles of required degree")
-    # pairwise coprimality (distinct irreducible bases imply it; verify anyway)
-    mods = modset.moduli
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if poly_gcd(mods[i], mods[j]).degree > 0:
-                raise InvalidModulusSetError(
-                    f"factors {mods[i]} and {mods[j]} are not coprime")
+    # pairwise coprimality (distinct irreducible bases imply it; verify
+    # anyway) in O(k): m_i is coprime to every other factor iff it is
+    # coprime to their product m / m_i
+    for mi, (_, residue) in zip(modset.moduli, crt_cofactors(modset)):
+        if poly_gcd(mi, BinaryPoly(residue)).degree > 0:
+            raise InvalidModulusSetError(
+                f"factor {mi} is not coprime to the other factors")
     omega = modset.omega(n)
     if omega > max_omega:
         raise InvalidModulusSetError(
@@ -364,23 +364,34 @@ def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
 
 
 @cache
-def crt_constants(modset: ModulusSet) -> tuple[BinaryPoly, ...]:
-    """CRT recombination constants q_i with q_i = 1 mod m_i, 0 mod m_j.
-
-    Computed once per distinct modulus set.  q_i = c_i * (c_i^-1 mod m_i)
-    with c_i = m / m_i; an exact division makes q_i = 0 mod every other
-    m_j, so checking q_i = 1 mod m_i and sum(q_i) = 1 mod m verifies the
-    whole residue matrix in O(k) reductions.
-    """
+def crt_cofactors(modset: ModulusSet) -> tuple[tuple[int, int], ...]:
+    """(c_i, c_i mod m_i) with c_i = m / m_i (an exact division) for each
+    factor, as bit vectors; computed once per distinct modulus set."""
     m = modset.m.bits
     out = []
-    total = 0
     for mi in modset.moduli:
         cofactor, rem = cldivmod(m, mi.bits)
         if rem:
             raise InvalidModulusSetError(f"{mi} does not divide m")
+        out.append((cofactor, clmod(cofactor, mi.bits)))
+    return tuple(out)
+
+
+@cache
+def crt_constants(modset: ModulusSet) -> tuple[BinaryPoly, ...]:
+    """CRT recombination constants q_i with q_i = 1 mod m_i, 0 mod m_j.
+
+    Computed once per distinct modulus set.  q_i = c_i * (c_i^-1 mod m_i)
+    with the cofactor c_i = m / m_i (:func:`crt_cofactors`), so q_i = 0 mod
+    every other m_j; checking q_i = 1 mod m_i and sum(q_i) = 1 mod m
+    verifies the whole residue matrix in O(k) reductions.
+    """
+    m = modset.m.bits
+    out = []
+    total = 0
+    for mi, (cofactor, residue) in zip(modset.moduli, crt_cofactors(modset)):
         try:
-            inv = poly_inv_mod(BinaryPoly(clmod(cofactor, mi.bits)), mi)
+            inv = poly_inv_mod(BinaryPoly(residue), mi)
         except GF2Error as e:
             raise InvalidModulusSetError(f"factors not coprime: {e}") from e
         qi = clmul(cofactor, inv.bits)

@@ -4,7 +4,10 @@ Everything is emitted through a sink object so the same code path can
 either materialize a :class:`~binshor.circuit.Circuit` (for simulation at
 small field sizes) or stream into counters (for exact resource counts at
 cryptographic sizes).  Gate totals always come from the emitted gate
-stream, never from closed-form shortcuts.
+stream, never from closed-form shortcuts: a count emits each distinct
+keyed block (a CRT recombination factor, the correction map, a reduction
+step, a squaring) once, gate by gate, and each repeated or reversed copy
+of it adds that block's tally (see :func:`emit_block`).
 """
 
 from __future__ import annotations
@@ -37,11 +40,16 @@ from .formulas import KaratsubaFormula
 # -- sinks -------------------------------------------------------------------
 
 class CountSink:
-    """Gate-stream consumer that tallies counts and census groups."""
+    """Gate-stream consumer that tallies counts and census groups.
 
-    def __init__(self):
+    ``blocks`` maps a block key to the (counts, census) of one emission of
+    that block (see :func:`emit_block`); sub-sinks share their parent's.
+    """
+
+    def __init__(self, blocks: dict | None = None):
         self.counts = GateCounts()
         self.census: dict[str, int] = {}
+        self.blocks: dict = {} if blocks is None else blocks
 
     def x(self, t):
         self.counts.not_ += 1
@@ -114,14 +122,39 @@ class BufferSink:
             getattr(sink, op[0])(*op[1:])
 
 
-def emit_block(sink, build, rev: bool = False):
-    """Emit ``build(sink)`` forwards, or reversed via a buffer."""
-    if not rev:
+def emit_block(sink, build, rev: bool = False, key=None):
+    """Emit ``build(sink)`` forwards, or reversed via a buffer.
+
+    A reversed block's groups are dropped.  A :class:`CountSink` never
+    buffers, since a tally does not depend on gate order: a keyed block is
+    emitted forwards into a sub-sink the first time its ``key`` is seen,
+    and its (counts, census) are stored and added for every copy.  Equal
+    keys must mean equal blocks for the sink's whole life, so key on the
+    plan object that owns the block.  Other sinks ignore the key.
+    """
+    if not isinstance(sink, CountSink):
+        if not rev:
+            build(sink)
+        else:
+            buf = BufferSink()
+            build(buf)
+            buf.play(sink, rev=True)
+        return
+    if key is None and not rev:
         build(sink)
-    else:
-        buf = BufferSink()
-        build(buf)
-        buf.play(sink, rev=True)
+        return
+    tally = sink.blocks.get(key) if key is not None else None
+    if tally is None:
+        sub = CountSink(sink.blocks)
+        build(sub)
+        tally = (sub.counts, sub.census)
+        if key is not None:
+            sink.blocks[key] = tally
+    counts, census = tally
+    sink.add_counts(counts)
+    if not rev:
+        for label, units in census.items():
+            sink.begin_group(label, units)
 
 
 # -- leaf emitters -----------------------------------------------------------
@@ -167,7 +200,8 @@ def emit_swaps(sink, transpositions, wires):
         sink.swap(wires[a], wires[b])
 
 
-def emit_inplace_linear(sink, plu: PLUFactors, wires, rev: bool = False):
+def emit_inplace_linear(sink, plu: PLUFactors, wires, rev: bool = False,
+                        key=None):
     """In-place |f> -> |M f> with M = P L U, as CNOT stages plus swaps."""
 
     def build(s):
@@ -189,7 +223,7 @@ def emit_inplace_linear(sink, plu: PLUFactors, wires, rev: bool = False):
                 r ^= low
         emit_swaps(s, plu.transpositions(), wires)
 
-    emit_block(sink, build, rev=rev)
+    emit_block(sink, build, rev=rev, key=key)
 
 
 def emit_reduction_step(sink, Ma, da, Mb, db, wires):
@@ -398,15 +432,18 @@ class ModmultPlan:
 
     # Q_i sandwich: the inverse is applied before the residue product so the
     # product is added under the recombination map rather than mixed with
-    # prior target contents.
-    def _emit_q(self, sink, fac: _Factor, hw, rev: bool):
+    # prior target contents.  Block keys name this plan and a position, so
+    # inner plans sharing the sink keep their own.
+    def _emit_q(self, sink, i: int, hw, rev: bool):
+        fac = self.factors[i]
+
         def build(s):
             if fac.q_out is not None:
                 emit_cnot_matrix(s, fac.q_out, hw[:fac.d], hw[fac.d:])
             emit_inplace_linear(s, fac.q_plu, hw[:fac.d])
             emit_swaps(s, fac.q_perm, hw)
 
-        emit_block(sink, build, rev=rev)
+        emit_block(sink, build, rev=rev, key=(self, "recombine", i))
 
     def _emit_h(self, sink, hw, rev: bool):
         def build(s):
@@ -416,7 +453,19 @@ class ModmultPlan:
             emit_inplace_linear(s, self.h_plu, hw[:self.omega])
             emit_swaps(s, self.h_perm, hw)
 
-        emit_block(sink, build, rev=rev)
+        emit_block(sink, build, rev=rev, key=(self, "correction"))
+
+    def _emit_modred(self, sink, i, fw, gw):
+        """Reduction step i on f, then on g (one block key for both);
+        ``i = len(factors)`` is the final step back to no reduction."""
+        facs = self.factors
+        a = facs[i - 1] if i else None
+        b = facs[i] if i < len(facs) else None
+        step = (a.reduction if a else None, a.d if a else 0,
+                b.reduction if b else None, b.d if b else 0)
+        for wires in (fw, gw):
+            emit_block(sink, lambda s: emit_reduction_step(s, *step, wires),
+                       key=(self, "modred", i))
 
     def emit(self, sink, fw, gw, hw):
         n = self.n
@@ -424,16 +473,11 @@ class ModmultPlan:
             raise GF2Error("register widths must equal n")
         facs = self.factors
         for i, fac in enumerate(facs):
-            prev = facs[i - 1] if i else None
             sink.begin_group(f"modred[{i}]")
-            for wires in (fw, gw):
-                emit_reduction_step(
-                    sink,
-                    prev.reduction if prev else None, prev.d if prev else 0,
-                    fac.reduction, fac.d, wires)
+            self._emit_modred(sink, i, fw, gw)
             sink.end_group()
             sink.begin_group(f"recombine_inv[{i}]")
-            self._emit_q(sink, fac, hw, rev=True)
+            self._emit_q(sink, i, hw, rev=True)
             sink.end_group()
             if fac.inner is None:
                 sink.begin_group(f"kmult[{i}] d={fac.d}")
@@ -445,12 +489,10 @@ class ModmultPlan:
                 fac.inner.emit(sink, fw[:fac.d], gw[:fac.d], hw[:fac.d])
                 sink.end_group()
             sink.begin_group(f"recombine[{i}]")
-            self._emit_q(sink, fac, hw, rev=False)
+            self._emit_q(sink, i, hw, rev=False)
             sink.end_group()
-        last = facs[-1]
         sink.begin_group("modred[final]")
-        for wires in (fw, gw):
-            emit_reduction_step(sink, last.reduction, last.d, None, 0, wires)
+        self._emit_modred(sink, len(facs), fw, gw)
         sink.end_group()
         if self.omega:
             sink.begin_group("correction_inv")
@@ -568,7 +610,8 @@ class InversionPlan:
         method, plu, reps = squaring_method(self.field, k)
         sink.begin_group(f"square^{k} ({method})")
         for _ in range(reps):
-            emit_inplace_linear(sink, plu, wires, rev=rev)
+            emit_inplace_linear(sink, plu, wires, rev=rev,
+                                key=("square", self.field, k))
         sink.end_group()
 
     # scheduling -------------------------------------------------------------

@@ -194,6 +194,21 @@ def test_serialize_roundtrip_pointadd():
     assert parse(text) == circ
 
 
+def test_parse_checks_gates_against_registers_so_far():
+    # the width a gate is checked against is that of the registers above it
+    assert parse("reg a 2 input\nreg b 3 output\nCNOT q[0] q[4]\n").width == 5
+    for text, message in (
+            ("reg a 2 input\nCNOT q[0] q[2]\nreg b 3 output\n",
+             "qubit 2 out of range (width 2)"),
+            ("reg a 2 input\nreg b 3 output\nCCX q[1] q[4] q[5]\n",
+             "qubit 5 out of range (width 5)"),
+            ("reg a 2 input\nCNOT q[1] q[1]\n", "duplicate qubit"),
+            ("reg a 2 input\nreg a 1 output\n", "duplicate register")):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert message in str(e.value.__cause__)
+
+
 def test_parse_error_line_number():
     with pytest.raises(ParseError) as e:
         parse("reg q 2 input\nCNOT q[0] nonsense\n")

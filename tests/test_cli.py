@@ -117,6 +117,23 @@ def test_validate_corrupted_circuit_reports_counterexample(tmp_path, capsys):
                        + counterexample + "\n")
 
 
+def test_validate_circuit_file_sweeps_prior_target(tmp_path, capsys):
+    # deleting the first CNOT only breaks the multiplier on nonzero prior
+    # target contents h, so an exhaustive sweep with h = 0 alone passes it
+    path = tmp_path / "modmult4.txt"
+    _write_modmult_circuit(path, 4)
+    lines = path.read_text().splitlines()
+    first_cnot = next(i for i, line in enumerate(lines)
+                      if line.startswith("CNOT"))
+    path.write_text("\n".join(lines[:first_cnot] + lines[first_cnot + 1:])
+                    + "\n")
+    rc, out, _ = run(capsys, "validate", "--field", "4", "--circuit",
+                     str(path))
+    assert rc == 1
+    assert out.startswith("FAIL  circuit file vs modmult oracle  "
+                          "counterexample input=")
+
+
 def _drop_middle_gate(synth):
     def synth_without_one_gate(plan):
         circ = synth(plan)

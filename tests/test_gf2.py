@@ -17,6 +17,7 @@ from binshor.gf2 import (
     field_inv,
     is_irreducible,
     parse_modulus_set,
+    poly_gcd,
     poly_mul_mod,
     validate_modulus_set,
 )
@@ -226,6 +227,43 @@ def test_crt_constants_rejects_wrong_inverse(monkeypatch):
 def test_validate_modulus_set_omegas(n, omega):
     ms = load_modulus_set(n)
     assert validate_modulus_set(ms, n) == omega
+
+
+def _unchecked_modulus_set(factors):
+    # bypass ModulusSet's own checks to reach validate_modulus_set
+    ms = object.__new__(ModulusSet)
+    object.__setattr__(ms, "factors", factors)
+    return ms
+
+
+def test_validate_modulus_set_rejects_non_coprime_factor():
+    ms = _unchecked_modulus_set(
+        ((BinaryPoly(0b111), 1), (P3, 1), (P3, 2)))
+    with pytest.raises(InvalidModulusSetError) as e:
+        validate_modulus_set(ms, 4)
+    assert str(e.value) == f"factor {P3} is not coprime to the other factors"
+
+
+_SMALL_BASES = [BinaryPoly(b) for b in (0b10, 0b11, 0b111, 0b1011, 0b1101,
+                                        0b101)]  # the last is (x+1)^2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SMALL_BASES), st.integers(1, 3)),
+                min_size=1, max_size=5))
+def test_validate_modulus_set_coprimality_matches_pairwise(factors):
+    # the O(k) check against every pair, on sets that may repeat a base or
+    # use a reducible one
+    ms = _unchecked_modulus_set(tuple(factors))
+    mods = ms.moduli
+    coprime = all(poly_gcd(a, b).degree == 0
+                  for i, a in enumerate(mods) for b in mods[i + 1:])
+    try:
+        validate_modulus_set(ms, 1)
+    except InvalidModulusSetError:
+        assert not coprime
+    else:
+        assert coprime
 
 
 def test_modulus_set_rejects_repeated_base():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import binshor.synth
-from binshor.circuit import counts, lower_mcx, simulate
+from binshor.circuit import counts, emit_mcx_lowered, lower_mcx, simulate
 from binshor.oracle import first_mismatch
 from binshor.datafiles import load_chain, load_formula, load_modulus_set
 from binshor.gf2 import (
@@ -37,6 +37,7 @@ from binshor.synth import (
     synth_out_of_place_mul,
     synth_square,
     emit_reduction_step,
+    squaring_method,
 )
 
 FORMULAS = {d: load_formula(d) for d in range(1, 9)}
@@ -354,12 +355,127 @@ def test_modmult_table_counts_exact_163():
     assert c.swap == 300
 
 
+COUNT_FIELDS = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
+
+
+def _fields(c):
+    return [getattr(c, k) for k in COUNT_FIELDS]
+
+
 def test_modmult_stream_equals_circuit_counts():
     plan = modmult_plan(5)
     circ = synth_crt_modmult(plan)
-    cc = counts(circ)
-    sc = plan.counts()
-    assert (cc.cnot, cc.toffoli, cc.swap) == (sc.cnot, sc.toffoli, sc.swap)
+    assert _fields(counts(circ)) == _fields(plan.counts())
+
+
+class TallySink:
+    """Counts every emitted gate one by one.  Not a CountSink, so keyed
+    blocks are emitted in full and reversed ones go through a buffer."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(COUNT_FIELDS, 0)
+        self.census = {}
+
+    def x(self, t):
+        self.counts["not_"] += 1
+
+    def cnot(self, c, t):
+        self.counts["cnot"] += 1
+
+    def swap(self, a, b):
+        self.counts["swap"] += 1
+
+    def ccx(self, a, b, t):
+        self.counts["toffoli"] += 1
+
+    def ccxu(self, a, b, t):
+        self.counts["ccx_uncompute"] += 1
+
+    def mcx(self, controls, t):
+        emit_mcx_lowered(self, controls, t, range(len(controls)))
+
+    def begin_group(self, label, units=1):
+        self.census[label] = self.census.get(label, 0) + units
+
+    def end_group(self):
+        pass
+
+
+def _wires(n, k):
+    return [list(range(i * n, (i + 1) * n)) for i in range(k)]
+
+
+@pytest.mark.parametrize("n", [5, 163, 571])
+def test_keyed_modmult_counts_equal_full_stream(n):
+    # n = 163 and 571 have inner CRT plans sharing the outer sink
+    plan = modmult_plan(n)
+    tally, cs = TallySink(), CountSink()
+    plan.emit(tally, *_wires(n, 3))
+    plan.emit(cs, *_wires(n, 3))
+    assert [tally.counts[k] for k in COUNT_FIELDS] == _fields(plan.counts())
+    assert _fields(cs.counts) == _fields(plan.counts())
+    assert tally.census == cs.census
+
+
+def test_keyed_inversion_counts_equal_full_stream():
+    plan = inversion_plan(163)
+    assert any(squaring_method(plan.field, op[2] % 163)[2] > 1
+               for op in plan._schedule if op[0] == "sq")
+    n, regs = plan.n, plan.num_registers
+    tally, cs = TallySink(), CountSink()
+    for sink in (tally, cs):
+        plan.emit(sink, list(range(n)), list(range(n, regs * n)))
+    assert [tally.counts[k] for k in COUNT_FIELDS] == _fields(plan.counts())
+    assert _fields(cs.counts) == _fields(plan.counts())
+    assert tally.census == cs.census
+
+
+def test_reversed_blocks_drop_groups_in_every_sink():
+    # the reversed inversions of a point addition add no census groups,
+    # whether the sink buffers them (Circuit, TallySink) or not (CountSink)
+    from binshor.ecc import emit_pointadd, pointadd_layout, synth_ecpointadd
+    from binshor.pipeline import pointadd_plan
+
+    plan = pointadd_plan(4, 0, 1)
+    tally, cs = TallySink(), CountSink()
+    for sink in (tally, cs):
+        emit_pointadd(sink, plan, pointadd_layout(plan))
+    assert cs.census == tally.census == synth_ecpointadd(plan).census()
+    low = counts(lower_mcx(synth_ecpointadd(plan)))
+    assert _fields(cs.counts) == [tally.counts[k] for k in COUNT_FIELDS]
+    assert _fields(cs.counts) == _fields(low)
+
+
+def test_count_sink_never_buffers(monkeypatch):
+    from binshor.ecc import emit_pointadd, pointadd_layout
+    from binshor.pipeline import pointadd_plan
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("a CountSink path used a BufferSink")
+
+    monkeypatch.setattr(binshor.synth, "BufferSink", no_buffer)
+    for n in (5, 163):
+        plan = modmult_plan(n)
+        plan.emit(CountSink(), *_wires(n, 3))
+    inv = inversion_plan(8)
+    inv.emit(CountSink(), list(range(8)),
+             list(range(8, 8 * inv.num_registers)))
+    pa = pointadd_plan(4, 0, 1)
+    emit_pointadd(CountSink(), pa, pointadd_layout(pa))
+
+
+def test_numpy_stays_off_the_counting_path():
+    import subprocess
+    import sys
+
+    code = ("import contextlib, io, sys\n"
+            "from binshor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['synth', '--field', '163', '--target', 'modmult'])\n"
+            "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def reduction_pairs_reference(Ma, da, Mb, db):
