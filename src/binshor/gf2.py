@@ -148,8 +148,29 @@ def cldivmod(a: int, m: int) -> tuple[int, int]:
     return q, a
 
 
+def clsquare(a: int) -> int:
+    """Carry-less square: coefficient i of a moves to 2i."""
+    return int("0".join(format(a, "b")), 2)
+
+
 def clmod(a: int, m: int) -> int:
-    return cldivmod(a, m)[1]
+    """a mod m.  When m = x^dm + low with deg(low) <= dm/2, as for sparse
+    field polynomials, a = hi x^dm + lo folds to lo + hi low, which lowers
+    the degree by at least dm/2 a step; other moduli divide bit by bit."""
+    if m == 0:
+        raise ZeroModulusError("division by the zero polynomial")
+    dm = m.bit_length() - 1
+    low = m ^ (1 << dm)
+    if 2 * low.bit_length() <= dm + 2:
+        mask = (1 << dm) - 1
+        while a >> dm:
+            a = (a & mask) ^ clmul(a >> dm, low)
+        return a
+    da = a.bit_length() - 1
+    while da >= dm:
+        a ^= m << (da - dm)
+        da = a.bit_length() - 1
+    return a
 
 
 def poly_mul_mod(a: BinaryPoly, b: BinaryPoly, m: BinaryPoly) -> BinaryPoly:
@@ -203,7 +224,7 @@ def is_irreducible(p: BinaryPoly) -> bool:
     def xpow2k(k: int) -> int:
         v = 2  # the polynomial x
         for _ in range(k):
-            v = clmod(clmul(v, v), p.bits)
+            v = clmod(clsquare(v), p.bits)
         return v
 
     if xpow2k(d) != 2:

@@ -1,9 +1,11 @@
 """Dense GF(2) matrices and the linear maps behind Toffoli-free circuits.
 
 Rows are stored as Python ints (bit j of row i = entry (i, j)), which makes
-mat-vec a popcount-parity and keeps the 1141x1141 worst case comfortably
-fast.  All constructed matrices are validated in the tests against the
-polynomial oracles in :mod:`binshor.gf2`.
+mat-vec a popcount-parity; the largest matrices built are n x n at n = 571.
+The kernels work a byte at a time: a transpose reads one byte plane of the
+columns per 8 rows, and products and PLU use the method of Four Russians
+(a 256-entry table of XORs per 8 rows).  All constructed matrices are
+validated in the tests against the polynomial oracles in :mod:`binshor.gf2`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from dataclasses import dataclass
 from functools import cache
 
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, ModulusSet, clmod
+
+# _BIT_CHARS[i] translates a byte to b"1" if its bit i is set, else b"0"
+_BIT_CHARS = [bytes(b"01"[(v >> i) & 1] for v in range(256))
+              for i in range(8)]
 
 
 class SingularMatrixError(GF2Error):
@@ -26,13 +32,12 @@ class BitMatrix:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: list[int], ncols: int):
+        rows = list(rows)
         if ncols < 1 or not rows:
             raise GF2Error("empty matrices are not allowed")
-        mask = (1 << ncols) - 1
-        for r in rows:
-            if r & ~mask:
-                raise GF2Error("row has bits outside the column range")
-        self.rows = list(rows)
+        if min(rows) < 0 or max(rows) >> ncols:
+            raise GF2Error("row has bits outside the column range")
+        self.rows = rows
         self.ncols = ncols
 
     @property
@@ -53,12 +58,19 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, cols: list[int], nrows: int) -> "BitMatrix":
-        rows = [0] * nrows
-        for j, col in enumerate(cols):
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
+        if not cols or nrows < 1:
+            raise GF2Error("empty matrices are not allowed")
+        if max(cols).bit_length() > nrows:
+            raise GF2Error("column has bits outside the row range")
+        # byte k of every column, last column first, spelt as b"0"/b"1" by
+        # its bit i, is row 8k + i written most significant bit first
+        nb = (nrows + 7) >> 3
+        data = b"".join(c.to_bytes(nb, "little") for c in reversed(cols))
+        rows = []
+        for k in range(nb):
+            plane = data[k::nb]
+            rows += [int(plane.translate(t), 2)
+                     for t in _BIT_CHARS[:nrows - 8 * k]]
         return cls(rows, len(cols))
 
     def get(self, i: int, j: int) -> int:
@@ -85,15 +97,16 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise GF2Error("dimension mismatch")
-        rows = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.rows[low.bit_length() - 1]
-                rr ^= low
-            rows.append(acc)
+        nb = (self.ncols + 7) >> 3
+        data = b"".join(r.to_bytes(nb, "little") for r in self.rows)
+        rows = [0] * self.nrows
+        for k in range(nb):
+            # XORs of every subset of rows 8k..8k+7 of other, looked up by
+            # byte k of each row of self; one table alive at a time
+            table = [0]
+            for r in other.rows[8 * k:8 * k + 8]:
+                table += [t ^ r for t in table]
+            rows = [a ^ table[v] for a, v in zip(rows, data[k::nb])]
         return BitMatrix(rows, other.ncols)
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
@@ -228,6 +241,11 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     from the factors are reproducible run to run.  For an n x d matrix with
     n >= d, L is n x d unit-lower-trapezoidal and U is d x d upper
     triangular; full column rank is required.
+
+    Columns are eliminated 8 at a time (the method of Four Russians) with
+    the same result as one at a time: a row below a block is cleared by
+    the one combination of the block's pivot rows that matches its block
+    bits, found in a 256-entry table.
     """
     n, d = M.shape
     if n < d:
@@ -236,27 +254,66 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     # bits d and up of a working row collect its L entries (L[i, c] at d + c)
     A = list(M.rows)
     perm = list(range(n))  # tracks source row currently at each position
-    for c in range(d):
-        bit = 1 << c
-        piv = next((i for i in range(c, n) if A[i] & bit), None)
-        if piv is None:
-            rank = BitMatrix([a & mask for a in A], d).rank()
-            raise SingularMatrixError("matrix has deficient column rank",
-                                      rank=rank)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            perm[c], perm[piv] = perm[piv], perm[c]
-        w = (A[c] & mask) | (1 << (d + c))
-        A[c + 1:] = [a ^ w if a & bit else a for a in A[c + 1:]]
-    L = BitMatrix([(a >> d) | (1 << i if i < d else 0)
-                   for i, a in enumerate(A)], d)
+    for c0 in range(0, d, 8):
+        B = min(8, d - c0)
+        # the block bits of the rows at positions c0 and on, as they were
+        # when the block started; swapped along with the rows
+        bmask = (1 << B) - 1
+        b = [(a >> c0) & bmask for a in A[c0:]]
+        # cols[t] bit i: the row now at position c0 + i has bit c0 + t, with
+        # the block's pivots so far applied (the pivot search reads these)
+        plane = bytes(reversed(b))
+        cols = [int(plane.translate(tr), 2) for tr in _BIT_CHARS[:B]]
+        w = []  # each pivot's update: its U part and its L entry
+        for t in range(B):
+            cand = cols[t] >> t  # rows at positions c0 + t and on
+            if not cand:
+                raise SingularMatrixError("matrix has deficient column rank",
+                                          rank=M.rank())
+            p = t + (cand & -cand).bit_length() - 1
+            if p != t:
+                i, j = c0 + t, c0 + p
+                A[i], A[j] = A[j], A[i]
+                perm[i], perm[j] = perm[j], perm[i]
+                b[t], b[p] = b[p], b[t]
+                for k in range(t + 1, B):
+                    if ((cols[k] >> t) ^ (cols[k] >> p)) & 1:
+                        cols[k] ^= (1 << t) | (1 << p)
+            # bring the pivot row up to date with the block's earlier pivots
+            a = A[c0 + t]
+            for k, wk in enumerate(w):
+                if (a >> (c0 + k)) & 1:
+                    a ^= wk
+            A[c0 + t] = a
+            w.append((a & mask) | (1 << (d + c0 + t)))
+            v = a >> c0
+            below = cols[t] & ~((2 << p) - 1)  # rows after the pivot
+            for k in range(t + 1, B):
+                if (v >> k) & 1:
+                    cols[k] ^= below
+        if c0 + B == n:
+            break  # a square matrix has no rows below its last block
+        # reduce the updates against each other so that red[t] has block
+        # bits exactly 1 << t, then tabulate every combination of them
+        red = [0] * B
+        for t in range(B - 1, -1, -1):
+            a = w[t]
+            for k in range(t + 1, B):
+                if (a >> (c0 + k)) & 1:
+                    a ^= red[k]
+            red[t] = a
+        table = [0]
+        for r in red:
+            table += [x ^ r for x in table]
+        A[c0 + B:] = [a ^ table[v] for a, v in zip(A[c0 + B:], b[B:])]
+    L = [a >> d for a in A]
+    for i in range(d):
+        L[i] |= 1 << i
     U = BitMatrix([a & mask for a in A[:d]], d)
     # perm currently maps position -> original row index after forward swaps;
     # the permutation matrix P must undo that reordering: P[orig, pos] = 1.
-    inv = [0] * n
-    for pos, orig in enumerate(perm):
-        inv[orig] = pos
-    return PLUFactors(tuple(inv), L, U)
+    inv = sorted(range(n), key=perm.__getitem__)
+    return PLUFactors(tuple(inv), BitMatrix(L, d), U)
 
 
 def const_mul_matrix(h: BinaryPoly, field: FieldSpec) -> BitMatrix:
@@ -322,13 +379,7 @@ def squaring_matrix(field: FieldSpec, k: int = 1) -> BitMatrix:
         while rest:
             a = max(j for j in powers if j <= rest)
             rest -= a
-            if acc is None:
-                acc = powers[a]
-            else:
-                # A @ B costs a row XOR per set entry of A, and powers
-                # commute: put the sparser one on the left
-                A, B = sorted((acc, powers[a]), key=BitMatrix.popcount)
-                acc = A @ B
+            acc = powers[a] if acc is None else acc @ powers[a]
         powers[k] = acc
     return powers[k]
 

@@ -10,8 +10,10 @@ from binshor.gf2 import (
     ZeroDivisionGF2Error,
     ZeroModulusError,
     InvalidModulusSetError,
+    cldivmod,
     clmod,
     clmul,
+    clsquare,
     crt_constants,
     enumerate_irreducibles,
     field_inv,
@@ -68,6 +70,33 @@ def test_clmul_matches_brute():
     for _ in range(500):
         a, b, m = rng.getrandbits(24), rng.getrandbits(24), rng.getrandbits(12) | (1 << 12)
         assert clmod(clmul(a, b), m) == brute_mul_mod(a, b, m)
+
+
+poly_bits = st.integers(0, 2**300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_bits, poly_bits.filter(bool))
+def test_cldivmod_identity(a, b):
+    q, r = cldivmod(a, b)
+    assert clmul(q, b) ^ r == a
+    assert r.bit_length() < b.bit_length()  # deg r < deg b
+    assert clmod(a, b) == r
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_bits, poly_bits, poly_bits)
+def test_clmul_commutative_and_distributive(a, b, c):
+    assert clmul(a, b) == clmul(b, a)
+    assert clmul(a, b ^ c) == clmul(a, b) ^ clmul(a, c)
+    assert clsquare(a) == clmul(a, a)
+
+
+def test_cldivmod_rejects_zero_modulus():
+    with pytest.raises(ZeroModulusError):
+        cldivmod(5, 0)
+    with pytest.raises(ZeroModulusError):
+        clmod(5, 0)
 
 
 def test_field_inv_identity():
