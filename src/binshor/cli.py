@@ -62,7 +62,7 @@ def cmd_synth(args) -> int:
         report["counts"] = streamed.counts.as_dict()
         report["toffoli_decomposition"] = cost.toffoli
         report["qubits_model"] = cost.qubits
-        report["census"] = pointadd_census(streamed)
+        report["census"] = pointadd_census(streamed.census)
         circ = synth_ecpointadd(plan) if args.emit else None
     else:
         print(f"unknown target {args.target!r}", file=sys.stderr)
@@ -207,7 +207,7 @@ def cmd_validate(args) -> int:
                          bad is None,
                          "" if bad is None else f"P1=({p1.x},{p1.y}) "
                          f"P2=({p2.x},{p2.y}) out={bad[1]:#x}")
-        census = pointadd_census(pcirc)
+        census = pointadd_census(pcirc.census())
         all_ok &= _check("point addition census", census == TABLE_CENSUS,
                          str(census))
     return 0 if all_ok else 1

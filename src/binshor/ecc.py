@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .circuit import Circuit, Register
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, field_inv
 from .synth import (
-    CountSink,
     InversionPlan,
     ModmultPlan,
     emit_addition,
@@ -189,8 +188,6 @@ class PointAddPlan:
         self.modmult = modmult
         self.inversion = inversion
         self.sq_plu = squaring_method(curve.field, 1)[1]
-        # one emission's counts and census, kept by shor.stream_pointadd_counts
-        self.streamed: CountSink | None = None
 
 
 def pointadd_layout(plan: PointAddPlan) -> Circuit:
@@ -210,40 +207,7 @@ def pointadd_layout(plan: PointAddPlan) -> Circuit:
     ])
 
 
-class RealBlocks:
-    """Arithmetic blocks emitted as real gate streams."""
-
-    def __init__(self, plan: PointAddPlan, A, W):
-        self.plan = plan
-        self.A = A
-        self.W = W
-
-    def inv(self, sink, rev: bool):
-        if rev:
-            emit_block(sink, lambda s: self.plan.inversion.emit(s, self.A, self.W),
-                       rev=True)
-        else:
-            self.plan.inversion.emit(sink, self.A, self.W)
-
-    def mult(self, sink, fw, gw, hw):
-        self.plan.modmult.emit(sink, fw, gw, hw)
-
-
-class CountBlocks:
-    """Arithmetic blocks injected as cached counts (for large fields)."""
-
-    def __init__(self, plan: PointAddPlan):
-        self.inv_counts = plan.inversion.counts()
-        self.mm_counts = plan.modmult.counts()
-
-    def inv(self, sink, rev: bool):
-        sink.add_counts(self.inv_counts)
-
-    def mult(self, sink, fw, gw, hw):
-        sink.add_counts(self.mm_counts)
-
-
-def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit, blocks=None):
+def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
     """Six-stage in-place point addition over the wires of ``layout``
     (see :func:`pointadd_layout`)."""
     n = plan.n
@@ -251,8 +215,6 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit, blocks=None):
         "x1", "y1", "x2", "y2", "lr", "flags", "lam", "w", "s"))
     f1, f2, f3, f4, ctrl = flags
     inv = plan.inversion
-    if blocks is None:
-        blocks = RealBlocks(plan, A, W)
     wslot = lambda i: W[(i - 1) * n: i * n]
     Wout = wslot(inv.result_slot)
     T = wslot(inv.temp_slot)
@@ -265,17 +227,17 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit, blocks=None):
 
     def inv_fwd():
         census("inversion")
-        blocks.inv(sink, rev=False)
+        inv.emit(sink, A, W)
         done()
 
     def inv_rev():
         census("inversion")
-        blocks.inv(sink, rev=True)
+        emit_block(sink, lambda s: inv.emit(s, A, W), rev=True)
         done()
 
     def mult(fw, gw, hw):
         census("multiplication")
-        blocks.mult(sink, fw, gw, hw)
+        plan.modmult.emit(sink, fw, gw, hw)
         done()
 
     def eq(aw, bw, target, extras, units=1):
@@ -466,16 +428,8 @@ def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
     return circ
 
 
-def pointadd_census(source) -> dict[str, int]:
-    """Subroutine census from group metadata (circuit or count sink)."""
-    raw = source.census if isinstance(source, CountSink) else None
-    if raw is None:
-        raw = source.census("census:")
-        items = raw.items()
-    else:
-        items = [(k, v) for k, v in raw.items() if k.startswith("census:")]
-    out: dict[str, int] = {}
-    for label, units in items:
-        name = label.split(":", 1)[1]
-        out[name] = out.get(name, 0) + units
-    return out
+def pointadd_census(census: dict[str, int]) -> dict[str, int]:
+    """Subroutine census from a label -> units mapping (``circ.census()``
+    or a count sink's ``census``): the ``census:`` labels, prefix removed."""
+    return {label.split(":", 1)[1]: units for label, units in census.items()
+            if label.startswith("census:")}

@@ -18,7 +18,7 @@ from .datafiles import (
 from .ecc import CurveSpec, PointAddPlan
 from .gf2 import (BinaryPoly, FieldSpec, GF2Error, is_irreducible,
                   parse_modulus_set)
-from .synth import InversionPlan, ModmultPlan
+from .synth import TALLIES, InversionPlan, ModmultPlan
 
 
 def load_formulas() -> dict:
@@ -42,9 +42,11 @@ def _plan_cache(fn):
 
 
 def clear_caches():
+    """Drop the cached plans and the keyed-block tally store."""
     for fn in (_cached_formulas, _cached_inner_set, modmult_plan, field_for,
                inversion_plan, pointadd_plan):
         fn.cache_clear()
+    TALLIES.clear()
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .gf2 import GF2Error
-from .synth import CountSink
-from .ecc import CountBlocks, PointAddPlan, emit_pointadd, pointadd_layout
+from .synth import CountSink, emit_block
+from .ecc import PointAddPlan, emit_pointadd, pointadd_layout
 
 
 @dataclass
@@ -109,17 +109,17 @@ def stream_pointadd_counts(plan: PointAddPlan) -> CountSink:
     """Exact synthesized gate totals (``.counts``) and census groups
     (``.census``) of one point addition.
 
-    One emission over the :func:`~binshor.ecc.pointadd_layout` wires, with
-    the arithmetic blocks injected from their cached counts and the
-    structural gates streamed.  The sink is kept on the plan, so later
-    calls reuse it.
+    The point addition is emitted as one keyed block into a fresh
+    :class:`~binshor.synth.CountSink`: the first call for a plan emits it,
+    with its inversion and multiplier blocks, and later calls add the
+    stored tally.  ``qubits_total`` is the width of the
+    :func:`~binshor.ecc.pointadd_layout` registers.
     """
-    if plan.streamed is None:
-        cs = CountSink()
-        emit_pointadd(cs, plan, pointadd_layout(plan),
-                      blocks=CountBlocks(plan))
-        plan.streamed = cs
-    return plan.streamed
+    layout = pointadd_layout(plan)
+    cs = CountSink()
+    emit_block(cs, lambda s: emit_pointadd(s, plan, layout), key=(plan,))
+    cs.counts.qubits_total = layout.width
+    return cs
 
 
 # -- phase estimation -----------------------------------------------------------

@@ -4,10 +4,14 @@ Everything is emitted through a sink object so the same code path can
 either materialize a :class:`~binshor.circuit.Circuit` (for simulation at
 small field sizes) or stream into counters (for exact resource counts at
 cryptographic sizes).  Gate totals always come from the emitted gate
-stream, never from closed-form shortcuts: a count emits each distinct
-keyed block (a CRT recombination factor, the correction map, a reduction
-step, a squaring) once, gate by gate, and each repeated or reversed copy
-of it adds that block's tally (see :func:`emit_block`).
+stream, never from closed-form shortcuts.  Each plan (a multiplier, an
+inversion, a point addition) emits as one keyed block, and so does each
+distinct piece inside it (a CRT recombination factor, the correction map,
+a reduction step, a squaring).  A :class:`CountSink` emits a keyed block
+once, gate by gate, into the process-wide :data:`TALLIES` store, and each
+repeated or reversed copy adds that block's tally (see
+:func:`emit_block`).  A plan's ``counts()`` is its block emitted into a
+fresh :class:`CountSink`.
 """
 
 from __future__ import annotations
@@ -39,17 +43,19 @@ from .formulas import KaratsubaFormula
 
 # -- sinks -------------------------------------------------------------------
 
+# block key -> (counts, census) of one emission of that block, for every
+# CountSink of the process (see emit_block); pipeline.clear_caches() empties it
+TALLIES: dict = {}
+
+
 class CountSink:
-    """Gate-stream consumer that tallies counts and census groups.
+    """Gate-stream consumer that tallies counts and census groups (label ->
+    units, in the order the groups begin).  Keyed blocks are read from and
+    stored in :data:`TALLIES`."""
 
-    ``blocks`` maps a block key to the (counts, census) of one emission of
-    that block (see :func:`emit_block`); sub-sinks share their parent's.
-    """
-
-    def __init__(self, blocks: dict | None = None):
+    def __init__(self):
         self.counts = GateCounts()
         self.census: dict[str, int] = {}
-        self.blocks: dict = {} if blocks is None else blocks
 
     def x(self, t):
         self.counts.not_ += 1
@@ -128,9 +134,10 @@ def emit_block(sink, build, rev: bool = False, key=None):
     A reversed block's groups are dropped.  A :class:`CountSink` never
     buffers, since a tally does not depend on gate order: a keyed block is
     emitted forwards into a sub-sink the first time its ``key`` is seen,
-    and its (counts, census) are stored and added for every copy.  Equal
-    keys must mean equal blocks for the sink's whole life, so key on the
-    plan object that owns the block.  Other sinks ignore the key.
+    and its (counts, census) are stored in :data:`TALLIES` and added for
+    every copy.  Equal keys mean equal blocks while the store holds them,
+    so key on the plan object that owns the block.  Other sinks ignore the
+    key.
     """
     if not isinstance(sink, CountSink):
         if not rev:
@@ -143,13 +150,13 @@ def emit_block(sink, build, rev: bool = False, key=None):
     if key is None and not rev:
         build(sink)
         return
-    tally = sink.blocks.get(key) if key is not None else None
+    tally = TALLIES.get(key) if key is not None else None
     if tally is None:
-        sub = CountSink(sink.blocks)
+        sub = CountSink()
         build(sub)
         tally = (sub.counts, sub.census)
         if key is not None:
-            sink.blocks[key] = tally
+            TALLIES[key] = tally
     counts, census = tally
     sink.add_counts(counts)
     if not rev:
@@ -428,7 +435,6 @@ class ModmultPlan:
         if self.omega:
             self.h_plu, self.h_out, self.h_perm = _split_plu(
                 correction_matrix(modset, n, p))
-        self._counts: GateCounts | None = None
 
     # Q_i sandwich: the inverse is applied before the residue product so the
     # product is added under the recombination map rather than mixed with
@@ -468,9 +474,12 @@ class ModmultPlan:
                        key=(self, "modred", i))
 
     def emit(self, sink, fw, gw, hw):
-        n = self.n
-        if not (len(fw) == len(gw) == len(hw) == n):
+        if not (len(fw) == len(gw) == len(hw) == self.n):
             raise GF2Error("register widths must equal n")
+        emit_block(sink, lambda s: self._emit(s, fw, gw, hw), key=(self,))
+
+    def _emit(self, sink, fw, gw, hw):
+        n = self.n
         facs = self.factors
         for i, fac in enumerate(facs):
             sink.begin_group(f"modred[{i}]")
@@ -506,13 +515,13 @@ class ModmultPlan:
             sink.end_group()
 
     def counts(self) -> GateCounts:
-        if self._counts is None:
-            cs = CountSink()
-            self.emit(cs, list(range(self.n)), list(range(self.n, 2 * self.n)),
-                      list(range(2 * self.n, 3 * self.n)))
-            cs.counts.qubits_total = 3 * self.n
-            self._counts = cs.counts
-        return self._counts
+        """The stored tally of this plan's block, over 3n qubits."""
+        n = self.n
+        self.emit(CountSink(), list(range(n)), list(range(n, 2 * n)),
+                  list(range(2 * n, 3 * n)))
+        counts = TALLIES[(self,)][0]
+        counts.qubits_total = 3 * n
+        return counts
 
 
 # -- addition chains and inversion -------------------------------------------
@@ -562,9 +571,6 @@ class AdditionChain:
     def r_factor(self) -> int:
         return 2 * self.l - self.l_tilde + 1
 
-    def compute_terms(self):
-        return [b for a, b in zip(self.terms, self.terms[1:]) if b > a]
-
 
 @dataclass
 class _Slot:
@@ -592,7 +598,6 @@ class InversionPlan:
         self.modmult = modmult
         self.clearing = clearing
         self.n = field.n
-        self._counts: GateCounts | None = None
         self.mult_calls = 0
         # worked out during the dry run
         self.num_registers = 0
@@ -743,9 +748,12 @@ class InversionPlan:
 
     def emit(self, sink, fw, work):
         """fw: the n input wires; work: num_registers * n workspace wires."""
-        n = self.n
-        if len(work) < (self.num_registers - 1) * n:
+        if len(work) < (self.num_registers - 1) * self.n:
             raise GF2Error("workspace too small for the schedule")
+        emit_block(sink, lambda s: self._emit(s, fw, work), key=(self,))
+
+    def _emit(self, sink, fw, work):
+        n = self.n
         regs = [fw] + [work[i * n:(i + 1) * n]
                        for i in range(self.num_registers - 1)]
         # slot 0 is the input register; remaining slots map in order
@@ -796,46 +804,13 @@ class InversionPlan:
                 raise GF2Error(f"unknown op {kind}")
 
     def counts(self) -> GateCounts:
-        """Counts assembled from the scheduled blocks (each block counted
-        once from its emission); computed on the first call."""
-        if self._counts is not None:
-            return self._counts
-        total = GateCounts()
-        mm = self.modmult.counts()
-        n = self.n
-        sq: dict[int, GateCounts] = {}
-
-        def sq_counts(k):
-            k %= n
-            if k == 0:
-                return GateCounts()
-            if k not in sq:
-                cs = CountSink()
-                self._emit_square_power(cs, k, list(range(n)))
-                sq[k] = cs.counts
-            return sq[k]
-
-        def add(c):
-            nonlocal total
-            total = total + c
-
-        for op in self._schedule:
-            kind = op[0]
-            if kind == "copy":
-                add(GateCounts(cnot=n))
-            elif kind == "sq":
-                add(sq_counts(abs(op[2])))
-            elif kind in ("dbl", "clear_dbl"):
-                alpha = op[4]
-                add(GateCounts(cnot=2 * n))
-                add(sq_counts(alpha))
-                add(sq_counts(alpha))
-                add(mm)
-            else:
-                add(mm)
-        total.qubits_total = self.num_registers * n
-        self._counts = total
-        return total
+        """The stored tally of this plan's block, over num_registers * n
+        qubits."""
+        n, regs = self.n, self.num_registers
+        self.emit(CountSink(), list(range(n)), list(range(n, regs * n)))
+        counts = TALLIES[(self,)][0]
+        counts.qubits_total = regs * n
+        return counts
 
 
 @cache

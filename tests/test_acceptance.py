@@ -123,7 +123,7 @@ def test_criterion_3_pointadd(field_plans):
         ok &= (round_sig(cost.toffoli) == tab
                or abs(cost.toffoli - tab) / tab <= 0.002)
         ok &= cost.qubits == 12 * n + 7 == TABLE_PA_QUBITS[n]
-        census = pointadd_census(stream_pointadd_counts(plan))
+        census = pointadd_census(stream_pointadd_counts(plan).census)
         ok &= census == TABLE_CENSUS
         details.append(f"n={n}: toffoli {cost.toffoli:.0f} vs {tab:.3g}, "
                        f"qubits {cost.qubits}")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binshor.circuit import (
+    REG_KINDS,
     Circuit,
     GateCounts,
     ParseError,
@@ -300,6 +301,24 @@ def test_count_sink_matches_lowered_counts(ops):
     kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
+
+
+@st.composite
+def _registers(draw):
+    """Named registers of random widths and kinds over MCX_WIDTH wires."""
+    cuts = sorted(draw(st.sets(st.integers(1, MCX_WIDTH - 1), max_size=3)))
+    bounds = [0, *cuts, MCX_WIDTH]
+    return [Register(f"r{i}", hi - lo, draw(st.sampled_from(REG_KINDS)))
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_registers(), st.lists(_gate_ops(), max_size=40))
+def test_parse_inverts_serialize(registers, ops):
+    circ = Circuit(registers)
+    for kind, args in ops:
+        getattr(circ, kind)(*args)
+    assert parse(serialize(circ)) == circ
 
 
 @settings(max_examples=200, deadline=None)

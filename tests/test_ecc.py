@@ -165,7 +165,7 @@ def sweep_curve(plan, curve):
 def test_pointadd_exhaustive_a_zero_curve():
     plan = pointadd_plan(4, 0, 1)
     circ = sweep_curve(plan, plan.curve)
-    assert pointadd_census(circ) == TABLE_CENSUS
+    assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
 def test_pointadd_exhaustive_gf8_with_correction_multiplier():
@@ -176,13 +176,13 @@ def test_pointadd_exhaustive_gf8_with_correction_multiplier():
     assert modulus_set_for(3).omega(3) == 1
     plan = pointadd_plan(3, 1, 1)
     circ = sweep_curve(plan, plan.curve)
-    assert pointadd_census(circ) == TABLE_CENSUS
+    assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
 def test_pointadd_exhaustive_a_nonzero_curve():
     plan = pointadd_plan(5, 2, 3)
     circ = sweep_curve(plan, plan.curve)
-    assert pointadd_census(circ) == TABLE_CENSUS
+    assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
 def test_pointadd_stage2_postconditions():
@@ -226,7 +226,7 @@ def test_pointadd_census_at_n8():
     from binshor.shor import stream_pointadd_counts
 
     streamed = stream_pointadd_counts(pointadd_plan(8, 1, 1))
-    assert pointadd_census(streamed) == TABLE_CENSUS
+    assert pointadd_census(streamed.census) == TABLE_CENSUS
 
 
 def test_pointadd_synthesized_vs_decomposition_toffoli():
@@ -250,13 +250,28 @@ def test_streamed_pointadd_counts_equal_lowered_circuit(n, a, b):
     from binshor.shor import stream_pointadd_counts
 
     plan = pointadd_plan(n, a, b)
-    streamed = stream_pointadd_counts(plan).counts
-    lowered = counts(lower_mcx(synth_ecpointadd(plan)))
+    sink = stream_pointadd_counts(plan)
+    circ = synth_ecpointadd(plan)
+    # the full census, the arithmetic blocks' inner groups included
+    assert sink.census == circ.census()
+    streamed = sink.counts
+    lowered = counts(lower_mcx(circ))
     kinds = ("cnot", "toffoli", "swap", "not_", "ccx_uncompute")
     got = [getattr(streamed, k) for k in kinds]
     assert got == [getattr(lowered, k) for k in kinds]
     if n == 8:
         assert got == [7883, 931, 410, 360, 153]
+
+
+def test_streamed_pointadd_reports_the_layout_width():
+    from binshor.shor import stream_pointadd_counts
+
+    plan = pointadd_plan(4, 0, 1)
+    width = stream_pointadd_counts(plan).counts.qubits_total
+    assert width == synth_ecpointadd(plan).width == 42
+    n = 163
+    assert (stream_pointadd_counts(pointadd_plan(n)).counts.qubits_total
+            == 11 * n + 6 == 1799)
 
 
 def test_pointadd_sampled_n8():

@@ -1,7 +1,9 @@
 import pytest
 
 from binshor.gf2 import enumerate_irreducibles
-from binshor.pipeline import field_for, inversion_plan, modmult_plan, pointadd_plan
+from binshor.pipeline import (clear_caches, field_for, inversion_plan,
+                              modmult_plan, pointadd_plan)
+from binshor.synth import TALLIES
 
 
 def test_plan_cache_ignores_spelled_out_defaults():
@@ -18,3 +20,13 @@ def test_field_for_takes_the_first_irreducible(n):
 
 def test_field_for_16():
     assert field_for(16).p.bits == 0x1002B   # x^16 + x^5 + x^3 + x + 1
+
+
+def test_clear_caches_empties_the_tally_store():
+    before = modmult_plan(5).counts()
+    assert TALLIES
+    clear_caches()
+    assert not TALLIES
+    after = modmult_plan(5).counts()   # a new plan, emitted again
+    assert after is not before
+    assert after == before
