@@ -113,7 +113,7 @@ def _modmult_sweep(circ, cases, n: int, p: BinaryPoly):
     return None if bad is None else (*bad, want(bad[0]))
 
 
-def _validate_circuit_file(args) -> int:
+def _validate_circuit_file(args, exhaustive: bool) -> int:
     """Check a serialized circuit against the modular-multiplication oracle."""
     from .circuit import parse
 
@@ -125,7 +125,7 @@ def _validate_circuit_file(args) -> int:
         raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "
                        f"multiplier needs at least {3 * n}")
     rng = random.Random(args.seed)
-    cases = _modmult_cases(n, 3 * n <= args.exhaustive_cap, rng, args.samples)
+    cases = _modmult_cases(n, exhaustive, rng, args.samples)
     bad = _modmult_sweep(circ, cases, n, field.p)
     if bad is not None:
         f, g, h = cases[bad[0]]
@@ -144,14 +144,14 @@ def _validate_circuit_file(args) -> int:
 def cmd_validate(args) -> int:
     if args.samples < 1:
         raise GF2Error(f"--samples must be at least 1, got {args.samples}")
-    if args.circuit:
-        return _validate_circuit_file(args)
     n = args.field
+    exhaustive = args.mode == "exhaustive" and 3 * n <= args.exhaustive_cap
+    if args.circuit:
+        return _validate_circuit_file(args, exhaustive)
     rng = random.Random(args.seed)
     field = pipeline.field_for(n)
     plan = pipeline.modmult_plan(n)
     all_ok = True
-    exhaustive = 3 * n <= args.exhaustive_cap
     if args.mode == "exhaustive" and not exhaustive:
         print(f"refusing exhaustive mode: 3n = {3 * n} qubits exceeds the cap "
               f"{args.exhaustive_cap}; running sampled mode instead")

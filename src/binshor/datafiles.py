@@ -29,7 +29,13 @@ def _read(relpath: str) -> str:
 
 
 def load_modulus_set(n: int) -> ModulusSet:
-    return parse_modulus_set(_read(f"modsets/{n}.txt"))
+    """Standard sets for the named fields, toy sets for small test fields."""
+    path = data_dir() / f"modsets/{n}.txt"
+    toy = data_dir() / f"modsets/toy{n}.txt"
+    for p in (path, toy):
+        if p.exists():
+            return parse_modulus_set(p.read_text())
+    raise FileNotFoundError(f"no modulus set for n = {n}: tried {path} and {toy}")
 
 
 def load_inner_modulus_set(d: int) -> ModulusSet:

@@ -22,7 +22,6 @@ from .synth import (
     emit_block,
     emit_controlled_addition,
     emit_controlled_constants,
-    emit_inplace_linear,
     squaring_method,
 )
 
@@ -187,7 +186,7 @@ class PointAddPlan:
         self.n = curve.field.n
         self.modmult = modmult
         self.inversion = inversion
-        self.sq_plu = squaring_method(curve.field, 1)[1]
+        self.sq = squaring_method(curve.field, 1)[1]
 
 
 def pointadd_layout(plan: PointAddPlan) -> Circuit:
@@ -325,11 +324,11 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
     sink.begin_group("stage4")
     add(LAM, A)
     census("squaring")
-    emit_inplace_linear(sink, plan.sq_plu, LAM)
+    plan.sq.emit(sink, LAM)
     done()
     add(LAM, A)                                       # A += lam + lam^2
     census("squaring")
-    emit_inplace_linear(sink, plan.sq_plu, LAM, rev=True)
+    plan.sq.emit(sink, LAM, rev=True)
     done()
     mult(LAM, A, T)
     add(T, B)                                         # B = lam (x2+x3) + prior

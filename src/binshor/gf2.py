@@ -366,10 +366,6 @@ def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
     """Check a modulus set against field size n; returns the correction
     count omega = max(0, 2n-1-deg(m)).
     """
-    for base, exp in modset.factors:
-        avail = len(enumerate_irreducibles(base.degree)) if base.degree > 1 else 2
-        if avail < 1:
-            raise InvalidModulusSetError("no irreducibles of required degree")
     # pairwise coprimality (distinct irreducible bases imply it; verify
     # anyway) in O(k): m_i is coprime to every other factor iff it is
     # coprime to their product m / m_i

@@ -10,14 +10,13 @@ import inspect
 from functools import lru_cache, wraps
 
 from .datafiles import (
-    data_dir,
     load_chain,
     load_formula,
     load_inner_modulus_set,
+    load_modulus_set as modulus_set_for,
 )
 from .ecc import CurveSpec, PointAddPlan
-from .gf2 import (BinaryPoly, FieldSpec, GF2Error, is_irreducible,
-                  parse_modulus_set)
+from .gf2 import BinaryPoly, FieldSpec, GF2Error, is_irreducible
 from .synth import TALLIES, InversionPlan, ModmultPlan
 
 
@@ -56,17 +55,6 @@ def _cached_formulas():
 
 # one parse per inner set: the 78 inner plans at n = 571 share two sets
 _cached_inner_set = lru_cache(maxsize=None)(load_inner_modulus_set)
-
-
-def modulus_set_for(n: int):
-    """Standard sets for the named fields, toy sets for small test fields."""
-    path = data_dir() / f"modsets/{n}.txt"
-    if path.exists():
-        return parse_modulus_set(path.read_text())
-    toy = data_dir() / f"modsets/toy{n}.txt"
-    if toy.exists():
-        return parse_modulus_set(toy.read_text())
-    raise FileNotFoundError(f"no modulus set for n = {n}: tried {path} and {toy}")
 
 
 @_plan_cache

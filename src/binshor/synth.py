@@ -4,7 +4,10 @@ Everything is emitted through a sink object so the same code path can
 either materialize a :class:`~binshor.circuit.Circuit` (for simulation at
 small field sizes) or stream into counters (for exact resource counts at
 cryptographic sizes).  Gate totals always come from the emitted gate
-stream, never from closed-form shortcuts.  Each plan (a multiplier, an
+stream, never from closed-form shortcuts.  Every Toffoli-free linear step
+(a CRT recombination map Q_i, the correction map H, a squaring) is a
+:class:`LinearMap`, compiled to CNOTs and swaps from one PLU
+factorisation of its matrix.  Each plan (a multiplier, an
 inversion, a point addition) emits as one keyed block, and so does each
 distinct piece inside it (a CRT recombination factor, the correction map,
 a reduction step, a squaring).  A :class:`CountSink` emits a keyed block
@@ -31,7 +34,6 @@ from .gf2 import (
 )
 from .linalg import (
     BitMatrix,
-    PLUFactors,
     plu_decompose,
     reduction_matrix,
     crt_recombination_matrix,
@@ -202,35 +204,64 @@ def emit_controlled_constants(sink, ctrl, c: BinaryPoly, dst):
         b ^= low
 
 
-def emit_swaps(sink, transpositions, wires):
-    for a, b in transpositions:
-        sink.swap(wires[a], wires[b])
+@dataclass(frozen=True)
+class LinearMap:
+    """An n x d full-column-rank map M as CNOTs and swaps on n wires,
+    |f, 0> -> |M f> with f on the first d (in place when n = d).
 
+    From one PLU factorisation M = P L U: ``rest``, the rows of L U below
+    its d x d top block, is added out of place; the top block, whose own
+    factors are (identity, ``L``, ``U``), is applied in place by a U stage
+    then an L stage; ``swaps`` apply P.
+    """
 
-def emit_inplace_linear(sink, plu: PLUFactors, wires, rev: bool = False,
-                        key=None):
-    """In-place |f> -> |M f> with M = P L U, as CNOT stages plus swaps."""
+    L: BitMatrix               # top d rows of L
+    U: BitMatrix
+    rest: BitMatrix | None     # (n-d) x d, None for a square map
+    swaps: tuple
 
-    def build(s):
-        n = len(plu.perm)
-        d = plu.U.ncols
-        # U stage: ascending rows, f_i += sum_{j>i} U_ij f_j
-        for i in range(d):
-            r = plu.U.rows[i] & ~((1 << (i + 1)) - 1)
-            while r:
-                low = r & -r
-                s.cnot(wires[low.bit_length() - 1], wires[i])
-                r ^= low
-        # L stage: descending rows, f_i += sum_{j<i, j<d} L_ij f_j
-        for i in range(n - 1, -1, -1):
-            r = plu.L.rows[i] & (((1 << min(i, d)) - 1))
-            while r:
-                low = r & -r
-                s.cnot(wires[low.bit_length() - 1], wires[i])
-                r ^= low
-        emit_swaps(s, plu.transpositions(), wires)
+    @classmethod
+    def of(cls, M: BitMatrix) -> "LinearMap":
+        n, d = M.shape
+        plu = plu_decompose(M)
+        lu = [0] * n  # L U = P^-1 M: row perm[i] of L U is row i of M
+        for i, j in enumerate(plu.perm):
+            lu[j] = M.rows[i]
+        return cls(BitMatrix(plu.L.rows[:d], d), plu.U,
+                   BitMatrix(lu[d:], d) if n > d else None,
+                   tuple(plu.transpositions()))
 
-    emit_block(sink, build, rev=rev, key=key)
+    def _inplace(self):
+        """(target, control mask) per row: the U stage in ascending rows,
+        f_i += sum_{j>i} U_ij f_j, then the L stage in descending rows,
+        f_i += sum_{j<i} L_ij f_j."""
+        for i, row in enumerate(self.U.rows):
+            yield i, row & ~((2 << i) - 1)
+        for i in range(self.U.ncols - 1, -1, -1):
+            yield i, self.L.rows[i] & ((1 << i) - 1)
+
+    def emit(self, sink, wires, rev: bool = False, key=None):
+        d = self.U.ncols
+
+        def build(s):
+            if self.rest is not None:
+                emit_cnot_matrix(s, self.rest, wires[:d], wires[d:])
+            for i, r in self._inplace():
+                while r:
+                    low = r & -r
+                    s.cnot(wires[low.bit_length() - 1], wires[i])
+                    r ^= low
+            for a, b in self.swaps:
+                s.swap(wires[a], wires[b])
+
+        emit_block(sink, build, rev=rev, key=key)
+
+    def cnot_equiv(self) -> int:
+        """CNOT count with each swap at its three-CNOT equivalent."""
+        rest = self.rest.rows if self.rest is not None else ()
+        return (sum(r.bit_count() for r in rest)
+                + sum(r.bit_count() for _, r in self._inplace())
+                + 3 * len(self.swaps))
 
 
 def emit_reduction_step(sink, Ma, da, Mb, db, wires):
@@ -364,29 +395,12 @@ def emit_correction(sink, omega: int, n: int, fw, gw, tw):
 
 # -- modular multiplication plan ---------------------------------------------
 
-def _split_plu(M: BitMatrix) -> tuple[PLUFactors, BitMatrix | None, list]:
-    """M = P L U for an n x d matrix, as the three pieces of its circuit:
-    the PLU factors of the in-place d x d top block of L U, the
-    out-of-place (n-d) x d rest (None when n = d) and P's transpositions.
-    """
-    n, d = M.shape
-    plu = plu_decompose(M)
-    lu = [0] * n  # L U = P^-1 M: row perm[i] of L U is row i of M
-    for i, j in enumerate(plu.perm):
-        lu[j] = M.rows[i]
-    return (plu_decompose(BitMatrix(lu[:d], d)),
-            BitMatrix(lu[d:], d) if n > d else None,
-            plu.transpositions())
-
-
 @dataclass
 class _Factor:
     m: BinaryPoly
     d: int
     reduction: BitMatrix | None
-    q_plu: PLUFactors          # of the in-place d x d block of Q_i
-    q_out: BitMatrix | None    # (n-d) x d out-of-place block
-    q_perm: tuple               # transpositions of the n x n permutation
+    q: LinearMap               # the CRT recombination map Q_i, n x d
     formula: KaratsubaFormula | None
     inner: "ModmultPlan | None"
 
@@ -415,8 +429,7 @@ class ModmultPlan:
         for (mi, qi) in zip(modset.moduli, qs):
             d = mi.degree
             red = reduction_matrix(mi, n) if d < n else None
-            q_plu, q_out, q_perm = _split_plu(
-                crt_recombination_matrix(qi, m, d, n, p))
+            q = LinearMap.of(crt_recombination_matrix(qi, m, d, n, p))
             inner = None
             formula = None
             if d <= 8:
@@ -429,37 +442,9 @@ class ModmultPlan:
                                     inner_sets=inner_sets,
                                     max_omega=max_omega, _depth=_depth + 1)
             self.factors.append(_Factor(
-                m=mi, d=d, reduction=red, q_plu=q_plu,
-                q_out=q_out, q_perm=q_perm,
-                formula=formula, inner=inner))
+                m=mi, d=d, reduction=red, q=q, formula=formula, inner=inner))
         if self.omega:
-            self.h_plu, self.h_out, self.h_perm = _split_plu(
-                correction_matrix(modset, n, p))
-
-    # Q_i sandwich: the inverse is applied before the residue product so the
-    # product is added under the recombination map rather than mixed with
-    # prior target contents.  Block keys name this plan and a position, so
-    # inner plans sharing the sink keep their own.
-    def _emit_q(self, sink, i: int, hw, rev: bool):
-        fac = self.factors[i]
-
-        def build(s):
-            if fac.q_out is not None:
-                emit_cnot_matrix(s, fac.q_out, hw[:fac.d], hw[fac.d:])
-            emit_inplace_linear(s, fac.q_plu, hw[:fac.d])
-            emit_swaps(s, fac.q_perm, hw)
-
-        emit_block(sink, build, rev=rev, key=(self, "recombine", i))
-
-    def _emit_h(self, sink, hw, rev: bool):
-        def build(s):
-            if self.h_out is not None:
-                emit_cnot_matrix(s, self.h_out, hw[:self.omega],
-                                 hw[self.omega:])
-            emit_inplace_linear(s, self.h_plu, hw[:self.omega])
-            emit_swaps(s, self.h_perm, hw)
-
-        emit_block(sink, build, rev=rev, key=(self, "correction"))
+            self.h = LinearMap.of(correction_matrix(modset, n, p))
 
     def _emit_modred(self, sink, i, fw, gw):
         """Reduction step i on f, then on g (one block key for both);
@@ -481,12 +466,16 @@ class ModmultPlan:
     def _emit(self, sink, fw, gw, hw):
         n = self.n
         facs = self.factors
+        # Q_i sandwich: the inverse is applied before the residue product so
+        # the product is added under the recombination map rather than mixed
+        # with prior target contents.  Block keys name this plan and a
+        # position, so inner plans sharing the sink keep their own.
         for i, fac in enumerate(facs):
             sink.begin_group(f"modred[{i}]")
             self._emit_modred(sink, i, fw, gw)
             sink.end_group()
             sink.begin_group(f"recombine_inv[{i}]")
-            self._emit_q(sink, i, hw, rev=True)
+            fac.q.emit(sink, hw, rev=True, key=(self, "recombine", i))
             sink.end_group()
             if fac.inner is None:
                 sink.begin_group(f"kmult[{i}] d={fac.d}")
@@ -498,20 +487,20 @@ class ModmultPlan:
                 fac.inner.emit(sink, fw[:fac.d], gw[:fac.d], hw[:fac.d])
                 sink.end_group()
             sink.begin_group(f"recombine[{i}]")
-            self._emit_q(sink, i, hw, rev=False)
+            fac.q.emit(sink, hw, key=(self, "recombine", i))
             sink.end_group()
         sink.begin_group("modred[final]")
         self._emit_modred(sink, len(facs), fw, gw)
         sink.end_group()
         if self.omega:
             sink.begin_group("correction_inv")
-            self._emit_h(sink, hw, rev=True)
+            self.h.emit(sink, hw, rev=True, key=(self, "correction"))
             sink.end_group()
             sink.begin_group("correction_coeffs")
             emit_correction(sink, self.omega, n, fw, gw, hw[:self.omega])
             sink.end_group()
             sink.begin_group("correction")
-            self._emit_h(sink, hw, rev=False)
+            self.h.emit(sink, hw, key=(self, "correction"))
             sink.end_group()
 
     def counts(self) -> GateCounts:
@@ -612,11 +601,10 @@ class InversionPlan:
         k %= self.n
         if k == 0:
             return
-        method, plu, reps = squaring_method(self.field, k)
+        method, sq, reps = squaring_method(self.field, k)
         sink.begin_group(f"square^{k} ({method})")
         for _ in range(reps):
-            emit_inplace_linear(sink, plu, wires, rev=rev,
-                                key=("square", self.field, k))
+            sq.emit(sink, wires, rev=rev, key=("square", self.field, k))
         sink.end_group()
 
     # scheduling -------------------------------------------------------------
@@ -815,41 +803,26 @@ class InversionPlan:
 
 @cache
 def squaring_method(field: FieldSpec, k: int
-                    ) -> tuple[str, PLUFactors | None, int]:
+                    ) -> tuple[str, LinearMap | None, int]:
     """Circuit for k consecutive squarings f -> f^(2^k): one fused circuit
     or k single squarings, whichever is cheaper.
 
-    Returns (method, plu, reps): the circuit applies ``plu`` in place
+    Returns (method, map, reps): the circuit applies ``map`` in place
     ``reps`` times.  Squaring has order n on GF(2^n), so k counts modulo n
-    and a multiple of n is the empty fused circuit.  Comparison is by total
-    CNOT count with each swap at its three-CNOT equivalent; ties go to the
-    fused circuit.  Memoised per (field, k): the single-squaring PLU is
-    decomposed once per field.
+    and a multiple of n is the empty fused circuit.  Comparison is by
+    :meth:`LinearMap.cnot_equiv`; ties go to the fused circuit.  Memoised
+    per (field, k): the single squaring is factorised once per field.
     """
     k %= field.n
     if k == 0:
         return ("fused", None, 0)
     if k == 1:
-        return ("fused", plu_decompose(squaring_matrix(field, 1)), 1)
-    plu1 = squaring_method(field, 1)[1]
-    fused = plu_decompose(squaring_matrix(field, k))
-    if _plu_cnot_equiv(fused) <= k * _plu_cnot_equiv(plu1):
+        return ("fused", LinearMap.of(squaring_matrix(field, 1)), 1)
+    single = squaring_method(field, 1)[1]
+    fused = LinearMap.of(squaring_matrix(field, k))
+    if fused.cnot_equiv() <= k * single.cnot_equiv():
         return ("fused", fused, 1)
-    return ("sequential", plu1, k)
-
-
-def _plu_cnot(plu: PLUFactors) -> int:
-    d = plu.U.ncols
-    cnots = 0
-    for i in range(d):
-        cnots += (plu.U.rows[i] & ~((1 << (i + 1)) - 1)).bit_count()
-    for i in range(len(plu.L.rows)):
-        cnots += (plu.L.rows[i] & ((1 << min(i, d)) - 1)).bit_count()
-    return cnots
-
-
-def _plu_cnot_equiv(plu: PLUFactors) -> int:
-    return _plu_cnot(plu) + 3 * len(plu.transpositions())
+    return ("sequential", single, k)
 
 
 # -- public circuit-producing wrappers ----------------------------------------
@@ -900,7 +873,7 @@ def synth_in_place_mul(M: BitMatrix) -> Circuit:
         raise SingularMatrixError("in-place map must be invertible", M.rank())
     circ = Circuit()
     wires = circ.add_register(Register("f", M.nrows))
-    emit_inplace_linear(circ, plu_decompose(M), wires)
+    LinearMap.of(M).emit(circ, wires)
     return circ
 
 
@@ -910,9 +883,9 @@ def synth_square(field: FieldSpec, k: int = 1) -> Circuit:
         raise GF2Error("k must be >= 1")
     circ = Circuit()
     wires = circ.add_register(Register("f", field.n))
-    method, plu, reps = squaring_method(field, k)
+    method, sq, reps = squaring_method(field, k)
     for _ in range(reps):
-        emit_inplace_linear(circ, plu, wires)
+        sq.emit(circ, wires)
     circ.meta = {"method": method, "k": k}
     return circ
 

@@ -169,6 +169,15 @@ def test_validate_cap_falls_back_to_sampled(capsys):
     assert rc == 0
 
 
+def test_validate_sampled_mode_is_honoured(capsys):
+    # n = 4 is under the exhaustive cap, but --mode sampled asks for samples
+    rc, out, _ = run(capsys, "validate", "--field", "4", "--mode", "sampled",
+                     "--samples", "50")
+    assert rc == 0
+    assert "PASS  modmult sampled (50)" in out.splitlines()
+    assert "exhaustive" not in out
+
+
 def test_estimate_reproduces_physical_headline(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     rc, _, _ = run(capsys, "estimate", "--field", "163", "--arch", "both",

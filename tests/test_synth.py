@@ -1,21 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import binshor.synth
-from binshor.circuit import counts, emit_mcx_lowered, lower_mcx, simulate
+from binshor.circuit import (Circuit, Register, counts, emit_mcx_lowered,
+                             lower_mcx, simulate)
 from binshor.oracle import first_mismatch
 from binshor.datafiles import load_chain, load_formula, load_modulus_set
 from binshor.gf2 import (
     BinaryPoly,
     FieldSpec,
     GF2Error,
+    clmod,
+    clsquare,
     enumerate_irreducibles,
     field_inv,
     poly_mul_mod,
 )
-from binshor.linalg import BitMatrix, const_mul_matrix, squaring_matrix
+from binshor.linalg import (BitMatrix, const_mul_matrix, plu_decompose,
+                            squaring_matrix)
 from binshor.pipeline import (
     field_for,
     inversion_plan,
@@ -27,6 +31,7 @@ from binshor.synth import (
     BufferSink,
     CountSink,
     InversionPlan,
+    LinearMap,
     ModmultPlan,
     synth_addition,
     synth_correction,
@@ -132,6 +137,68 @@ def test_in_place_singular_rejected():
 
     with pytest.raises(SingularMatrixError):
         synth_in_place_mul(BitMatrix([0b11, 0b11], 2))
+
+
+def full_rank(n, d, seed):
+    rng = random.Random(seed)
+    while True:
+        M = BitMatrix([rng.getrandbits(d) for _ in range(n)], d)
+        if M.rank() == d:
+            return M
+
+
+# (n, d): square half the time, else tall (or square) with d <= n
+map_shapes = st.integers(1, 24).flatmap(
+    lambda n: st.tuples(st.just(n), st.just(n) | st.integers(1, n)))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_shapes, seeds)
+@example((163, 163), 1)
+@example((163, 40), 2)
+def test_linear_map_circuit_applies_M(shape, seed):
+    # |f, 0> -> |M f> with f on the first d wires; reversed, back again
+    M = full_rank(*shape, seed)
+    n, d = M.shape
+    lm = LinearMap.of(M)
+    fwd, rev = Circuit(), Circuit()
+    lm.emit(fwd, fwd.add_register(Register("f", n)))
+    lm.emit(rev, rev.add_register(Register("f", n)), rev=True)
+    rng = random.Random(seed)
+    for f in [0, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(20)]:
+        assert simulate(fwd, f) == M.mat_vec(f)
+        assert simulate(rev, M.mat_vec(f)) == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_shapes, seeds)
+@example((163, 163), 1)
+def test_linear_map_cnot_equiv_is_its_tally(shape, seed):
+    lm = LinearMap.of(full_rank(*shape, seed))
+    sink = CountSink()
+    lm.emit(sink, list(range(shape[0])))
+    assert lm.cnot_equiv() == sink.counts.cnot + 3 * sink.counts.swap
+    assert sink.counts.swap == len(lm.swaps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_shapes, seeds)
+@example((163, 40), 2)
+def test_linear_map_top_block_needs_no_second_plu(shape, seed):
+    # the top d x d block of L U factorises as (identity, top of L, U), so
+    # one PLU of M gives the whole circuit
+    M = full_rank(*shape, seed)
+    n, d = M.shape
+    lm = LinearMap.of(M)
+    plu = plu_decompose(M)
+    lu = plu.L @ plu.U
+    top = plu_decompose(BitMatrix(lu.rows[:d], d))
+    assert top.perm == tuple(range(d))
+    assert (top.L.rows, top.U.rows) == (lm.L.rows, lm.U.rows)
+    assert lm.L.rows == plu.L.rows[:d] and lm.U == plu.U
+    assert (lm.rest is None) == (n == d)
+    assert (lm.rest.rows if lm.rest else []) == lu.rows[d:]
 
 
 # -- squaring -------------------------------------------------------------------
@@ -552,6 +619,63 @@ def test_inversion_exhaustive_n5_both_variants():
             assert (out >> (rs * 5)) & 31 == field_inv(BinaryPoly(v), f5).bits
 
 
+def run_schedule(plan, f: BinaryPoly) -> list:
+    """The registers after ``plan._schedule`` on input f, by field
+    arithmetic alone: each op as the value it XORs in or the power it
+    raises a register to."""
+    p, n = plan.field.p, plan.n
+    regs = [BinaryPoly(0)] * plan.num_registers
+    regs[0] = f
+
+    def sq(v, k):
+        bits = v.bits
+        for _ in range(k % n):
+            bits = clmod(clsquare(bits), p.bits)
+        return BinaryPoly(bits)
+
+    for op in plan._schedule:
+        kind = op[0]
+        if kind == "copy":
+            regs[op[2]] = regs[op[2]] + regs[op[1]]
+        elif kind == "sq":
+            regs[op[1]] = sq(regs[op[1]], op[2])
+        elif kind in ("mult", "clear_add"):
+            _, ia, ib, dst = op
+            regs[dst] = regs[dst] + poly_mul_mod(regs[ia], regs[ib], p)
+        else:  # dbl / clear_dbl through the borrowed temp t
+            _, ia, t, dst, alpha = op
+            regs[t] = sq(regs[t] + regs[ia], alpha)
+            regs[dst] = regs[dst] + poly_mul_mod(regs[ia], regs[t], p)
+            regs[t] = sq(regs[t], -alpha) + regs[ia]
+    return regs
+
+
+# the clearing products at n = 283 (terms 9 and 45) and n = 571 (terms 29
+# and 171) multiply an added term's factors at their offsets, but the
+# cleared register was squared away from offset 0 after it was made, so the
+# product does not cancel it and the slot is reused dirty
+SCHEDULE_DEFECT = pytest.mark.xfail(
+    strict=True, reason="InversionPlan._plan_clear does not square an added "
+    "term back to offset 0 before its clearing product")
+
+
+@pytest.mark.parametrize("n, clearing", [
+    pytest.param(n, c, marks=SCHEDULE_DEFECT if c and n in (283, 571) else ())
+    for n in (3, 4, 5, 8, 16, 163, 233, 283, 571) for c in (True, False)])
+def test_inversion_schedule_computes_inverse(n, clearing):
+    plan = inversion_plan(n, clearing)
+    field = field_for(n)
+    rng = random.Random(n)
+    for f in (BinaryPoly(rng.getrandbits(n) | 1) for _ in range(2)):
+        regs = run_schedule(plan, f)
+        assert regs[0] == f
+        assert regs[plan.result_slot] == field_inv(f, field)
+        assert regs[plan.temp_slot] == BinaryPoly(0)
+        if n <= 8:  # the interpreter agrees with the gates, register by register
+            out = simulate(synth_flt_inversion(plan), f.bits)
+            assert out == sum(r.bits << (i * n) for i, r in enumerate(regs))
+
+
 def test_inversion_mult_counts_and_identity():
     # Toffoli(inversion) = (number of modmults) x Toffoli(modmult), exactly
     for n in (163, 233, 283, 571):
@@ -570,7 +694,7 @@ def test_inversion_counts_emitted_once(monkeypatch):
     def no_emission(*args, **kwargs):
         raise AssertionError("counts() emitted again")
 
-    monkeypatch.setattr(binshor.synth, "emit_inplace_linear", no_emission)
+    monkeypatch.setattr(binshor.synth.LinearMap, "emit", no_emission)
     monkeypatch.setattr(plan.modmult, "emit", no_emission)
     assert plan.counts() is first
 
