@@ -185,26 +185,32 @@ def cmd_validate(args) -> int:
                      f"{(bad[1] >> (rs * n)) & mask:#x} want "
                      f"{field_inv(BinaryPoly(vals[bad[0]]), field).bits:#x}")
     # point addition on the toy curve (only for small fields)
-    if exhaustive and n <= 8:
+    if n <= 8:
         pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
         pcirc = synth_ecpointadd(pa)
         pts = pa.curve.points()
+        if exhaustive:
+            pairs = [(i, j) for i in range(len(pts)) for j in range(len(pts))]
+            label = f"point addition exhaustive ({len(pts)}^2 pairs)"
+        else:
+            pairs = [(rng.randrange(len(pts)), rng.randrange(len(pts)))
+                     for _ in range(args.samples)]
+            label = f"point addition sampled ({args.samples} pairs)"
         # P2 and its slope ride through unchanged; P1 becomes P1 + P2
         tails = [(p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
                  | (slope_for(p2, field).bits << 4 * n) for p2 in pts]
-        states = [p1.x.bits | (p1.y.bits << n) | tail
-                  for p1 in pts for tail in tails]
+        states = [pts[i].x.bits | (pts[i].y.bits << n) | tails[j]
+                  for i, j in pairs]
 
         def added(k, out):
-            i, j = divmod(k, len(pts))
+            i, j = pairs[k]
             p3 = ec_add_classical(pts[i], pts[j], pa.curve)
             return out == p3.x.bits | (p3.y.bits << n) | tails[j]
 
         bad = first_mismatch(pcirc, states, added)
         if bad is not None:
-            p1, p2 = pts[bad[0] // len(pts)], pts[bad[0] % len(pts)]
-        all_ok &= _check(f"point addition exhaustive ({len(pts)}^2 pairs)",
-                         bad is None,
+            p1, p2 = (pts[i] for i in pairs[bad[0]])
+        all_ok &= _check(label, bad is None,
                          "" if bad is None else f"P1=({p1.x},{p1.y}) "
                          f"P2=({p2.x},{p2.y}) out={bad[1]:#x}")
         census = pointadd_census(pcirc.census())

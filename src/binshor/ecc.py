@@ -180,8 +180,6 @@ class PointAddPlan:
                  inversion: InversionPlan):
         if not inversion.clearing:
             raise CurveError("point addition expects the clearing inverter")
-        if inversion.free_slots_at_end is None or not inversion.free_slots_at_end:
-            raise CurveError("inverter leaves no clean workspace register")
         self.curve = curve
         self.n = curve.field.n
         self.modmult = modmult

@@ -129,7 +129,7 @@ def clmul(a: int, b: int) -> int:
     r = 0
     while b:
         low = b & -b
-        r ^= a * low  # multiplying by a power of two is a shift
+        r ^= a << (low.bit_length() - 1)
         b ^= low
     return r
 
@@ -362,7 +362,11 @@ class ModulusSet:
         return max(0, 2 * n - 1 - self.m.degree)
 
 
-def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
+# the most high-degree correction coefficients a modulus set may leave
+MAX_OMEGA = 8
+
+
+def validate_modulus_set(modset: ModulusSet, n: int) -> int:
     """Check a modulus set against field size n; returns the correction
     count omega = max(0, 2n-1-deg(m)).
     """
@@ -374,9 +378,9 @@ def validate_modulus_set(modset: ModulusSet, n: int, max_omega: int = 8) -> int:
             raise InvalidModulusSetError(
                 f"factor {mi} is not coprime to the other factors")
     omega = modset.omega(n)
-    if omega > max_omega:
+    if omega > MAX_OMEGA:
         raise InvalidModulusSetError(
-            f"omega = {omega} exceeds the configured maximum {max_omega}")
+            f"omega = {omega} exceeds the configured maximum {MAX_OMEGA}")
     return omega
 
 

@@ -288,7 +288,7 @@ def emit_reduction_step(sink, Ma, da, Mb, db, wires):
 
 
 def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
-               fw, gw, hw, rev: bool = False):
+               fw, gw, hw):
     """Out-of-place residue product |f,g,h> -> |f,g,h + f g mod m_i>.
 
     Per product: CNOT fan-in of the mask onto a pivot in each input
@@ -341,7 +341,7 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
             fanin(gw)
             fanin(fw)
 
-    emit_block(sink, build, rev=rev)
+    emit_block(sink, build)
 
 
 def emit_correction(sink, omega: int, n: int, fw, gw, tw):
@@ -414,7 +414,7 @@ class ModmultPlan:
 
     def __init__(self, n: int, p: BinaryPoly, modset: ModulusSet,
                  formulas: dict[int, KaratsubaFormula],
-                 inner_sets=None, max_omega: int = 8, _depth: int = 0):
+                 inner_sets=None, _depth: int = 0):
         if p.degree != n:
             raise GF2Error("modulus degree mismatch")
         if _depth > 2:
@@ -422,7 +422,7 @@ class ModmultPlan:
         self.n = n
         self.p = p
         self.modset = modset
-        self.omega = validate_modulus_set(modset, n, max_omega=max_omega)
+        self.omega = validate_modulus_set(modset, n)
         qs = crt_constants(modset)
         m = modset.m
         self.factors: list[_Factor] = []
@@ -439,8 +439,7 @@ class ModmultPlan:
                     raise GF2Error(
                         f"degree-{d} factor needs an inner modulus set")
                 inner = ModmultPlan(d, mi, inner_sets(d), formulas,
-                                    inner_sets=inner_sets,
-                                    max_omega=max_omega, _depth=_depth + 1)
+                                    inner_sets=inner_sets, _depth=_depth + 1)
             self.factors.append(_Factor(
                 m=mi, d=d, reduction=red, q=q, formula=formula, inner=inner))
         if self.omega:
@@ -561,20 +560,19 @@ class AdditionChain:
         return 2 * self.l - self.l_tilde + 1
 
 
-@dataclass
-class _Slot:
-    wires: list
-    value: int | None = None     # chain term stored, None = free
-    offset: int = 0              # register holds <2^value - 1>^(2^offset)
-    made: tuple | None = None    # ("dbl", alpha) or ("add", alpha, beta)
-
-
 class InversionPlan:
     """Exponentiation-based modular inversion scheduled by an addition chain.
 
     With clearing, the interface is |f>|0>^(R n) -> |f>|f^-1>|garbage>|0>^n
     and the multiplication count is l_tilde; without clearing it is l at the
     price of more workspace.
+
+    The schedule is a list of ops on register slots (slot 0 holds f):
+    ``("sq", i, k)`` squares slot i k times (k < 0 undoes squarings);
+    ``("copy", i, j)`` adds slot i into slot j; ``("mult", a, b, dst, k,
+    clear)`` adds the product of slots a and b into dst, which makes a term
+    or, with ``clear``, cancels one.  With k > 0, b is a free slot borrowed to
+    hold a^(2^k) for the product and returned to 0 after it.
     """
 
     def __init__(self, field: FieldSpec, chain: AdditionChain,
@@ -587,12 +585,6 @@ class InversionPlan:
         self.modmult = modmult
         self.clearing = clearing
         self.n = field.n
-        self.mult_calls = 0
-        # worked out during the dry run
-        self.num_registers = 0
-        self.result_slot: int | None = None
-        self.temp_slot: int | None = None
-        self._schedule: list | None = None
         self._plan_schedule()
 
     # squaring circuits ------------------------------------------------------
@@ -611,126 +603,83 @@ class InversionPlan:
 
     def _plan_schedule(self):
         """Dry-run the chain to fix register assignments and op order."""
-        n = self.n
         schedule: list[tuple] = []
-        slots: list[_Slot] = []
+        value: list[int | None] = [1]  # chain term in each slot, None = free
+        offset = [0]                   # slot holds <2^value - 1>^(2^offset)
+        made = {}  # term -> its factors (a, b); a == b for a doubled term
 
-        def alloc():
-            for i, s in enumerate(slots):
-                if s.value is None:
-                    return i
-            slots.append(_Slot(wires=None))
-            return len(slots) - 1
+        def free():
+            if None not in value:
+                value.append(None)
+                offset.append(0)
+            return value.index(None)
 
-        def find(value):
-            for i, s in enumerate(slots):
-                if s.value == value:
-                    return i
-            raise GF2Error(f"term {value} not live")
+        def find(v):
+            if v not in value:
+                raise GF2Error(f"term {v} not live")
+            return value.index(v)
 
-        def adjust(idx, target_offset):
-            s = slots[idx]
-            if s.offset != target_offset:
-                schedule.append(("sq", idx, target_offset - s.offset))
-                s.offset = target_offset
+        def adjust(i, off):
+            if offset[i] != off:
+                schedule.append(("sq", i, off - offset[i]))
+                offset[i] = off
 
-        input_slot = alloc()
-        slots[input_slot] = _Slot(wires=None, value=1, offset=0)
-
-        def get_temp():
-            # borrow any free slot (it is returned to |0> inside the op)
-            for i, s in enumerate(slots):
-                if s.value is None:
-                    return i
-            i = alloc()
-            slots[i] = _Slot(wires=None)
-            return i
+        def mult(v, dst, clear):
+            a, b = made[v]
+            ia = find(a)
+            adjust(ia, 0)
+            if a == b:
+                # only a doubled term is squared back before its clearing
+                # product: test_synth.py SCHEDULE_DEFECT
+                adjust(dst, 0)
+                schedule.append(("mult", ia, free(), dst, a, clear))
+            else:
+                ib = find(b)
+                adjust(ib, a)
+                schedule.append(("mult", ia, ib, dst, 0, clear))
 
         prev = 1
         for v in self.chain.terms[1:]:
-            if v <= prev:
-                if self.clearing:
-                    self._plan_clear(v, slots, schedule, find, adjust, get_temp)
-                prev = v
-                continue
-            alpha_dbl = v // 2 if v % 2 == 0 else None
-            if alpha_dbl is not None and any(s.value == alpha_dbl for s in slots):
-                ia = find(alpha_dbl)
-                adjust(ia, 0)
-                dst = alloc()
-                slots[dst] = _Slot(wires=None, value=v, offset=0,
-                                   made=("dbl", alpha_dbl))
-                t = get_temp()
-                schedule.append(("dbl", ia, t, dst, alpha_dbl))
-            else:
-                # added term: prefer the largest live a with v-a live
-                lives = sorted((s.value for s in slots
-                                if s.value not in (None, -1)), reverse=True)
-                pick = None
-                for a in lives:
-                    if a < v and (v - a) in lives and (a != v - a):
-                        pick = (min(a, v - a), max(a, v - a))
-                        break
-                if pick is None:
-                    raise GF2Error(f"cannot form {v} from live terms")
-                alpha, beta = pick
-                ia, ib = find(alpha), find(beta)
-                adjust(ia, 0)
-                adjust(ib, alpha)
-                dst = alloc()
-                slots[dst] = _Slot(wires=None, value=v, offset=0,
-                                   made=("add", alpha, beta))
-                schedule.append(("mult", ia, ib, dst))
+            if v > prev:
+                if v % 2 == 0 and v // 2 in value:
+                    made[v] = (v // 2, v // 2)
+                else:
+                    # added term: prefer the largest live a with v-a live
+                    lives = sorted((u for u in value if u is not None),
+                                   reverse=True)
+                    a = next((a for a in lives
+                              if a < v and v - a in lives and a != v - a),
+                             None)
+                    if a is None:
+                        raise GF2Error(f"cannot form {v} from live terms")
+                    made[v] = (min(a, v - a), max(a, v - a))
+                dst = free()
+                value[dst] = v
+                mult(v, dst, False)
+            elif self.clearing:
+                if v not in made:
+                    raise GF2Error(f"cannot clear input term {v}")
+                i = find(v)
+                mult(v, i, True)
+                value[i], offset[i] = None, 0
             prev = v
         # final squaring turns <2^(n-1) - 1> into <2^n - 2> = the inverse
         res = find(self.chain.target)
-        if res == input_slot:
+        if res == 0:
             # degenerate chain (n = 2): the target power is the input itself;
             # copy it out before the final squaring
-            dst = alloc()
-            slots[dst] = _Slot(wires=None, value=self.chain.target, offset=0,
-                               made=("copy",))
+            dst = free()
+            value[dst] = self.chain.target
             schedule.append(("copy", res, dst))
             res = dst
         adjust(res, 0)
         schedule.append(("sq", res, 1))
-        slots[res].offset = 1
         self.result_slot = res
-        free = [i for i, s in enumerate(slots) if s.value is None]
-        if not free:
-            # guarantee the zero-out register of the advertised interface
-            slots.append(_Slot(wires=None))
-            free = [len(slots) - 1]
-        self.free_slots_at_end = free
-        self.temp_slot = free[0]
-        self.num_registers = len(slots)
-        self.mult_calls = sum(1 for op in schedule
-                              if op[0] in ("dbl", "mult", "clear_add",
-                                           "clear_dbl"))
+        # the zero-out register of the advertised interface
+        self.temp_slot = free()
+        self.num_registers = len(value)
+        self.mult_calls = sum(op[0] == "mult" for op in schedule)
         self._schedule = schedule
-        self._final_slots = slots
-
-    def _plan_clear(self, v, slots, schedule, find, adjust, get_temp):
-        idx = find(v)
-        made = slots[idx].made
-        if made is None:
-            raise GF2Error(f"cannot clear input term {v}")
-        if made[0] == "add":
-            _, alpha, beta = made
-            ia, ib = find(alpha), find(beta)
-            adjust(ia, 0)
-            adjust(ib, alpha)
-            schedule.append(("clear_add", ia, ib, idx))
-        else:
-            _, alpha = made
-            ia = find(alpha)
-            adjust(ia, 0)
-            adjust(idx, 0)
-            t = get_temp()
-            schedule.append(("clear_dbl", ia, t, idx, alpha))
-        slots[idx].value = None
-        slots[idx].made = None
-        slots[idx].offset = 0
 
     # emission ----------------------------------------------------------------
 
@@ -742,54 +691,29 @@ class InversionPlan:
 
     def _emit(self, sink, fw, work):
         n = self.n
-        regs = [fw] + [work[i * n:(i + 1) * n]
-                       for i in range(self.num_registers - 1)]
         # slot 0 is the input register; remaining slots map in order
-        def w(idx):
-            return regs[idx]
-
+        w = [fw] + [work[i * n:(i + 1) * n]
+                    for i in range(self.num_registers - 1)]
         for op in self._schedule:
-            kind = op[0]
-            if kind == "copy":
-                emit_addition(sink, w(op[1]), w(op[2]))
-            elif kind == "sq":
-                _, idx, delta = op
-                self._emit_square_power(sink, abs(delta), w(idx),
-                                        rev=(delta < 0))
-            elif kind == "dbl":
-                _, ia, t, dst, alpha = op
-                sink.begin_group(f"double->{2 * alpha}")
-                emit_addition(sink, w(ia), w(t))
-                self._emit_square_power(sink, alpha, w(t))
-                sink.begin_group("modmult")
-                self.modmult.emit(sink, w(ia), w(t), w(dst))
-                sink.end_group()
-                self._emit_square_power(sink, alpha, w(t), rev=True)
-                emit_addition(sink, w(ia), w(t))
-                sink.end_group()
-            elif kind == "mult":
-                _, ia, ib, dst = op
-                sink.begin_group("modmult")
-                self.modmult.emit(sink, w(ia), w(ib), w(dst))
-                sink.end_group()
-            elif kind == "clear_add":
-                _, ia, ib, idx = op
-                sink.begin_group("modmult (clear)")
-                self.modmult.emit(sink, w(ia), w(ib), w(idx))
-                sink.end_group()
-            elif kind == "clear_dbl":
-                _, ia, t, idx, alpha = op
-                sink.begin_group(f"clear double {2 * alpha}")
-                emit_addition(sink, w(ia), w(t))
-                self._emit_square_power(sink, alpha, w(t))
-                sink.begin_group("modmult (clear)")
-                self.modmult.emit(sink, w(ia), w(t), w(idx))
-                sink.end_group()
-                self._emit_square_power(sink, alpha, w(t), rev=True)
-                emit_addition(sink, w(ia), w(t))
-                sink.end_group()
+            if op[0] == "copy":
+                emit_addition(sink, w[op[1]], w[op[2]])
+            elif op[0] == "sq":
+                _, i, k = op
+                self._emit_square_power(sink, abs(k), w[i], rev=k < 0)
             else:
-                raise GF2Error(f"unknown op {kind}")
+                _, a, b, dst, k, clear = op
+                if k:
+                    sink.begin_group(f"clear double {2 * k}" if clear
+                                     else f"double->{2 * k}")
+                    emit_addition(sink, w[a], w[b])
+                    self._emit_square_power(sink, k, w[b])
+                sink.begin_group("modmult (clear)" if clear else "modmult")
+                self.modmult.emit(sink, w[a], w[b], w[dst])
+                sink.end_group()
+                if k:
+                    self._emit_square_power(sink, k, w[b], rev=True)
+                    emit_addition(sink, w[a], w[b])
+                    sink.end_group()
 
     def counts(self) -> GateCounts:
         """The stored tally of this plan's block, over num_registers * n

@@ -142,20 +142,24 @@ def _drop_middle_gate(synth):
     return synth_without_one_gate
 
 
-@pytest.mark.parametrize("synth, line", [
+@pytest.mark.parametrize("synth, line, mode", [
     ("synth_crt_modmult",
-     "FAIL  modmult exhaustive  counterexample f=0x0 g=0x8 h=0x0 -> 0xa0"),
-    ("synth_flt_inversion", "FAIL  inversion exhaustive  f=0x1 got 0x0 want 0x1"),
+     "FAIL  modmult exhaustive  counterexample f=0x0 g=0x8 h=0x0 -> 0xa0", ()),
+    ("synth_flt_inversion", "FAIL  inversion exhaustive  f=0x1 got 0x0 want 0x1",
+     ()),
     ("synth_ecpointadd", "FAIL  point addition exhaustive (16^2 pairs)  "
-                         "P1=(0,1) P2=(x^2+x,0) out=0x160617"),
-], ids=["modmult", "inversion", "pointadd"])
-def test_validate_sweeps_catch_a_dropped_gate(synth, line, monkeypatch,
+                         "P1=(0,1) P2=(x^2+x,0) out=0x160617", ()),
+    ("synth_ecpointadd", "FAIL  point addition sampled (50 pairs)  "
+                         "P1=(x^3+x^2+x+1,x^3) P2=(x^3+x^2,x^3+x) out=0x4aca6",
+     ("--mode", "sampled", "--samples", "50")),
+], ids=["modmult", "inversion", "pointadd", "pointadd-sampled"])
+def test_validate_sweeps_catch_a_dropped_gate(synth, line, mode, monkeypatch,
                                               capsys):
     # the batched sweeps must still reach and report a broken circuit
     import binshor.cli as cli
 
     monkeypatch.setattr(cli, synth, _drop_middle_gate(getattr(cli, synth)))
-    rc, out, _ = run(capsys, "validate", "--field", "4")
+    rc, out, _ = run(capsys, "validate", "--field", "4", *mode)
     assert rc == 1
     fails = [s for s in out.splitlines() if s.startswith("FAIL")]
     assert fails == [line]
@@ -175,6 +179,7 @@ def test_validate_sampled_mode_is_honoured(capsys):
                      "--samples", "50")
     assert rc == 0
     assert "PASS  modmult sampled (50)" in out.splitlines()
+    assert "PASS  point addition sampled (50 pairs)" in out.splitlines()
     assert "exhaustive" not in out
 
 

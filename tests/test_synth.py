@@ -634,19 +634,17 @@ def run_schedule(plan, f: BinaryPoly) -> list:
         return BinaryPoly(bits)
 
     for op in plan._schedule:
-        kind = op[0]
-        if kind == "copy":
+        if op[0] == "copy":
             regs[op[2]] = regs[op[2]] + regs[op[1]]
-        elif kind == "sq":
+        elif op[0] == "sq":
             regs[op[1]] = sq(regs[op[1]], op[2])
-        elif kind in ("mult", "clear_add"):
-            _, ia, ib, dst = op
-            regs[dst] = regs[dst] + poly_mul_mod(regs[ia], regs[ib], p)
-        else:  # dbl / clear_dbl through the borrowed temp t
-            _, ia, t, dst, alpha = op
-            regs[t] = sq(regs[t] + regs[ia], alpha)
-            regs[dst] = regs[dst] + poly_mul_mod(regs[ia], regs[t], p)
-            regs[t] = sq(regs[t], -alpha) + regs[ia]
+        else:  # a product; with k > 0, b is borrowed to hold a^(2^k)
+            _, a, b, dst, k, _ = op
+            if k:
+                regs[b] = sq(regs[b] + regs[a], k)
+            regs[dst] = regs[dst] + poly_mul_mod(regs[a], regs[b], p)
+            if k:
+                regs[b] = sq(regs[b], -k) + regs[a]
     return regs
 
 
@@ -655,8 +653,8 @@ def run_schedule(plan, f: BinaryPoly) -> list:
 # cleared register was squared away from offset 0 after it was made, so the
 # product does not cancel it and the slot is reused dirty
 SCHEDULE_DEFECT = pytest.mark.xfail(
-    strict=True, reason="InversionPlan._plan_clear does not square an added "
-    "term back to offset 0 before its clearing product")
+    strict=True, reason="mult() in InversionPlan._plan_schedule squares only "
+    "a doubled term back to offset 0 before its clearing product")
 
 
 @pytest.mark.parametrize("n, clearing", [
@@ -674,6 +672,35 @@ def test_inversion_schedule_computes_inverse(n, clearing):
         if n <= 8:  # the interpreter agrees with the gates, register by register
             out = simulate(synth_flt_inversion(plan), f.bits)
             assert out == sum(r.bits << (i * n) for i, r in enumerate(regs))
+
+
+@st.composite
+def increasing_chains(draw, max_target=80):
+    """Strictly increasing addition chains from 1 to a target <= max_target."""
+    terms = [1]
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(st.sampled_from(terms))
+        bs = [b for b in terms if terms[-1] < a + b <= max_target]
+        if not bs:
+            break
+        terms.append(a + draw(st.sampled_from(bs)))
+    return AdditionChain(tuple(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=increasing_chains(), data=st.data())
+def test_inversion_schedule_inverts_along_random_chains(chain, data):
+    # the scheduler beyond the shipped chains: every term it multiplies is
+    # live at the right offset, and the final squaring lands on f^-1
+    n = chain.target + 1
+    field = field_for(n)
+    plan = InversionPlan(field, chain, modmult=None, clearing=False)
+    f = BinaryPoly(data.draw(st.integers(1, (1 << n) - 1)))
+    regs = run_schedule(plan, f)
+    assert regs[0] == f
+    assert regs[plan.result_slot] == field_inv(f, field)
+    assert regs[plan.temp_slot] == BinaryPoly(0)
+    assert plan.mult_calls == chain.l
 
 
 def test_inversion_mult_counts_and_identity():
