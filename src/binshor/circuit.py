@@ -11,6 +11,10 @@ Every gate kind permutes computational basis states, so the simulator works
 on bitstrings (single inputs) or on numpy bit-planes (batched inputs).
 Only the bit-plane functions import numpy, so counting and synthesis never
 load it.
+
+The text format has one gate per line (see :func:`serialize`); ``parse``
+checks and ``serialize`` formats each distinct line once, and a repeated
+line costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -133,6 +137,19 @@ class Circuit:
 
     def _chk(self, *qs):
         w = self.width
+        # fast path for the fixed-arity gates: in range, pairwise distinct
+        k = len(qs)
+        if k == 2:
+            a, b = qs
+            if 0 <= a < w and 0 <= b < w and a != b:
+                return
+        elif k == 3:
+            a, b, c = qs
+            if (0 <= a < w and 0 <= b < w and 0 <= c < w
+                    and a != b and a != c and b != c):
+                return
+        elif k == 1 and 0 <= qs[0] < w:
+            return
         if len(set(qs)) != len(qs):
             raise GF2Error(f"duplicate qubit in gate: {qs}")
         for q in qs:
@@ -419,28 +436,40 @@ def counts(circuit: Circuit) -> GateCounts:
 
 # -- text format -----------------------------------------------------------
 
+# qubit operands of each fixed-arity gate kind
+_ARITY = {"X": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "CCXU": 3}
+
+
+def _gate_line(g: tuple) -> str:
+    kind = g[0]
+    if kind == "CNOT":
+        return f"CNOT q[{g[1]}] q[{g[2]}]"
+    if kind == "CCX":
+        return f"CCX q[{g[1]}] q[{g[2]}] q[{g[3]}]"
+    if kind == "X":
+        return f"X q[{g[1]}]"
+    if kind == "SWAP":
+        return f"SWAP q[{g[1]}] q[{g[2]}]"
+    if kind == "CCXU":
+        return f"CCXU q[{g[1]}] q[{g[2]}] q[{g[3]}]"
+    if kind == "MCX":
+        ctrls = " ".join(
+            f"{'+' if c > 0 else '-'}q[{abs(c) - 1}]" for c in g[1])
+        return f"MCX {ctrls} q[{g[2]}]"
+    raise GF2Error(f"unknown gate kind {kind}")
+
+
+class _GateLines(dict):
+    """Gate tuple -> its text line, formatted on first lookup."""
+
+    def __missing__(self, g):
+        line = self[g] = _gate_line(g)
+        return line
+
+
 def serialize(circuit: Circuit) -> str:
-    lines = []
-    for r in circuit.registers:
-        lines.append(f"reg {r.name} {r.width} {r.kind}")
-    for g in circuit.gates:
-        kind = g[0]
-        if kind == "X":
-            lines.append(f"X q[{g[1]}]")
-        elif kind == "CNOT":
-            lines.append(f"CNOT q[{g[1]}] q[{g[2]}]")
-        elif kind == "SWAP":
-            lines.append(f"SWAP q[{g[1]}] q[{g[2]}]")
-        elif kind == "CCX":
-            lines.append(f"CCX q[{g[1]}] q[{g[2]}] q[{g[3]}]")
-        elif kind == "CCXU":
-            lines.append(f"CCXU q[{g[1]}] q[{g[2]}] q[{g[3]}]")
-        elif kind == "MCX":
-            ctrls = " ".join(
-                f"{'+' if c > 0 else '-'}q[{abs(c) - 1}]" for c in g[1])
-            lines.append(f"MCX {ctrls} q[{g[2]}]")
-        else:
-            raise GF2Error(f"unknown gate kind {kind}")
+    lines = [f"reg {r.name} {r.width} {r.kind}" for r in circuit.registers]
+    lines.extend(map(_GateLines().__getitem__, circuit.gates))
     return "\n".join(lines) + "\n"
 
 
@@ -449,43 +478,61 @@ class ParseError(GF2Error):
 
 
 def _parse_q(tok: str, lineno: int) -> int:
-    if not (tok.startswith("q[") and tok.endswith("]")):
-        raise ParseError(f"line {lineno}: bad qubit token {tok!r}")
-    return int(tok[2:-1])
+    digits = tok[2:-1]
+    if (tok[:2] == "q[" and tok[-1:] == "]" and digits.isdigit()
+            and digits.isascii()):
+        return int(digits)
+    raise ParseError(f"line {lineno}: bad qubit token {tok!r}")
+
+
+def _parse_line(circuit: Circuit, toks: list[str], lineno: int):
+    """Apply one tokenised line to ``circuit`` through its checked emitters."""
+    kind = toks[0]
+    if kind == "reg":
+        if len(toks) != 4:
+            raise ParseError(f"line {lineno}: reg takes a name, a width and "
+                             f"a kind")
+        circuit.add_register(Register(toks[1], int(toks[2]), toks[3]))
+    elif kind in _ARITY:
+        if len(toks) != _ARITY[kind] + 1:
+            raise ParseError(f"line {lineno}: {kind} takes {_ARITY[kind]} "
+                             f"qubits, got {len(toks) - 1}")
+        getattr(circuit, kind.lower())(*[_parse_q(t, lineno)
+                                         for t in toks[1:]])
+    elif kind == "MCX":
+        controls = []
+        for tok in toks[1:-1]:
+            if tok[0] not in "+-":
+                raise ParseError(f"line {lineno}: control needs +/- polarity")
+            controls.append((_parse_q(tok[1:], lineno), tok[0] == "+"))
+        circuit.mcx(controls, _parse_q(toks[-1], lineno))
+    else:
+        raise ParseError(f"line {lineno}: unknown gate {kind!r}")
 
 
 def parse(text: str) -> Circuit:
-    """Parse the circuit text format; raises ParseError with line numbers."""
+    """Parse the circuit text format; raises ParseError with line numbers.
+
+    Each distinct gate line is checked once: a repeat appends the gate tuple
+    of its first copy.  Widths only grow, so a line that passed its range
+    and duplicate-qubit checks passes them again wherever it recurs.
+    """
     circuit = Circuit()
+    gates = circuit.gates
+    seen: dict[str, tuple] = {}  # checked gate line -> its gate tuple
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        g = seen.get(raw)
+        if g is not None:
+            gates.append(g)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        kind = toks[0]
         try:
-            if kind == "reg":
-                circuit.add_register(Register(toks[1], int(toks[2]), toks[3]))
-            elif kind == "X":
-                circuit.x(_parse_q(toks[1], lineno))
-            elif kind == "CNOT":
-                circuit.cnot(_parse_q(toks[1], lineno), _parse_q(toks[2], lineno))
-            elif kind == "SWAP":
-                circuit.swap(_parse_q(toks[1], lineno), _parse_q(toks[2], lineno))
-            elif kind == "CCX":
-                circuit.ccx(*(_parse_q(t, lineno) for t in toks[1:4]))
-            elif kind == "CCXU":
-                circuit.ccxu(*(_parse_q(t, lineno) for t in toks[1:4]))
-            elif kind == "MCX":
-                controls = []
-                for tok in toks[1:-1]:
-                    if tok[0] not in "+-":
-                        raise ParseError(
-                            f"line {lineno}: control needs +/- polarity")
-                    controls.append((_parse_q(tok[1:], lineno), tok[0] == "+"))
-                circuit.mcx(controls, _parse_q(toks[-1], lineno))
-            else:
-                raise ParseError(f"line {lineno}: unknown gate {kind!r}")
+            _parse_line(circuit, toks, lineno)
         except (IndexError, ValueError) as e:
             raise ParseError(f"line {lineno}: malformed line {line!r}") from e
+        if toks[0] != "reg":
+            seen[raw] = gates[-1]
     return circuit

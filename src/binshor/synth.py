@@ -131,10 +131,14 @@ class BufferSink:
 
 
 def emit_block(sink, build, rev: bool = False, key=None):
-    """Emit ``build(sink)`` forwards, or reversed via a buffer.
+    """Emit ``build(sink)`` forwards, or reversed.
 
-    A reversed block's groups are dropped.  A :class:`CountSink` never
-    buffers, since a tally does not depend on gate order: a keyed block is
+    A reversed block's groups are dropped.  A sink other than a
+    :class:`CountSink` keeps its gates and closed groups in the lists
+    ``gates`` and ``groups``, as a :class:`Circuit` does: a reversed block
+    is emitted forwards, the new tail of ``gates`` is reversed in place and
+    the groups it appended are deleted.  A :class:`CountSink` never
+    reverses, since a tally does not depend on gate order: a keyed block is
     emitted forwards into a sub-sink the first time its ``key`` is seen,
     and its (counts, census) are stored in :data:`TALLIES` and added for
     every copy.  Equal keys mean equal blocks while the store holds them,
@@ -144,10 +148,12 @@ def emit_block(sink, build, rev: bool = False, key=None):
     if not isinstance(sink, CountSink):
         if not rev:
             build(sink)
-        else:
-            buf = BufferSink()
-            build(buf)
-            buf.play(sink, rev=True)
+            return
+        gates, groups = sink.gates, sink.groups
+        start, first_group = len(gates), len(groups)
+        build(sink)
+        gates[start:] = gates[start:][::-1]
+        del groups[first_group:]
         return
     if key is None and not rev:
         build(sink)
@@ -540,8 +546,12 @@ class AdditionChain:
             else:
                 if v not in live:
                     raise GF2Error(f"clearing step {v} references a dead term")
+                if v == 1:
+                    raise GF2Error("cannot clear input term 1")
                 live.discard(v)
             prev = v
+        if self.target not in live:
+            raise GF2Error(f"chain target {self.target} is cleared")
 
     @property
     def target(self) -> int:
@@ -657,8 +667,8 @@ class InversionPlan:
                 value[dst] = v
                 mult(v, dst, False)
             elif self.clearing:
-                if v not in made:
-                    raise GF2Error(f"cannot clear input term {v}")
+                # the clearing product multiplies the factors v was made
+                # from; if one was cleared since, mult() raises "not live"
                 i = find(v)
                 mult(v, i, True)
                 value[i], offset[i] = None, 0

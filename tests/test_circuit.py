@@ -20,6 +20,7 @@ from binshor.circuit import (
     unpack_planes,
 )
 from binshor.gf2 import GF2Error
+from binshor.synth import BufferSink, emit_block
 
 
 def two_qubit():
@@ -180,6 +181,26 @@ def test_counts_additivity():
         total.cnot, total.toffoli, total.swap, total.not_)
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_chk_fast_path_raises_like_the_general_check(arity):
+    # one to three qubits take the fast path; every tuple over -1..3 at
+    # width 3 must pass or raise exactly as the general check says
+    from itertools import product
+
+    for qs in product(range(-1, 4), repeat=arity):
+        if len(set(qs)) != len(qs):
+            want = f"duplicate qubit in gate: {qs}"
+        else:
+            want = next((f"qubit {q} out of range (width 3)"
+                         for q in qs if not 0 <= q < 3), None)
+        try:
+            Circuit([Register("q", 3)])._chk(*qs)
+            got = None
+        except GF2Error as e:
+            got = str(e)
+        assert got == want, qs
+
+
 def test_serialize_format():
     c = Circuit([Register("q", 8)])
     c.cnot(3, 7)
@@ -333,3 +354,229 @@ def test_simulate_planes_matches_simulate(ops, inputs):
     outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, MCX_WIDTH)),
                          len(inputs))
     assert outs == [simulate(circ, v) for v in inputs]
+
+
+# -- the text format against the line-at-a-time code it replaced ----------------
+#
+# ``parse`` and ``serialize`` work once per distinct line.  The references
+# below are the earlier implementations, kept verbatim in behaviour: every
+# line split, tokenised and checked, every gate formatted.  The reference
+# parser accepts extra tokens and ``q[1_0]``, and fails with a TypeError on
+# a three-qubit gate given two operands; the current parser rejects all of
+# these as malformed lines, so the pools below leave wrong arities and
+# non-decimal indices out: they have their own CLI rows.  (``q[-1]`` is
+# malformed in both, but its cause was the range check and is now the
+# qubit token.)
+
+def _serialize_reference(circuit):
+    lines = []
+    for r in circuit.registers:
+        lines.append(f"reg {r.name} {r.width} {r.kind}")
+    for g in circuit.gates:
+        kind = g[0]
+        if kind == "X":
+            lines.append(f"X q[{g[1]}]")
+        elif kind == "CNOT":
+            lines.append(f"CNOT q[{g[1]}] q[{g[2]}]")
+        elif kind == "SWAP":
+            lines.append(f"SWAP q[{g[1]}] q[{g[2]}]")
+        elif kind == "CCX":
+            lines.append(f"CCX q[{g[1]}] q[{g[2]}] q[{g[3]}]")
+        elif kind == "CCXU":
+            lines.append(f"CCXU q[{g[1]}] q[{g[2]}] q[{g[3]}]")
+        elif kind == "MCX":
+            ctrls = " ".join(
+                f"{'+' if c > 0 else '-'}q[{abs(c) - 1}]" for c in g[1])
+            lines.append(f"MCX {ctrls} q[{g[2]}]")
+        else:
+            raise GF2Error(f"unknown gate kind {kind}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_q_reference(tok, lineno):
+    if not (tok.startswith("q[") and tok.endswith("]")):
+        raise ParseError(f"line {lineno}: bad qubit token {tok!r}")
+    return int(tok[2:-1])
+
+
+def _parse_reference(text):
+    circuit = Circuit()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        kind = toks[0]
+        q = _parse_q_reference
+        try:
+            if kind == "reg":
+                circuit.add_register(Register(toks[1], int(toks[2]), toks[3]))
+            elif kind == "X":
+                circuit.x(q(toks[1], lineno))
+            elif kind == "CNOT":
+                circuit.cnot(q(toks[1], lineno), q(toks[2], lineno))
+            elif kind == "SWAP":
+                circuit.swap(q(toks[1], lineno), q(toks[2], lineno))
+            elif kind == "CCX":
+                circuit.ccx(*(q(t, lineno) for t in toks[1:4]))
+            elif kind == "CCXU":
+                circuit.ccxu(*(q(t, lineno) for t in toks[1:4]))
+            elif kind == "MCX":
+                controls = []
+                for tok in toks[1:-1]:
+                    if tok[0] not in "+-":
+                        raise ParseError(
+                            f"line {lineno}: control needs +/- polarity")
+                    controls.append((q(tok[1:], lineno), tok[0] == "+"))
+                circuit.mcx(controls, q(toks[-1], lineno))
+            else:
+                raise ParseError(f"line {lineno}: unknown gate {kind!r}")
+        except (IndexError, ValueError) as e:
+            raise ParseError(f"line {lineno}: malformed line {line!r}") from e
+    return circuit
+
+
+def _parse_outcome(parser, text):
+    try:
+        c = parser(text)
+    except ParseError as e:
+        return ("error", str(e), type(e.__cause__), str(e.__cause__))
+    return ("ok", c.registers, c.gates, c.width)
+
+
+# qubits mostly below 5, at most 13, against registers of width <= 4: most
+# gates are in range, some are not, and a quarter may repeat a qubit
+_POOL_QUBIT = st.one_of(st.integers(0, 4), st.integers(0, 13))
+
+
+@st.composite
+def _pool_lines(draw):
+    shape = draw(st.sampled_from(
+        ["X", "CNOT", "SWAP", "CCX", "CCXU", "MCX", "comment", "blank",
+         "other"]))
+    if shape == "comment":
+        return draw(st.sampled_from(["# a note", "   # indented", "#"]))
+    if shape == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if shape == "other":
+        # rejected alike by both parsers (a wrong arity is not: the
+        # reference raised IndexError or TypeError for too few operands)
+        return draw(st.sampled_from(
+            ["FOO q[1]", "CNOT q[0] nonsense", "MCX q[1] q[2]", "X q[1",
+             "reg z 0 input", "reg y 1 bogus", "reg x w input",
+             "reg a 1 input"]))
+    if shape == "MCX":
+        ctrls = draw(st.lists(st.tuples(_POOL_QUBIT, st.booleans()),
+                              max_size=4))
+        toks = [f"{'+' if c else '-'}q[{q}]" for q, c in ctrls]
+        toks.append(f"q[{draw(_POOL_QUBIT)}]")
+    else:
+        k = {"X": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "CCXU": 3}[shape]
+        qs = draw(st.lists(_POOL_QUBIT, min_size=k, max_size=k,
+                           unique=draw(st.integers(0, 3)) > 0))
+        toks = [f"q[{q}]" for q in qs]
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    line = sep.join([shape, *toks])
+    tail = draw(st.sampled_from(["", "  ", " # tail", "# x"]))
+    return draw(st.sampled_from(["", " "])) + line + tail
+
+
+@st.composite
+def _repeated_texts(draw):
+    """A few pool lines drawn many times, after up to three ``reg`` headers
+    and with up to two more interleaved."""
+    pool = draw(st.lists(_pool_lines(), min_size=1, max_size=8))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=10, max_size=60))
+    names = iter("abcde")
+
+    def reg():
+        return (f"reg {next(names)} {draw(st.integers(1, 4))} "
+                f"{draw(st.sampled_from(REG_KINDS))}")
+
+    header = [reg() for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), reg())
+    return "\n".join(header + lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_texts())
+def test_parse_matches_reference_on_repeated_lines(text):
+    assert (_parse_outcome(parse, text)
+            == _parse_outcome(_parse_reference, text))
+
+
+def test_parse_shares_the_tuple_of_a_repeated_line():
+    c = parse("reg a 3 input\nCNOT q[0] q[1]\nCNOT q[2] q[1]\n"
+              "CNOT q[0] q[1]\n")
+    assert c.gates == [("CNOT", 0, 1), ("CNOT", 2, 1), ("CNOT", 0, 1)]
+    assert c.gates[0] is c.gates[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_registers(), st.lists(_gate_ops(), max_size=60))
+def test_serialize_matches_reference(registers, ops):
+    circ = Circuit(registers)
+    for kind, args in ops:
+        getattr(circ, kind)(*args)
+    # repeat the stream so every distinct gate is formatted once, used twice
+    circ.gates += circ.gates
+    assert serialize(circ) == _serialize_reference(circ)
+
+
+# gate calls, groups and nested blocks (forwards or reversed)
+_BLOCK_BODIES = st.recursive(
+    st.lists(_gate_ops(), max_size=6),
+    lambda body: st.lists(st.one_of(
+        _gate_ops(),
+        st.tuples(st.just("group"), st.sampled_from("ab"), body),
+        st.tuples(st.just("block"), st.booleans(), body)), max_size=6),
+    max_leaves=30)
+
+
+def _play(sink, ops, replay=None):
+    """Apply drawn ops to ``sink``.  Blocks go through ``emit_block``, except
+    that with ``replay`` a reversed block goes through ``replay(sink, body)``."""
+    for op in ops:
+        if op[0] == "group":
+            sink.begin_group(op[1])
+            _play(sink, op[2], replay)
+            sink.end_group()
+        elif op[0] == "block" and op[1] and replay:
+            replay(sink, op[2])
+        elif op[0] == "block":
+            emit_block(sink, lambda s, body=op[2]: _play(s, body, replay),
+                       rev=op[1])
+        else:
+            getattr(sink, op[0])(*op[1])
+
+
+def _buffer_replay(sink, body):
+    """Reference reversal: record the block in a BufferSink, which drops its
+    groups, and play the record backwards."""
+    buf = BufferSink()
+    _play(buf, body, _buffer_replay)
+    buf.play(sink, rev=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK_BODIES, _BLOCK_BODIES, st.booleans())
+def test_circuit_reverses_a_block_like_a_buffer_replay(before, body, outer):
+    # a Circuit reverses a block in place; the gates, the groups and any
+    # still-open outer group must be those of a BufferSink replay
+    def emit(play):
+        circ = Circuit([Register("q", MCX_WIDTH)])
+        if outer:
+            circ.begin_group("outer")
+        play(circ, before)
+        play(circ, [("block", True, body)])
+        circ.x(0)
+        if outer:
+            circ.end_group()
+        return circ
+
+    got = emit(_play)
+    want = emit(lambda circ, ops: _play(circ, ops, _buffer_replay))
+    assert got.gates == want.gates
+    assert got.groups == want.groups
+    assert got._group_stack == want._group_stack

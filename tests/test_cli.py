@@ -64,24 +64,52 @@ def _write_modmult_circuit(path, n):
     path.write_text(serialize(synth_crt_modmult(modmult_plan(n))))
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["estimate", "--field", "5"], "no window size"),
-    (["landscape", "--field", "163", "--precomp", "200"], "no window size"),
-    (["validate", "--mode", "sampled", "--samples", "0"], "--samples"),
-    (["synth", "--field", "4", "--emit", "{missing}/x.txt"], "{missing}/x.txt"),
+# lines that the circuit parser rejects, each read as line 2 of a circuit
+# file: wrong arities, a reg line with an extra token, qubit indices that
+# are not ASCII decimal digits
+MALFORMED_LINES = {
+    "cnot-three-qubits": "CNOT q[0] q[1] q[2]",
+    "x-trailing-token": "X q[0] junk",
+    "swap-three-qubits": "SWAP q[0] q[1] q[2]",
+    "ccx-four-qubits": "CCX q[0] q[1] q[2] q[3]",
+    "ccxu-four-qubits": "CCXU q[0] q[1] q[2] q[3]",
+    "ccx-two-qubits": "CCX q[0] q[1]",
+    "reg-extra-token": "reg b 3 input extra",
+    "qubit-underscore": "CNOT q[1_0] q[1]",
+    "qubit-plus-sign": "CNOT q[+1] q[2]",
+    "qubit-minus-sign": "X q[-1]",
+    "qubit-non-ascii-digit": "X q[\u0661]",
+}
+
+
+@pytest.mark.parametrize("argv, message, text", [
+    (["estimate", "--field", "5"], "no window size", None),
+    (["landscape", "--field", "163", "--precomp", "200"], "no window size",
+     None),
+    (["validate", "--mode", "sampled", "--samples", "0"], "--samples", None),
+    (["synth", "--field", "4", "--emit", "{missing}/x.txt"], "{missing}/x.txt",
+     None),
     # a 12-qubit (n = 4) multiplier checked as a field-5 or field-16 one
     (["validate", "--field", "5", "--circuit", "{modmult4}"],
-     "needs at least 15"),
+     "needs at least 15", None),
     (["validate", "--field", "16", "--circuit", "{modmult4}", "--samples",
-      "5"], "needs at least 48"),
+      "5"], "needs at least 48", None),
+    *((["validate", "--field", "4", "--circuit", "{bad}"],
+       f"line 2: malformed line {line!r}", f"reg a 12 input\n{line}\n")
+      for line in MALFORMED_LINES.values()),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
         "emit-missing-dir", "narrow-circuit-exhaustive",
-        "narrow-circuit-sampled"])
-def test_bad_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
+        "narrow-circuit-sampled", *MALFORMED_LINES])
+def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
+                                         capsys):
     missing = tmp_path / "missing"
     modmult4 = tmp_path / "modmult4.txt"
     _write_modmult_circuit(modmult4, 4)
-    argv = [a.format(missing=missing, modmult4=modmult4) for a in argv]
+    bad = tmp_path / "bad.txt"
+    if text is not None:
+        bad.write_text(text, encoding="utf-8")
+    argv = [a.format(missing=missing, modmult4=modmult4, bad=bad)
+            for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
