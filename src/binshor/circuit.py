@@ -492,7 +492,10 @@ def _parse_line(circuit: Circuit, toks: list[str], lineno: int):
         if len(toks) != 4:
             raise ParseError(f"line {lineno}: reg takes a name, a width and "
                              f"a kind")
-        circuit.add_register(Register(toks[1], int(toks[2]), toks[3]))
+        width = toks[2]  # ASCII decimal digits only, as for a qubit index
+        if not (width.isdigit() and width.isascii()):
+            raise ParseError(f"line {lineno}: bad register width {width!r}")
+        circuit.add_register(Register(toks[1], int(width), toks[3]))
     elif kind in _ARITY:
         if len(toks) != _ARITY[kind] + 1:
             raise ParseError(f"line {lineno}: {kind} takes {_ARITY[kind]} "

@@ -22,7 +22,7 @@ from .linalg import BitMatrix
 BEST_PRODUCT_COUNTS = {1: 1, 2: 3, 3: 6, 4: 9, 5: 13, 6: 17, 7: 22, 8: 26}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: a formula keys a block
 class KaratsubaFormula:
     """Product masks T (v x d) and recombination R ((2d-1) x v)."""
 

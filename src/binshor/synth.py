@@ -10,11 +10,13 @@ stream, never from closed-form shortcuts.  Every Toffoli-free linear step
 factorisation of its matrix.  Each plan (a multiplier, an
 inversion, a point addition) emits as one keyed block, and so does each
 distinct piece inside it (a CRT recombination factor, the correction map,
-a reduction step, a squaring).  A :class:`CountSink` emits a keyed block
-once, gate by gate, into the process-wide :data:`TALLIES` store, and each
-repeated or reversed copy adds that block's tally (see
-:func:`emit_block`).  A plan's ``counts()`` is its block emitted into a
-fresh :class:`CountSink`.
+a reduction step, a squaring, a residue product per formula and factor).
+A :class:`CountSink` emits a keyed block once into the process-wide
+:data:`TALLIES` store, and each repeated or reversed copy adds that
+block's tally (see :func:`emit_block`).  The block is walked gate by gate,
+except that a CNOT fan-in (:func:`emit_fanin`) adds its row's CNOTs at
+once.  A plan's ``counts()`` is its block emitted into a fresh
+:class:`CountSink`.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ def emit_block(sink, build, rev: bool = False, key=None):
     emitted forwards into a sub-sink the first time its ``key`` is seen,
     and its (counts, census) are stored in :data:`TALLIES` and added for
     every copy.  Equal keys mean equal blocks while the store holds them,
-    so key on the plan object that owns the block.  Other sinks ignore the
-    key.
+    so key on the objects that fix the block (a plan, or a formula and its
+    factor).  Other sinks ignore the key.
     """
     if not isinstance(sink, CountSink):
         if not rev:
@@ -174,14 +176,23 @@ def emit_block(sink, build, rev: bool = False, key=None):
 
 # -- leaf emitters -----------------------------------------------------------
 
+def emit_fanin(sink, wires, mask: int, t):
+    """One CNOT from ``wires[j]`` onto ``t`` for each set bit j of ``mask``,
+    in ascending j.  A :class:`CountSink` adds the row's CNOTs at once;
+    every other sink gets them one by one through ``sink.cnot``."""
+    if isinstance(sink, CountSink):
+        sink.counts.cnot += mask.bit_count()
+        return
+    while mask:
+        low = mask & -mask
+        sink.cnot(wires[low.bit_length() - 1], t)
+        mask ^= low
+
+
 def emit_cnot_matrix(sink, M: BitMatrix, src, dst):
     """|s, d> -> |s, d + M s>: one CNOT per set entry (row = target)."""
     for i, row in enumerate(M.rows):
-        r = row
-        while r:
-            low = r & -r
-            sink.cnot(src[low.bit_length() - 1], dst[i])
-            r ^= low
+        emit_fanin(sink, src, row, dst[i])
 
 
 def emit_constants(sink, c: BinaryPoly, dst):
@@ -237,37 +248,30 @@ class LinearMap:
                    BitMatrix(lu[d:], d) if n > d else None,
                    tuple(plu.transpositions()))
 
-    def _inplace(self):
-        """(target, control mask) per row: the U stage in ascending rows,
-        f_i += sum_{j>i} U_ij f_j, then the L stage in descending rows,
-        f_i += sum_{j<i} L_ij f_j."""
-        for i, row in enumerate(self.U.rows):
-            yield i, row & ~((2 << i) - 1)
-        for i in range(self.U.ncols - 1, -1, -1):
-            yield i, self.L.rows[i] & ((1 << i) - 1)
-
     def emit(self, sink, wires, rev: bool = False, key=None):
         d = self.U.ncols
 
         def build(s):
             if self.rest is not None:
                 emit_cnot_matrix(s, self.rest, wires[:d], wires[d:])
-            for i, r in self._inplace():
-                while r:
-                    low = r & -r
-                    s.cnot(wires[low.bit_length() - 1], wires[i])
-                    r ^= low
+            # the U stage in ascending rows, f_i += sum_{j>i} U_ij f_j, then
+            # the L stage in descending rows, f_i += sum_{j<i} L_ij f_j
+            for i, row in enumerate(self.U.rows):
+                emit_fanin(s, wires, row & ~((2 << i) - 1), wires[i])
+            for i in range(d - 1, -1, -1):
+                emit_fanin(s, wires, self.L.rows[i] & ((1 << i) - 1), wires[i])
             for a, b in self.swaps:
                 s.swap(wires[a], wires[b])
 
         emit_block(sink, build, rev=rev, key=key)
 
     def cnot_equiv(self) -> int:
-        """CNOT count with each swap at its three-CNOT equivalent."""
-        rest = self.rest.rows if self.rest is not None else ()
-        return (sum(r.bit_count() for r in rest)
-                + sum(r.bit_count() for _, r in self._inplace())
-                + 3 * len(self.swaps))
+        """CNOT count of the map emitted into a :class:`CountSink`, with
+        each swap at its three-CNOT equivalent."""
+        sink = CountSink()
+        n = self.U.ncols + (self.rest.nrows if self.rest is not None else 0)
+        self.emit(sink, range(n))
+        return sink.counts.cnot + 3 * sink.counts.swap
 
 
 def emit_reduction_step(sink, Ma, da, Mb, db, wires):
@@ -287,10 +291,7 @@ def emit_reduction_step(sink, Ma, da, Mb, db, wires):
             r = row << d
             if i < len(other):
                 r &= ~(other[i] << d_other)
-            while r:
-                low = r & -r
-                sink.cnot(wires[low.bit_length() - 1], wires[i])
-                r ^= low
+            emit_fanin(sink, wires, r, wires[i])
 
 
 def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
@@ -300,21 +301,21 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
     Per product: CNOT fan-in of the mask onto a pivot in each input
     register, output fan-out around a single Toffoli, then uncompute.
     Products whose recombination column vanishes after reduction mod m_i
-    are emitted without the Toffoli (nothing to target).
+    are emitted without the Toffoli (nothing to target).  One keyed block
+    per (formula, factor).
     """
-    d = formula.d
-    if m_i.degree != d:
+    if m_i.degree != formula.d:
         raise GF2Error("formula degree does not match the factor")
-    # reduce R modulo m_i: column r becomes coeffs of (col poly mod m_i)
-    rcols = []
-    for r in range(formula.v):
-        poly = 0
-        for l, row in enumerate(formula.R.rows):
-            if (row >> r) & 1:
-                poly ^= 1 << l
-        rcols.append(clmod(poly, m_i.bits))
 
     def build(s):
+        # reduce R modulo m_i: column r becomes coeffs of (col poly mod m_i)
+        rcols = []
+        for r in range(formula.v):
+            poly = 0
+            for l, row in enumerate(formula.R.rows):
+                if (row >> r) & 1:
+                    poly ^= 1 << l
+            rcols.append(clmod(poly, m_i.bits))
         for r in range(formula.v):
             mask = formula.T.rows[r]
             out = rcols[r]
@@ -325,13 +326,6 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
             hpiv = (out & -out).bit_length() - 1
             hrest = out ^ (1 << hpiv)
 
-            def fanin(reg):
-                m = rest
-                while m:
-                    low = m & -m
-                    s.cnot(reg[low.bit_length() - 1], reg[piv])
-                    m ^= low
-
             def fanout():
                 m = hrest
                 while m:
@@ -339,15 +333,15 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
                     s.cnot(hw[hpiv], hw[low.bit_length() - 1])
                     m ^= low
 
-            fanin(fw)
-            fanin(gw)
+            emit_fanin(s, fw, rest, fw[piv])
+            emit_fanin(s, gw, rest, gw[piv])
             fanout()
             s.ccx(fw[piv], gw[piv], hw[hpiv])
             fanout()
-            fanin(gw)
-            fanin(fw)
+            emit_fanin(s, gw, rest, gw[piv])
+            emit_fanin(s, fw, rest, fw[piv])
 
-    emit_block(sink, build)
+    emit_block(sink, build, key=("kmult", formula, m_i))
 
 
 def emit_correction(sink, omega: int, n: int, fw, gw, tw):

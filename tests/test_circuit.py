@@ -399,6 +399,12 @@ def _parse_q_reference(tok, lineno):
     return int(tok[2:-1])
 
 
+def _parse_width_reference(tok, lineno):
+    if not (tok.isdigit() and tok.isascii()):
+        raise ParseError(f"line {lineno}: bad register width {tok!r}")
+    return int(tok)
+
+
 def _parse_reference(text):
     circuit = Circuit()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -410,7 +416,8 @@ def _parse_reference(text):
         q = _parse_q_reference
         try:
             if kind == "reg":
-                circuit.add_register(Register(toks[1], int(toks[2]), toks[3]))
+                circuit.add_register(Register(
+                    toks[1], _parse_width_reference(toks[2], lineno), toks[3]))
             elif kind == "X":
                 circuit.x(q(toks[1], lineno))
             elif kind == "CNOT":
@@ -464,7 +471,7 @@ def _pool_lines(draw):
         return draw(st.sampled_from(
             ["FOO q[1]", "CNOT q[0] nonsense", "MCX q[1] q[2]", "X q[1",
              "reg z 0 input", "reg y 1 bogus", "reg x w input",
-             "reg a 1 input"]))
+             "reg x 1_0 input", "reg a 1 input"]))
     if shape == "MCX":
         ctrls = draw(st.lists(st.tuples(_POOL_QUBIT, st.booleans()),
                               max_size=4))

@@ -79,6 +79,9 @@ MALFORMED_LINES = {
     "qubit-plus-sign": "CNOT q[+1] q[2]",
     "qubit-minus-sign": "X q[-1]",
     "qubit-non-ascii-digit": "X q[\u0661]",
+    "reg-width-underscore": "reg b 1_0 input",
+    "reg-width-plus-sign": "reg b +2 output",
+    "reg-width-non-ascii-digit": "reg b \u0662 input",
 }
 
 

@@ -42,6 +42,7 @@ from binshor.synth import (
     synth_kmult,
     synth_out_of_place_mul,
     synth_square,
+    emit_fanin,
     emit_reduction_step,
     squaring_method,
 )
@@ -181,6 +182,37 @@ def test_linear_map_cnot_equiv_is_its_tally(shape, seed):
     lm.emit(sink, list(range(shape[0])))
     assert lm.cnot_equiv() == sink.counts.cnot + 3 * sink.counts.swap
     assert sink.counts.swap == len(lm.swaps)
+    # the materialized map, gate by gate, independent of the tally
+    circ = Circuit()
+    lm.emit(circ, circ.add_register(Register("f", shape[0])))
+    c = counts(circ)
+    assert lm.cnot_equiv() == c.cnot + 3 * c.swap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**600 - 1), st.randoms(use_true_random=False))
+@example(0, random.Random(0))
+def test_emit_fanin_is_the_per_bit_loop(mask, rng):
+    qubits = list(range(mask.bit_length() + 1 + rng.randrange(8)))
+    rng.shuffle(qubits)
+    t, wires = qubits[0], qubits[1:]
+    circ, ref = Circuit(), Circuit()
+    for c in (circ, ref):
+        c.add_register(Register("q", len(qubits)))
+    emit_fanin(circ, wires, mask, t)
+    for j in range(mask.bit_length()):
+        if (mask >> j) & 1:
+            ref.cnot(wires[j], t)
+    assert circ.gates == ref.gates
+    sink = CountSink()
+    sink.x(0)
+    sink.cnot(0, 1)
+    sink.begin_group("g")
+    before = _fields(sink.counts)
+    emit_fanin(sink, wires, mask, t)
+    before[COUNT_FIELDS.index("cnot")] += mask.bit_count()
+    assert _fields(sink.counts) == before
+    assert sink.census == {"g": 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -838,6 +870,30 @@ def test_inversion_counts_emitted_once(monkeypatch):
     assert plan.counts() is first
 
 
+def test_kmult_block_built_once_per_formula_and_factor(monkeypatch):
+    # n = 571: 511 residue products over 73 distinct (formula, factor) pairs
+    emit_block, emit_kmult = binshor.synth.emit_block, binshor.synth.emit_kmult
+    products, builds = [], []
+
+    def count_products(sink, *args):
+        products.append(args[:2])
+        emit_kmult(sink, *args)
+
+    def count_builds(sink, build, rev=False, key=None):
+        if isinstance(key, tuple) and key[0] == "kmult":
+            emit_block(sink, lambda s: (builds.append(key), build(s)),
+                       rev=rev, key=key)
+        else:
+            emit_block(sink, build, rev=rev, key=key)
+
+    monkeypatch.setattr(binshor.synth, "TALLIES", {})
+    monkeypatch.setattr(binshor.synth, "emit_kmult", count_products)
+    monkeypatch.setattr(binshor.synth, "emit_block", count_builds)
+    modmult_plan(571).counts()
+    assert len(products) == 511
+    assert len(builds) == len(set(builds)) == 73
+
+
 def test_inversion_clearing_uses_5n_ancilla():
     for n in (163, 233, 283, 571):
         assert inversion_plan(n, True).num_registers == 6  # input + 5n
@@ -859,3 +915,32 @@ def test_modmult_reverse_restores_target():
     for _ in range(50):
         v = rng.getrandbits(12)
         assert simulate(rev, simulate(circ, v)) == v
+
+
+EMITTED_SHA256 = {
+    "modmult-163":
+        "d5e81f2ef0fd654643801e4a7699857e00e513a59068ef166abad5381db7f2f6",
+    "inversion-8":
+        "894a82d60d3ac2b6d162a25b08ef83ddd885575b195a8b2d4c8bc848a3030e47",
+    "ecpointadd-4":
+        "9017c79416dfc1d3bbeed2df0dfdc089dcda2f56e45c42dda0db781c06006d6a",
+}
+
+
+@pytest.mark.parametrize("name", EMITTED_SHA256)
+def test_emitted_bytes_are_pinned(name):
+    # pins gate order, which a count and the register/gate-count checks of
+    # an emitted file do not see
+    import hashlib
+
+    from binshor.circuit import serialize
+    from binshor.ecc import synth_ecpointadd
+    from binshor.pipeline import pointadd_plan
+
+    build = {
+        "modmult-163": lambda: synth_crt_modmult(modmult_plan(163)),
+        "inversion-8": lambda: synth_flt_inversion(inversion_plan(8)),
+        "ecpointadd-4": lambda: synth_ecpointadd(pointadd_plan(4)),
+    }[name]
+    text = serialize(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[name]
