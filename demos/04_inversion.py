@@ -33,11 +33,12 @@ n = 5
 field = field_for(n)
 plan = inversion_plan(n)
 circ = synth_flt_inversion(plan)
-slot = circ.meta["result_slot"]
+# the first wire of the slot that receives the inverse
+res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
 ok = 0
 for v in range(1, 32):
     out = simulate(circ, v)
-    if (out >> (slot * n)) & 31 == field_inv(BinaryPoly(v), field).bits:
+    if (out >> res) & 31 == field_inv(BinaryPoly(v), field).bits:
         ok += 1
 print(f"{ok}/31 nonzero elements invert correctly "
-      f"({circ.meta['mult_calls']} multiplications each)")
+      f"({plan.mult_calls} multiplications each)")

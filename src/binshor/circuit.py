@@ -113,7 +113,6 @@ class Circuit:
         self.gates: list[tuple] = []
         self.groups: list[tuple[str, int, int, int]] = []
         self._group_stack: list[tuple[str, int, int]] = []
-        self.meta: dict = {}
         if registers:
             for r in registers:
                 self.add_register(r)
@@ -190,12 +189,11 @@ class Circuit:
         label, units, start = self._group_stack.pop()
         self.groups.append((label, units, start, len(self.gates)))
 
-    def census(self, prefix: str = "") -> dict[str, int]:
-        """Sum group units by label (labels matching ``prefix*``)."""
+    def census(self) -> dict[str, int]:
+        """Sum group units by label."""
         out: dict[str, int] = {}
         for label, units, _, _ in self.groups:
-            if label.startswith(prefix):
-                out[label] = out.get(label, 0) + units
+            out[label] = out.get(label, 0) + units
         return out
 
     # -- structure ---------------------------------------------------------

@@ -15,7 +15,7 @@ from .oracle import first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
                    stream_pointadd_counts)
-from .synth import synth_crt_modmult, synth_flt_inversion
+from .synth import multiplier_layout, synth_crt_modmult, synth_flt_inversion
 from .ecc import (TABLE_CENSUS, ec_add_classical, pointadd_census,
                   slope_for, synth_ecpointadd)
 
@@ -100,17 +100,23 @@ def _modmult_cases(n: int, exhaustive: bool, rng, samples: int) -> list:
             for _ in range(samples)]
 
 
-def _modmult_sweep(circ, cases, n: int, p: BinaryPoly):
-    """First (index, got, want) where ``circ`` is not h ^= f*g mod p on the
-    f | g << n | h << 2n register layout, or None."""
+def _modmult_sweep(circ, layout, cases, p: BinaryPoly):
+    """First (index, input, got, want) where ``circ`` is not h ^= f*g mod p
+    on the registers f, g and h of the multiplier ``layout``, or None."""
+    fo, go, ho = (layout.reg(name)[0] for name in "fgh")  # bit offsets
+
+    def state(f, g, h):
+        return (f << fo) | (g << go) | (h << ho)
+
     def want(i):
         f, g, h = cases[i]
-        prod = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
-        return f | (g << n) | (prod << (2 * n))
+        prod = poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
+        return state(f, g, h ^ prod)
 
-    states = [f | (g << n) | (h << (2 * n)) for f, g, h in cases]
+    states = [state(*case) for case in cases]
     bad = first_mismatch(circ, states, lambda i, out: out == want(i))
-    return None if bad is None else (*bad, want(bad[0]))
+    return None if bad is None else (bad[0], states[bad[0]], bad[1],
+                                     want(bad[0]))
 
 
 def _validate_circuit_file(args, exhaustive: bool) -> int:
@@ -119,26 +125,20 @@ def _validate_circuit_file(args, exhaustive: bool) -> int:
 
     n = args.field
     field = pipeline.field_for(n)
+    layout = multiplier_layout(n)
     text = Path(args.circuit).read_text()
     circ = parse(text)
-    if circ.width < 3 * n:
+    if circ.width < layout.width:
         raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "
-                       f"multiplier needs at least {3 * n}")
+                       f"multiplier needs at least {layout.width}")
     rng = random.Random(args.seed)
     cases = _modmult_cases(n, exhaustive, rng, args.samples)
-    bad = _modmult_sweep(circ, cases, n, field.p)
-    if bad is not None:
-        f, g, h = cases[bad[0]]
-        state = f | (g << n) | (h << (2 * n))
-        bits = circ.width
-        _check("circuit file vs modmult oracle", False,
-               f"counterexample input="
-               f"{bin(state)[2:].zfill(bits)[::-1]} got="
-               f"{bin(bad[1])[2:].zfill(bits)[::-1]} want="
-               f"{bin(bad[2])[2:].zfill(bits)[::-1]}")
-        return 1
-    _check("circuit file vs modmult oracle", True)
-    return 0
+    bad = _modmult_sweep(circ, layout, cases, field.p)
+    ok = _check("circuit file vs modmult oracle", bad is None,
+                "" if bad is None else "counterexample input={} got={} "
+                "want={}".format(*(bin(s)[2:].zfill(circ.width)[::-1]
+                                   for s in bad[1:])))
+    return 0 if ok else 1
 
 
 def cmd_validate(args) -> int:
@@ -159,14 +159,17 @@ def cmd_validate(args) -> int:
     cases = _modmult_cases(n, exhaustive, rng, args.samples)
     label = ("modmult exhaustive" if exhaustive
              else f"modmult sampled ({args.samples})")
-    bad = _modmult_sweep(circ, cases, n, field.p)
+    bad = _modmult_sweep(circ, circ, cases, field.p)
     all_ok &= _check(label, bad is None,
                      "" if bad is None else "counterexample f={:#x} g={:#x} "
-                     "h={:#x} -> {:#x}".format(*cases[bad[0]], bad[1]))
-    # inversion sweep
+                     "h={:#x} -> {:#x}".format(*cases[bad[0]], bad[2]))
+    # inversion sweep: f restored, its inverse in the result slot and the
+    # temp slot back at 0
     inv_plan = pipeline.inversion_plan(n)
     icirc = synth_flt_inversion(inv_plan)
-    rs = icirc.meta["result_slot"]
+    slots = inv_plan.slots(icirc.reg("f"), icirc.reg("w"))
+    fo, ro, to = (slots[i][0] for i in (0, inv_plan.result_slot,
+                                         inv_plan.temp_slot))
     mask = (1 << n) - 1
     if exhaustive:
         vals = list(range(1, 1 << n))
@@ -176,14 +179,19 @@ def cmd_validate(args) -> int:
         label = f"inversion sampled ({len(vals)})"
 
     def inverted(i, out):
-        return (out & mask == vals[i] and (out >> (rs * n)) & mask
+        return ((out >> fo) & mask == vals[i] and (out >> to) & mask == 0
+                and (out >> ro) & mask
                 == field_inv(BinaryPoly(vals[i]), field).bits)
 
-    bad = first_mismatch(icirc, vals, inverted)
-    all_ok &= _check(label, bad is None,
-                     "" if bad is None else f"f={vals[bad[0]]:#x} got "
-                     f"{(bad[1] >> (rs * n)) & mask:#x} want "
-                     f"{field_inv(BinaryPoly(vals[bad[0]]), field).bits:#x}")
+    bad = first_mismatch(icirc, [v << fo for v in vals], inverted)
+    detail = ""
+    if bad is not None:
+        v, out = vals[bad[0]], bad[1]
+        temp = (out >> to) & mask
+        detail = (f"f={v:#x} got {(out >> ro) & mask:#x} want "
+                  f"{field_inv(BinaryPoly(v), field).bits:#x}"
+                  + (f" temp {temp:#x}" if temp else ""))
+    all_ok &= _check(label, bad is None, detail)
     # point addition on the toy curve (only for small fields)
     if n <= 8:
         pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
@@ -197,15 +205,20 @@ def cmd_validate(args) -> int:
                      for _ in range(args.samples)]
             label = f"point addition sampled ({args.samples} pairs)"
         # P2 and its slope ride through unchanged; P1 becomes P1 + P2
-        tails = [(p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
-                 | (slope_for(p2, field).bits << 4 * n) for p2 in pts]
-        states = [pts[i].x.bits | (pts[i].y.bits << n) | tails[j]
-                  for i, j in pairs]
+        x1, y1, x2, y2, lr = (pcirc.reg(name)[0] for name in (
+            "x1", "y1", "x2", "y2", "lr"))
+        tails = [(p2.x.bits << x2) | (p2.y.bits << y2)
+                 | (slope_for(p2, field).bits << lr) for p2 in pts]
+
+        def point(p):
+            return (p.x.bits << x1) | (p.y.bits << y1)
+
+        states = [point(pts[i]) | tails[j] for i, j in pairs]
 
         def added(k, out):
             i, j = pairs[k]
-            p3 = ec_add_classical(pts[i], pts[j], pa.curve)
-            return out == p3.x.bits | (p3.y.bits << n) | tails[j]
+            return out == point(ec_add_classical(pts[i], pts[j],
+                                                 pa.curve)) | tails[j]
 
         bad = first_mismatch(pcirc, states, added)
         if bad is not None:

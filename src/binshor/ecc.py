@@ -11,6 +11,7 @@ exceptional-case repairs, using the arithmetic plans from
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .circuit import Circuit, Register
@@ -147,8 +148,7 @@ def build_window_table(r: ECPoint, s: int, curve: CurveSpec) -> WindowTable:
 
 # -- equality-test circuit -----------------------------------------------------
 
-def emit_equality_test(sink, aw, bw, target, extra_controls=(),
-                       open_target_value=True):
+def emit_equality_test(sink, aw, bw, target, extra_controls=()):
     """Flip ``target`` iff registers a and b are equal (under any extra
     closed/open controls): bitwise-CNOT conjugated open-control MCX."""
     for a, b in zip(aw, bw):
@@ -186,82 +186,69 @@ class PointAddPlan:
         self.inversion = inversion
         self.sq = squaring_method(curve.field, 1)[1]
 
+    def layout(self) -> Circuit:
+        """Empty circuit over the point-addition registers, in wire order.
 
-def pointadd_layout(plan: PointAddPlan) -> Circuit:
-    """Empty circuit over the point-addition registers, in wire order.
-
-    x1, y1 (become x3, y3), x2, y2 and the table slope lr (restored), the
-    flags [f1, f2, f3, f4, ctrl] (end at 0), the slope workspace lam, the
-    inverter workspace w and one scratch bit s (all end at 0).
-    """
-    n = plan.n
-    return Circuit([
-        Register("x1", n), Register("y1", n), Register("x2", n),
-        Register("y2", n), Register("lr", n), Register("flags", 5, "flag"),
-        Register("lam", n, "ancilla-clean"),
-        Register("w", (plan.inversion.num_registers - 1) * n, "ancilla-clean"),
-        Register("s", 1, "ancilla-clean"),
-    ])
+        x1, y1 (become x3, y3), x2, y2 and the table slope lr (restored),
+        the flags [f1, f2, f3, f4, ctrl] (end at 0), the slope workspace
+        lam, the inverter workspace w and one scratch bit s (all end at 0).
+        """
+        n = self.n
+        return Circuit([
+            Register("x1", n), Register("y1", n), Register("x2", n),
+            Register("y2", n), Register("lr", n),
+            Register("flags", 5, "flag"), Register("lam", n, "ancilla-clean"),
+            Register("w", (self.inversion.num_registers - 1) * n,
+                     "ancilla-clean"),
+            Register("s", 1, "ancilla-clean"),
+        ])
 
 
-def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
-    """Six-stage in-place point addition over the wires of ``layout``
-    (see :func:`pointadd_layout`)."""
-    n = plan.n
+def emit_pointadd(sink, plan: PointAddPlan):
+    """Six-stage in-place point addition over the wires of
+    :meth:`PointAddPlan.layout`."""
+    layout = plan.layout()
     A, B, C, D, L, flags, LAM, W, (S,) = (layout.reg(name) for name in (
         "x1", "y1", "x2", "y2", "lr", "flags", "lam", "w", "s"))
     f1, f2, f3, f4, ctrl = flags
     inv = plan.inversion
-    wslot = lambda i: W[(i - 1) * n: i * n]
-    Wout = wslot(inv.result_slot)
-    T = wslot(inv.temp_slot)
+    slots = inv.slots(A, W)
+    Wout, T = slots[inv.result_slot], slots[inv.temp_slot]
 
+    @contextmanager
     def census(label, units=1):
         sink.begin_group(f"census:{label}", units)
-
-    def done():
+        yield
         sink.end_group()
 
-    def inv_fwd():
-        census("inversion")
-        inv.emit(sink, A, W)
-        done()
-
-    def inv_rev():
-        census("inversion")
-        emit_block(sink, lambda s: inv.emit(s, A, W), rev=True)
-        done()
+    def inversion(rev=False):
+        with census("inversion"):
+            emit_block(sink, lambda s: inv.emit(s, A, W), rev=rev)
 
     def mult(fw, gw, hw):
-        census("multiplication")
-        plan.modmult.emit(sink, fw, gw, hw)
-        done()
+        with census("multiplication"):
+            plan.modmult.emit(sink, fw, gw, hw)
 
     def eq(aw, bw, target, extras, units=1):
-        census("equality-test", units)
-        emit_equality_test(sink, aw, bw, target, extras)
-        done()
+        with census("equality-test", units):
+            emit_equality_test(sink, aw, bw, target, extras)
 
     def zero_test(regs, target, extras, label="n-toffoli", units=None):
-        qs = [q for r in regs for q in r]
-        census(label, len(regs) if units is None else units)
-        sink.mcx([(q, False) for q in qs] + list(extras), target)
-        done()
+        with census(label, len(regs) if units is None else units):
+            sink.mcx([(q, False) for r in regs for q in r] + list(extras),
+                     target)
 
     def add(src, dst):
-        census("addition")
-        emit_addition(sink, src, dst)
-        done()
+        with census("addition"):
+            emit_addition(sink, src, dst)
 
     def cadd(c, src, dst):
-        census("controlled-addition")
-        emit_controlled_addition(sink, c, src, dst)
-        done()
+        with census("controlled-addition"):
+            emit_controlled_addition(sink, c, src, dst)
 
     def gated_add(c, src, dst):
-        census("n-toffoli")
-        emit_controlled_addition(sink, c, src, dst)
-        done()
+        with census("n-toffoli"):
+            emit_controlled_addition(sink, c, src, dst)
 
     # ---- stage 1: exceptional-case flags --------------------------------
     sink.begin_group("stage1")
@@ -271,40 +258,33 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
     add(C, D)                                         # restore D
     zero_test([A, B], f3, [])                         # f3 = [P1 == O]
     zero_test([C, D], f4, [])                         # f4 = [P2 == O]
-    census("n-toffoli", 2)
-    sink.mcx([(f2, False), (f3, False), (f4, False)], ctrl)
-    done()
+    zero_test([(f2, f3, f4)], ctrl, [], units=2)      # ctrl = no exception
     sink.end_group()
 
     # ---- stage 2: compute the slope -------------------------------------
     sink.begin_group("stage2")
     add(C, A)                                         # A = x1 + x2
     cadd(ctrl, D, B)                                  # B = y1 (+ y2 if ctrl)
-    inv_fwd()                                         # Wout = (x1+x2)^-1
+    inversion()                                       # Wout = (x1+x2)^-1
     mult(B, Wout, T)
-    census("n-toffoli", 1)                            # gate bit ctrl & !f1
-    sink.mcx([(ctrl, True), (f1, False)], S)
-    done()
+    with census("n-toffoli", 1):                      # gate bit ctrl & !f1
+        sink.mcx([(ctrl, True), (f1, False)], S)
     cadd(S, T, LAM)                                   # LAM = lambda (generic)
-    census("n-toffoli", 0)
-    sink.mcx([(ctrl, True), (f1, False)], S)
-    done()
+    with census("n-toffoli", 0):
+        sink.mcx([(ctrl, True), (f1, False)], S)
     mult(B, Wout, T)                                  # T back to 0
-    census("n-toffoli", 1)                            # lambda_r copy path
-    sink.mcx([(ctrl, True), (f1, True)], S)
-    done()
+    with census("n-toffoli", 1):                      # lambda_r copy path
+        sink.mcx([(ctrl, True), (f1, True)], S)
     gated_add(S, L, LAM)                              # LAM = lambda_r (doubling)
-    census("n-toffoli", 0)
-    sink.mcx([(ctrl, True), (f1, True)], S)
-    done()
+    with census("n-toffoli", 0):
+        sink.mcx([(ctrl, True), (f1, True)], S)
     eq(LAM, L, S, [(ctrl, True)])                     # S = ctrl & [lam == lam_r]
-    census("n-toffoli")                               # controlled swap f1 <-> S
-    sink.cnot(S, f1)
-    sink.ccx(ctrl, f1, S)
-    sink.cnot(S, f1)
-    done()
+    with census("n-toffoli"):                         # swap f1, S if ctrl
+        sink.cnot(S, f1)
+        sink.ccx(ctrl, f1, S)
+        sink.cnot(S, f1)
     zero_test([A], S, [(ctrl, True)])                 # clears S (= [x1==x2])
-    inv_rev()
+    inversion(rev=True)
     sink.end_group()
 
     # ---- stage 3: toward x2 + x3 ----------------------------------------
@@ -313,21 +293,18 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
     add(T, B)                                         # B = 0 if ctrl else y1
     mult(LAM, A, T)
     cadd(ctrl, C, A)                                  # A = x1 + a if ctrl
-    census("controlled-const-addition")
-    emit_controlled_constants(sink, ctrl, plan.curve.a, A)
-    done()
+    with census("controlled-const-addition"):
+        emit_controlled_constants(sink, ctrl, plan.curve.a, A)
     sink.end_group()
 
     # ---- stage 4: A -> x2+x3, B -> y2+y3+x3 ------------------------------
     sink.begin_group("stage4")
     add(LAM, A)
-    census("squaring")
-    plan.sq.emit(sink, LAM)
-    done()
+    with census("squaring"):
+        plan.sq.emit(sink, LAM)
     add(LAM, A)                                       # A += lam + lam^2
-    census("squaring")
-    plan.sq.emit(sink, LAM, rev=True)
-    done()
+    with census("squaring"):
+        plan.sq.emit(sink, LAM, rev=True)
     mult(LAM, A, T)
     add(T, B)                                         # B = lam (x2+x3) + prior
     mult(LAM, A, T)
@@ -336,14 +313,14 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
     # ---- stage 5: uncompute the slope, produce x3, y3 ---------------------
     sink.begin_group("stage5")
     eq(LAM, L, f1, [(ctrl, True)])                    # clears the stage-2 flag
-    inv_fwd()                                         # Wout = (x2+x3)^-1
+    inversion()                                       # Wout = (x2+x3)^-1
     mult(B, Wout, T)
     cadd(ctrl, T, LAM)                                # LAM -> 0 when x2+x3 != 0
     mult(B, Wout, T)
     zero_test([A], S, [(ctrl, True)])                 # S = ctrl & [x2+x3 == 0]
     gated_add(S, L, LAM)                              # doubling with x3 = x2
     zero_test([A], S, [(ctrl, True)])
-    inv_rev()
+    inversion(rev=True)
     add(C, A)                                         # A = x3 / x1
     cadd(ctrl, D, B)
     cadd(ctrl, A, B)                                  # B = y3 / y1
@@ -351,54 +328,26 @@ def emit_pointadd(sink, plan: PointAddPlan, layout: Circuit):
 
     # ---- stage 6: reset ctrl, repair exceptional cases --------------------
     sink.begin_group("stage6")
-    census("n-toffoli", 2)
-    sink.mcx([(f2, False), (f3, False), (f4, False)], ctrl)
-    done()
-    # spurious f1 from the O representation
-    census("n-toffoli")
-    sink.mcx([(q, False) for q in A] + [(f4, True), (f3, False)], f1)
-    done()
-    census("n-toffoli")
-    sink.mcx([(q, False) for q in C] + [(f3, True), (f4, False)], f1)
-    done()
-    census("n-toffoli", 2)                            # both points at O
-    sink.ccx(f3, f4, f1)
-    sink.ccx(f3, f4, f2)
-    done()
-    census("n-toffoli", 1)                            # P1 = -P2: output O
-    sink.ccx(f1, f2, S)
-    done()
+    zero_test([(f2, f3, f4)], ctrl, [], units=2)      # reset ctrl
+    zero_test([A], f1, [(f4, True), (f3, False)])     # spurious f1 from the
+    zero_test([C], f1, [(f3, True), (f4, False)])     # O representation
+    with census("n-toffoli", 2):                      # both points at O
+        sink.ccx(f3, f4, f1)
+        sink.ccx(f3, f4, f2)
+    with census("n-toffoli", 1):                      # P1 = -P2: output O
+        sink.ccx(f1, f2, S)
     gated_add(S, C, A)
     gated_add(S, C, B)
     gated_add(S, D, B)
-    census("n-toffoli", 0)
-    sink.ccx(f1, f2, S)
-    done()
-    census("equality-test", 2)                        # clear f2 (output == O)
-    sink.mcx([(q, False) for q in A] + [(q, False) for q in B]
-             + [(f1, True)], f2)
-    done()
-    census("n-toffoli", 2)                            # clear f1 likewise
-    sink.mcx([(q, False) for q in A] + [(q, False) for q in B]
-             + [(f3, False), (f4, False)], f1)
-    done()
+    with census("n-toffoli", 0):
+        sink.ccx(f1, f2, S)
+    zero_test([A, B], f2, [(f1, True)],               # clear f2 (output == O)
+              label="equality-test")
+    zero_test([A, B], f1, [(f3, False), (f4, False)])  # clear f1 likewise
     gated_add(f3, C, A)                               # P1 = O: copy P2
     gated_add(f3, D, B)
-    census("equality-test", 2)                        # reset f3: (A,B) == (C,D)
-    for a, c in zip(A, C):
-        sink.cnot(a, c)
-    for b, d in zip(B, D):
-        sink.cnot(b, d)
-    sink.mcx([(q, False) for q in C] + [(q, False) for q in D], f3)
-    for a, c in zip(A, C):
-        sink.cnot(a, c)
-    for b, d in zip(B, D):
-        sink.cnot(b, d)
-    done()
-    census("n-toffoli", 2)                            # reset f4
-    zero = [(q, False) for q in C] + [(q, False) for q in D]
-    sink.mcx(zero, f4)
-    done()
+    eq(A + B, C + D, f3, [], units=2)                 # reset f3
+    zero_test([C, D], f4, [])                         # reset f4
     sink.end_group()
 
 
@@ -420,8 +369,8 @@ def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
     Output (x3, y3) lands in the x1/y1 registers; x2, y2 and the slope input
     are restored; flags and all clean ancillas return to zero.
     """
-    circ = pointadd_layout(plan)
-    emit_pointadd(circ, plan, circ)
+    circ = plan.layout()
+    emit_pointadd(circ, plan)
     return circ
 
 

@@ -249,9 +249,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-_IRRED_CACHE: dict[int, list[BinaryPoly]] = {}
-
-
 def enumerate_irreducibles(d: int) -> list[BinaryPoly]:
     """All monic irreducible polynomials of degree d, ascending by integer
     encoding.  The ordering is fixed so that configs indexing "the i-th
@@ -259,18 +256,16 @@ def enumerate_irreducibles(d: int) -> list[BinaryPoly]:
     """
     if d < 1:
         raise GF2Error("degree must be >= 1")
-    if d not in _IRRED_CACHE:
-        if d == 1:
-            polys = [BinaryPoly(2), BinaryPoly(3)]  # x and x+1
-        else:
-            polys = []
-            # constant term must be 1, else divisible by x
-            for bits in range((1 << d) + 1, 1 << (d + 1), 2):
-                p = BinaryPoly(bits)
-                if is_irreducible(p):
-                    polys.append(p)
-        _IRRED_CACHE[d] = polys
-    return list(_IRRED_CACHE[d])
+    return list(_irreducibles(d))
+
+
+@cache
+def _irreducibles(d: int) -> tuple[BinaryPoly, ...]:
+    if d == 1:
+        return (BinaryPoly(2), BinaryPoly(3))  # x and x+1
+    # constant term must be 1, else divisible by x
+    return tuple(p for p in map(BinaryPoly, range((1 << d) + 1, 2 << d, 2))
+                 if is_irreducible(p))
 
 
 # Irreducible field polynomials for the standardized binary curves.

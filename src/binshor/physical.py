@@ -29,11 +29,10 @@ class BaselineParams:
 class AVParams:
     r_im: float = 1e9                 # resource states per second per module
     delay: float = 1e-6               # seconds of fiber delay per module
-    c_fiber: float = 2e8              # m/s, for converting delay-line length
     failure_budget: float = 0.05
 
     def __post_init__(self):
-        if min(self.r_im, self.delay, self.c_fiber) <= 0:
+        if min(self.r_im, self.delay) <= 0:
             raise ValueError("AV parameters must be positive")
 
 
@@ -48,12 +47,11 @@ class PhysicalEstimate:
         return format_runtime(self.runtime_avg)
 
 
-def solve_distance(volume: float, budget: float = 0.05, d_min: int = 3) -> int:
-    """Smallest integer d with 10^(-d/2) * volume <= budget."""
+def solve_distance(volume: float, budget: float = 0.05) -> int:
+    """Smallest integer d >= 3 with 10^(-d/2) * volume <= budget."""
     if volume <= 0:
         raise ValueError("volume must be positive")
-    d = math.ceil(2 * math.log10(volume / budget))
-    return max(d_min, d)
+    return max(3, math.ceil(2 * math.log10(volume / budget)))
 
 
 def baseline_estimate(n_q: int, toffoli: float,

@@ -16,6 +16,7 @@ from .datafiles import (
     load_modulus_set as modulus_set_for,
 )
 from .ecc import CurveSpec, PointAddPlan
+from . import gf2, linalg, synth
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, is_irreducible
 from .synth import TALLIES, InversionPlan, ModmultPlan
 
@@ -41,9 +42,12 @@ def _plan_cache(fn):
 
 
 def clear_caches():
-    """Drop the cached plans and the keyed-block tally store."""
+    """Drop the cached plans, the keyed-block tally store and the memoised
+    field data (irreducibles, CRT constants, squaring maps)."""
     for fn in (_cached_formulas, _cached_inner_set, modmult_plan, field_for,
-               inversion_plan, pointadd_plan):
+               inversion_plan, pointadd_plan, gf2._irreducibles,
+               gf2.crt_cofactors, gf2.crt_constants, linalg._squaring_powers,
+               synth.squaring_method):
         fn.cache_clear()
     TALLIES.clear()
 

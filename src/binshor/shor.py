@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .gf2 import GF2Error
 from .synth import CountSink, emit_block
-from .ecc import PointAddPlan, emit_pointadd, pointadd_layout
+from .ecc import PointAddPlan, emit_pointadd
 
 
 @dataclass
@@ -112,13 +112,12 @@ def stream_pointadd_counts(plan: PointAddPlan) -> CountSink:
     The point addition is emitted as one keyed block into a fresh
     :class:`~binshor.synth.CountSink`: the first call for a plan emits it,
     with its inversion and multiplier blocks, and later calls add the
-    stored tally.  ``qubits_total`` is the width of the
-    :func:`~binshor.ecc.pointadd_layout` registers.
+    stored tally.  ``qubits_total`` is the width of
+    :meth:`~binshor.ecc.PointAddPlan.layout`.
     """
-    layout = pointadd_layout(plan)
     cs = CountSink()
-    emit_block(cs, lambda s: emit_pointadd(s, plan, layout), key=(plan,))
-    cs.counts.qubits_total = layout.width
+    emit_block(cs, lambda s: emit_pointadd(s, plan), key=(plan,))
+    cs.counts.qubits_total = plan.layout().width
     return cs
 
 

@@ -14,9 +14,11 @@ a reduction step, a squaring, a residue product per formula and factor).
 A :class:`CountSink` emits a keyed block once into the process-wide
 :data:`TALLIES` store, and each repeated or reversed copy adds that
 block's tally (see :func:`emit_block`).  The block is walked gate by gate,
-except that a CNOT fan-in (:func:`emit_fanin`) adds its row's CNOTs at
-once.  A plan's ``counts()`` is its block emitted into a fresh
-:class:`CountSink`.
+except that a CNOT fan-in or fan-out (:func:`emit_fanin`,
+:func:`emit_fanout`) adds its CNOTs at once.  Each plan's ``layout()`` is
+the one place its registers are named: its ``counts()`` is its block
+emitted over those wires into a fresh :class:`CountSink`, and its
+``synth_*`` circuit is the layout with the block emitted into it.
 """
 
 from __future__ import annotations
@@ -95,43 +97,6 @@ class CountSink:
         pass
 
 
-class BufferSink:
-    """Records raw gate calls so a block can be replayed forwards or
-    reversed (every emitted kind is self-inverse on basis states)."""
-
-    def __init__(self):
-        self.ops: list[tuple] = []
-
-    def x(self, t):
-        self.ops.append(("x", t))
-
-    def cnot(self, c, t):
-        self.ops.append(("cnot", c, t))
-
-    def swap(self, a, b):
-        self.ops.append(("swap", a, b))
-
-    def ccx(self, a, b, t):
-        self.ops.append(("ccx", a, b, t))
-
-    def ccxu(self, a, b, t):
-        self.ops.append(("ccxu", a, b, t))
-
-    def mcx(self, controls, t):
-        self.ops.append(("mcx", controls, t))
-
-    def begin_group(self, label, units=1):
-        pass
-
-    def end_group(self):
-        pass
-
-    def play(self, sink, rev: bool = False):
-        ops = reversed(self.ops) if rev else self.ops
-        for op in ops:
-            getattr(sink, op[0])(*op[1:])
-
-
 def emit_block(sink, build, rev: bool = False, key=None):
     """Emit ``build(sink)`` forwards, or reversed.
 
@@ -189,6 +154,18 @@ def emit_fanin(sink, wires, mask: int, t):
         mask ^= low
 
 
+def emit_fanout(sink, c, wires, mask: int):
+    """One CNOT from ``c`` onto ``wires[j]`` for each set bit j of ``mask``,
+    in ascending j; a :class:`CountSink` adds them at once."""
+    if isinstance(sink, CountSink):
+        sink.counts.cnot += mask.bit_count()
+        return
+    while mask:
+        low = mask & -mask
+        sink.cnot(c, wires[low.bit_length() - 1])
+        mask ^= low
+
+
 def emit_cnot_matrix(sink, M: BitMatrix, src, dst):
     """|s, d> -> |s, d + M s>: one CNOT per set entry (row = target)."""
     for i, row in enumerate(M.rows):
@@ -214,11 +191,7 @@ def emit_controlled_addition(sink, ctrl, src, dst):
 
 
 def emit_controlled_constants(sink, ctrl, c: BinaryPoly, dst):
-    b = c.bits
-    while b:
-        low = b & -b
-        sink.cnot(ctrl, dst[low.bit_length() - 1])
-        b ^= low
+    emit_fanout(sink, ctrl, dst, c.bits)
 
 
 @dataclass(frozen=True)
@@ -325,19 +298,11 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
             rest = mask ^ (1 << piv)
             hpiv = (out & -out).bit_length() - 1
             hrest = out ^ (1 << hpiv)
-
-            def fanout():
-                m = hrest
-                while m:
-                    low = m & -m
-                    s.cnot(hw[hpiv], hw[low.bit_length() - 1])
-                    m ^= low
-
             emit_fanin(s, fw, rest, fw[piv])
             emit_fanin(s, gw, rest, gw[piv])
-            fanout()
+            emit_fanout(s, hw[hpiv], hw, hrest)
             s.ccx(fw[piv], gw[piv], hw[hpiv])
-            fanout()
+            emit_fanout(s, hw[hpiv], hw, hrest)
             emit_fanin(s, gw, rest, gw[piv])
             emit_fanin(s, fw, rest, fw[piv])
 
@@ -457,6 +422,10 @@ class ModmultPlan:
             emit_block(sink, lambda s: emit_reduction_step(s, *step, wires),
                        key=(self, "modred", i))
 
+    def layout(self) -> Circuit:
+        """Empty circuit over f, g and h: :func:`multiplier_layout`."""
+        return multiplier_layout(self.n)
+
     def emit(self, sink, fw, gw, hw):
         if not (len(fw) == len(gw) == len(hw) == self.n):
             raise GF2Error("register widths must equal n")
@@ -503,13 +472,32 @@ class ModmultPlan:
             sink.end_group()
 
     def counts(self) -> GateCounts:
-        """The stored tally of this plan's block, over 3n qubits."""
-        n = self.n
-        self.emit(CountSink(), list(range(n)), list(range(n, 2 * n)),
-                  list(range(2 * n, 3 * n)))
-        counts = TALLIES[(self,)][0]
-        counts.qubits_total = 3 * n
-        return counts
+        return _layout_counts(self)
+
+
+def multiplier_layout(n: int) -> Circuit:
+    """Empty circuit over the registers of an n-bit multiplier |f, g, h> ->
+    |f, g, h + f g>, in wire order; it depends on n alone."""
+    return Circuit([Register("f", n), Register("g", n),
+                    Register("h", n, "output")])
+
+
+def _emit_over_layout(plan, sink=None) -> Circuit:
+    """Emit ``plan`` over the registers of its layout, in order, into
+    ``sink`` or else into the layout itself; returns the layout."""
+    layout = plan.layout()
+    plan.emit(layout if sink is None else sink,
+              *(layout.reg(r.name) for r in layout.registers))
+    return layout
+
+
+def _layout_counts(plan) -> GateCounts:
+    """The stored tally of ``plan``'s block; ``qubits_total`` is the width
+    of its layout."""
+    width = _emit_over_layout(plan, CountSink()).width
+    counts = TALLIES[(plan,)][0]
+    counts.qubits_total = width
+    return counts
 
 
 # -- addition chains and inversion -------------------------------------------
@@ -687,17 +675,29 @@ class InversionPlan:
 
     # emission ----------------------------------------------------------------
 
+    def layout(self) -> Circuit:
+        """Empty circuit over the registers f (input, restored) and w (the
+        workspace slots, see :meth:`slots`), in wire order."""
+        n = self.n
+        return Circuit([Register("f", n), Register(
+            "w", (self.num_registers - 1) * n, "ancilla-garbage")])
+
+    def slots(self, fw, work) -> list:
+        """The wires of each register slot: slot 0 is the input ``fw`` and
+        slot i >= 1 the i-th run of n wires of the workspace ``work``."""
+        n = self.n
+        return [fw] + [work[i * n:(i + 1) * n]
+                       for i in range(self.num_registers - 1)]
+
     def emit(self, sink, fw, work):
-        """fw: the n input wires; work: num_registers * n workspace wires."""
+        """fw: the n input wires; work: (num_registers - 1) * n workspace
+        wires."""
         if len(work) < (self.num_registers - 1) * self.n:
             raise GF2Error("workspace too small for the schedule")
         emit_block(sink, lambda s: self._emit(s, fw, work), key=(self,))
 
     def _emit(self, sink, fw, work):
-        n = self.n
-        # slot 0 is the input register; remaining slots map in order
-        w = [fw] + [work[i * n:(i + 1) * n]
-                    for i in range(self.num_registers - 1)]
+        w = self.slots(fw, work)
         for op in self._schedule:
             if op[0] == "copy":
                 emit_addition(sink, w[op[1]], w[op[2]])
@@ -720,13 +720,7 @@ class InversionPlan:
                     sink.end_group()
 
     def counts(self) -> GateCounts:
-        """The stored tally of this plan's block, over num_registers * n
-        qubits."""
-        n, regs = self.n, self.num_registers
-        self.emit(CountSink(), list(range(n)), list(range(n, regs * n)))
-        counts = TALLIES[(self,)][0]
-        counts.qubits_total = regs * n
-        return counts
+        return _layout_counts(self)
 
 
 @cache
@@ -811,10 +805,9 @@ def synth_square(field: FieldSpec, k: int = 1) -> Circuit:
         raise GF2Error("k must be >= 1")
     circ = Circuit()
     wires = circ.add_register(Register("f", field.n))
-    method, sq, reps = squaring_method(field, k)
+    _, sq, reps = squaring_method(field, k)
     for _ in range(reps):
         sq.emit(circ, wires)
-    circ.meta = {"method": method, "k": k}
     return circ
 
 
@@ -838,33 +831,12 @@ def synth_correction(omega: int, n: int) -> Circuit:
 
 
 def synth_crt_modmult(plan: ModmultPlan) -> Circuit:
-    circ = Circuit()
-    n = plan.n
-    fw = circ.add_register(Register("f", n))
-    gw = circ.add_register(Register("g", n))
-    hw = circ.add_register(Register("h", n, "output"))
-    plan.emit(circ, fw, gw, hw)
-    return circ
+    """The multiplier emitted over its :meth:`ModmultPlan.layout`."""
+    return _emit_over_layout(plan)
 
 
 def synth_flt_inversion(plan: InversionPlan) -> Circuit:
-    """Inversion circuit over registers f (input, restored) and w (workspace).
-
-    Workspace slot layout is recorded in ``circ.meta``: ``result_slot`` holds
-    the inverse, ``temp_slot`` is the register guaranteed to end at zero, and
-    slot index i maps to wires [i*n, (i+1)*n) counting the input as slot 0.
-    """
-    circ = Circuit()
-    n = plan.n
-    fw = circ.add_register(Register("f", n))
-    kind = "ancilla-garbage"
-    work = circ.add_register(
-        Register("w", (plan.num_registers - 1) * n, kind))
-    plan.emit(circ, fw, work)
-    circ.meta = {
-        "result_slot": plan.result_slot,
-        "temp_slot": plan.temp_slot,
-        "mult_calls": plan.mult_calls,
-        "registers": plan.num_registers,
-    }
-    return circ
+    """The inversion emitted over its :meth:`InversionPlan.layout`; the
+    inverse lands in slot ``plan.result_slot``, and slot ``plan.temp_slot``
+    is the zero register of the interface (see :meth:`InversionPlan.slots`)."""
+    return _emit_over_layout(plan)

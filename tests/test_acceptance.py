@@ -208,12 +208,14 @@ def _sweep(circ, cases, oracle):
     return f"input {v:#x}: got {o:#x}, want {oracle(v):#x}"
 
 
-def _inversion_sweep(circ, field, vals):
-    """First v in ``vals`` the inversion circuit does not map to v, 1/v."""
+def _inversion_sweep(plan, vals):
+    """First v in ``vals`` the plan's inversion circuit does not map to v,
+    1/v."""
+    field, circ = plan.field, synth_flt_inversion(plan)
     mask = (1 << field.n) - 1
-    rs = circ.meta["result_slot"]
+    res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
     bad = first_mismatch(circ, vals, lambda i, out: (
-        out & mask == vals[i] and (out >> (rs * field.n)) & mask
+        out & mask == vals[i] and (out >> res) & mask
         == field_inv(BinaryPoly(vals[i]), field).bits))
     return None if bad is None else vals[bad[0]]
 
@@ -287,9 +289,8 @@ def test_criterion_7_oracle_suite():
             failures.append(f"modmult n={n}: {bad}")
 
         for clearing in (True, False):
-            plan = inversion_plan(n, clearing)
-            circ = synth_flt_inversion(plan)
-            v = _inversion_sweep(circ, field, list(range(1, 1 << n)))
+            v = _inversion_sweep(inversion_plan(n, clearing),
+                                 list(range(1, 1 << n)))
             if v is not None:
                 failures.append(f"inversion n={n} clearing={clearing} v={v}")
 
@@ -343,10 +344,8 @@ def test_criterion_7_oracle_suite():
                                          field.p).bits) << 2 * n))
         if bad:
             failures.append(f"modmult n={n}: {bad}")
-        plan = inversion_plan(n, True)
-        circ = synth_flt_inversion(plan)
         draws = [rng.getrandbits(n) for _ in range(1000 if n == 8 else 300)]
-        v = _inversion_sweep(circ, field, [v for v in draws if v])
+        v = _inversion_sweep(inversion_plan(n, True), [v for v in draws if v])
         if v is not None:
             failures.append(f"inversion n={n} v={v:#x}")
 

@@ -20,7 +20,7 @@ from binshor.circuit import (
     unpack_planes,
 )
 from binshor.gf2 import GF2Error
-from binshor.synth import BufferSink, emit_block
+from binshor.synth import emit_block
 
 
 def two_qubit():
@@ -556,6 +556,44 @@ def _play(sink, ops, replay=None):
                        rev=op[1])
         else:
             getattr(sink, op[0])(*op[1])
+
+
+class BufferSink:
+    """Records raw gate calls so a block can be replayed forwards or
+    reversed (every emitted kind is self-inverse on basis states); groups
+    are dropped."""
+
+    def __init__(self):
+        self.ops: list[tuple] = []
+
+    def x(self, t):
+        self.ops.append(("x", t))
+
+    def cnot(self, c, t):
+        self.ops.append(("cnot", c, t))
+
+    def swap(self, a, b):
+        self.ops.append(("swap", a, b))
+
+    def ccx(self, a, b, t):
+        self.ops.append(("ccx", a, b, t))
+
+    def ccxu(self, a, b, t):
+        self.ops.append(("ccxu", a, b, t))
+
+    def mcx(self, controls, t):
+        self.ops.append(("mcx", controls, t))
+
+    def begin_group(self, label, units=1):
+        pass
+
+    def end_group(self):
+        pass
+
+    def play(self, sink, rev: bool = False):
+        ops = reversed(self.ops) if rev else self.ops
+        for op in ops:
+            getattr(sink, op[0])(*op[1:])
 
 
 def _buffer_replay(sink, body):

@@ -196,6 +196,27 @@ def test_validate_sweeps_catch_a_dropped_gate(synth, line, mode, monkeypatch,
     assert fails == [line]
 
 
+def test_validate_requires_the_inversion_temp_slot_at_zero(monkeypatch,
+                                                           capsys):
+    # the advertised inversion interface ends with |0>^n in the temp slot
+    import binshor.cli as cli
+
+    synth = cli.synth_flt_inversion
+
+    def dirty_temp_slot(plan):
+        circ = synth(plan)
+        fw = circ.reg("f")
+        circ.cnot(fw[0], plan.slots(fw, circ.reg("w"))[plan.temp_slot][0])
+        return circ
+
+    monkeypatch.setattr(cli, "synth_flt_inversion", dirty_temp_slot)
+    rc, out, _ = run(capsys, "validate", "--field", "4")
+    assert rc == 1
+    fails = [s for s in out.splitlines() if s.startswith("FAIL")]
+    assert fails == ["FAIL  inversion exhaustive  f=0x1 got 0x1 want 0x1 "
+                     "temp 0x1"]
+
+
 def test_validate_cap_falls_back_to_sampled(capsys):
     rc, out, _ = run(capsys, "validate", "--field", "16", "--mode",
                      "exhaustive", "--samples", "50", "--curve-a", "1")

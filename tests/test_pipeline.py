@@ -1,5 +1,6 @@
 import pytest
 
+from binshor import gf2, linalg, synth
 from binshor.gf2 import enumerate_irreducibles
 from binshor.pipeline import (clear_caches, field_for, inversion_plan,
                               modmult_plan, pointadd_plan)
@@ -23,10 +24,17 @@ def test_field_for_16():
 
 
 def test_clear_caches_empties_the_tally_store():
+    # and the memoised field data that plans are built from
+    memos = (gf2._irreducibles, gf2.crt_cofactors, gf2.crt_constants,
+             linalg._squaring_powers, synth.squaring_method)
     before = modmult_plan(5).counts()
+    inversion_plan(5).counts()
+    enumerate_irreducibles(5)
     assert TALLIES
+    assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
     assert not TALLIES
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     after = modmult_plan(5).counts()   # a new plan, emitted again
     assert after is not before
     assert after == before

@@ -29,7 +29,6 @@ from binshor.pipeline import (
 )
 from binshor.synth import (
     AdditionChain,
-    BufferSink,
     CountSink,
     InversionPlan,
     LinearMap,
@@ -43,6 +42,7 @@ from binshor.synth import (
     synth_out_of_place_mul,
     synth_square,
     emit_fanin,
+    emit_fanout,
     emit_reduction_step,
     squaring_method,
 )
@@ -193,26 +193,27 @@ def test_linear_map_cnot_equiv_is_its_tally(shape, seed):
 @given(st.integers(0, 2**600 - 1), st.randoms(use_true_random=False))
 @example(0, random.Random(0))
 def test_emit_fanin_is_the_per_bit_loop(mask, rng):
+    # and emit_fanout, the same loop with control and targets swapped
     qubits = list(range(mask.bit_length() + 1 + rng.randrange(8)))
     rng.shuffle(qubits)
     t, wires = qubits[0], qubits[1:]
-    circ, ref = Circuit(), Circuit()
-    for c in (circ, ref):
-        c.add_register(Register("q", len(qubits)))
-    emit_fanin(circ, wires, mask, t)
-    for j in range(mask.bit_length()):
-        if (mask >> j) & 1:
-            ref.cnot(wires[j], t)
-    assert circ.gates == ref.gates
-    sink = CountSink()
-    sink.x(0)
-    sink.cnot(0, 1)
-    sink.begin_group("g")
-    before = _fields(sink.counts)
-    emit_fanin(sink, wires, mask, t)
-    before[COUNT_FIELDS.index("cnot")] += mask.bit_count()
-    assert _fields(sink.counts) == before
-    assert sink.census == {"g": 1}
+    for emit, args, pair in ((emit_fanin, (wires, mask, t), lambda w: (w, t)),
+                             (emit_fanout, (t, wires, mask), lambda w: (t, w))):
+        circ, ref = (Circuit([Register("q", len(qubits))]) for _ in range(2))
+        emit(circ, *args)
+        for j in range(mask.bit_length()):
+            if (mask >> j) & 1:
+                ref.cnot(*pair(wires[j]))
+        assert circ.gates == ref.gates
+        sink = CountSink()
+        sink.x(0)
+        sink.cnot(0, 1)
+        sink.begin_group("g")
+        before = _fields(sink.counts)
+        emit(sink, *args)
+        before[COUNT_FIELDS.index("cnot")] += mask.bit_count()
+        assert _fields(sink.counts) == before
+        assert sink.census == {"g": 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,13 +249,13 @@ def test_square_k_equal_n_identity():
     f4 = FieldSpec(4, enumerate_irreducibles(4)[0])
     c = synth_square(f4, 4)
     assert len(c.gates) == 0
-    assert c.meta["method"] == "fused"
+    assert squaring_method(f4, 4)[0] == "fused"
 
 
 def test_square_tie_prefers_fused():
     f4 = FieldSpec(4, enumerate_irreducibles(4)[0])
-    c = synth_square(f4, 1)  # k = 1: fused and sequential coincide
-    assert c.meta["method"] == "fused"
+    # k = 1: fused and sequential coincide
+    assert squaring_method(f4, 1)[0] == "fused"
 
 
 def test_square_k2_matches_double_square():
@@ -545,35 +546,17 @@ def test_keyed_inversion_counts_equal_full_stream():
 def test_reversed_blocks_drop_groups_in_every_sink():
     # the reversed inversions of a point addition add no census groups,
     # whether the sink reverses them (Circuit, TallySink) or not (CountSink)
-    from binshor.ecc import emit_pointadd, pointadd_layout, synth_ecpointadd
+    from binshor.ecc import emit_pointadd, synth_ecpointadd
     from binshor.pipeline import pointadd_plan
 
     plan = pointadd_plan(4, 0, 1)
     tally, cs = TallySink(), CountSink()
     for sink in (tally, cs):
-        emit_pointadd(sink, plan, pointadd_layout(plan))
+        emit_pointadd(sink, plan)
     assert cs.census == tally.census == synth_ecpointadd(plan).census()
     low = counts(lower_mcx(synth_ecpointadd(plan)))
     assert _fields(cs.counts) == [tally.counts[k] for k in COUNT_FIELDS]
     assert _fields(cs.counts) == _fields(low)
-
-
-def test_count_sink_never_buffers(monkeypatch):
-    from binshor.ecc import emit_pointadd, pointadd_layout
-    from binshor.pipeline import pointadd_plan
-
-    def no_buffer(*args, **kwargs):
-        raise AssertionError("a CountSink path used a BufferSink")
-
-    monkeypatch.setattr(binshor.synth, "BufferSink", no_buffer)
-    for n in (5, 163):
-        plan = modmult_plan(n)
-        plan.emit(CountSink(), *_wires(n, 3))
-    inv = inversion_plan(8)
-    inv.emit(CountSink(), list(range(8)),
-             list(range(8, 8 * inv.num_registers)))
-    pa = pointadd_plan(4, 0, 1)
-    emit_pointadd(CountSink(), pa, pointadd_layout(pa))
 
 
 def test_numpy_stays_off_the_counting_path():
@@ -626,10 +609,10 @@ def reduction_sides(draw, n):
 def test_reduction_step_masks_match_pair_lists(case):
     n, (Ma, da), (Mb, db) = case
     wires = [100 + w for w in range(n)]
-    buf = BufferSink()
-    emit_reduction_step(buf, Ma, da, Mb, db, wires)
-    assert buf.ops == [("cnot", wires[c], wires[t])
-                       for c, t in reduction_pairs_reference(Ma, da, Mb, db)]
+    circ = Circuit([Register("q", 100 + n)])
+    emit_reduction_step(circ, Ma, da, Mb, db, wires)
+    pairs = reduction_pairs_reference(Ma, da, Mb, db)
+    assert circ.gates == [("CNOT", wires[c], wires[t]) for c, t in pairs]
 
 
 # -- addition chains and inversion -------------------------------------------------
@@ -756,11 +739,11 @@ def test_inversion_exhaustive_n5_both_variants():
     for clearing in (True, False):
         plan = inversion_plan(5, clearing)
         circ = synth_flt_inversion(plan)
-        rs = circ.meta["result_slot"]
+        res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
         for v in range(1, 32):
             out = simulate(circ, v)
             assert out & 31 == v
-            assert (out >> (rs * 5)) & 31 == field_inv(BinaryPoly(v), f5).bits
+            assert (out >> res) & 31 == field_inv(BinaryPoly(v), f5).bits
 
 
 def run_schedule(plan, f: BinaryPoly) -> list:
@@ -924,6 +907,8 @@ EMITTED_SHA256 = {
         "894a82d60d3ac2b6d162a25b08ef83ddd885575b195a8b2d4c8bc848a3030e47",
     "ecpointadd-4":
         "9017c79416dfc1d3bbeed2df0dfdc089dcda2f56e45c42dda0db781c06006d6a",
+    "ecpointadd-5":
+        "11bacbae53c69d086176dcd3e3d1daf1b611ef31d73ed8265a1f79d1b4434e9d",
 }
 
 
@@ -941,6 +926,34 @@ def test_emitted_bytes_are_pinned(name):
         "modmult-163": lambda: synth_crt_modmult(modmult_plan(163)),
         "inversion-8": lambda: synth_flt_inversion(inversion_plan(8)),
         "ecpointadd-4": lambda: synth_ecpointadd(pointadd_plan(4)),
+        "ecpointadd-5": lambda: synth_ecpointadd(pointadd_plan(5)),
     }[name]
     text = serialize(build())
     assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[name]
+
+
+@pytest.mark.parametrize("n", [4, 5, 163])
+def test_counts_and_circuits_read_the_plan_layout(n, monkeypatch):
+    # every plan's registers are named once, in its layout(): its counts
+    # are as wide as the layout and its synth_* circuit has its registers.
+    # At n = 163 the circuits are built with emission switched off, so only
+    # their registers are compared.
+    import binshor.ecc
+    from binshor.ecc import synth_ecpointadd
+    from binshor.pipeline import pointadd_plan
+    from binshor.shor import stream_pointadd_counts
+
+    mm, pa = modmult_plan(n), pointadd_plan(n)
+    cases = [(mm, mm.counts(), synth_crt_modmult),
+             (pa, stream_pointadd_counts(pa).counts, synth_ecpointadd)]
+    for clearing in (True, False):
+        inv = inversion_plan(n, clearing)
+        cases.append((inv, inv.counts(), synth_flt_inversion))
+    if n == 163:
+        for owner in (ModmultPlan, InversionPlan):
+            monkeypatch.setattr(owner, "emit", lambda *args: None)
+        monkeypatch.setattr(binshor.ecc, "emit_pointadd", lambda *args: None)
+    for plan, tally, synth in cases:
+        layout = plan.layout()
+        assert tally.qubits_total == layout.width
+        assert synth(plan).registers == layout.registers
