@@ -7,8 +7,9 @@ maps, and (when the factor degrees do not cover the product) restores the
 top coefficients with a small correction circuit.
 """
 
-from binshor.circuit import pack_planes, simulate_planes, unpack_planes
-from binshor.gf2 import BinaryPoly, poly_mul_mod
+import itertools
+
+from binshor.cli import modmult_sweep
 from binshor.pipeline import field_for, modmult_plan
 from binshor.synth import synth_crt_modmult
 
@@ -20,18 +21,11 @@ for n in (163, 233, 283, 571):
 
 print("\n== exhaustive oracle check on GF(2^4) ==")
 n = 4
-field = field_for(n)
-circ = synth_crt_modmult(modmult_plan(n))
-inputs = list(range(1 << (3 * n)))
-outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, 3 * n)),
-                     len(inputs))
-mask = (1 << n) - 1
-bad = 0
-for v, o in zip(inputs, outs):
-    f, g, h = v & mask, (v >> n) & mask, v >> (2 * n)
-    want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), field.p).bits
-    if o != f | (g << n) | (want << (2 * n)):
-        bad += 1
-print(f"all {len(inputs)} input triples "
-      + ("reproduce the oracle" if bad == 0 else f"-> {bad} FAILURES"))
+plan = modmult_plan(n)
+circ = synth_crt_modmult(plan)
+cases = list(itertools.product(range(1 << n), repeat=3))
+bad = modmult_sweep(circ, plan.layout(), field_for(n).p, cases)
+if bad is not None:
+    raise SystemExit("FAILURE at (f, g, h) = {}".format(cases[bad[0]]))
+print(f"all {len(cases)} input triples (f, g, h) reproduce the oracle")
 print(f"circuit: {circ}")

@@ -6,10 +6,9 @@ addition chain for n-1.  Decreasing chain entries mark register-clearing
 steps that trade extra multiplications for roughly half the workspace.
 """
 
-from binshor.circuit import simulate
+from binshor.cli import inversion_sweep
 from binshor.datafiles import load_chain
-from binshor.gf2 import BinaryPoly, field_inv
-from binshor.pipeline import field_for, inversion_plan, modmult_plan
+from binshor.pipeline import inversion_plan, modmult_plan
 from binshor.synth import synth_flt_inversion
 
 print("== shipped addition chains ==")
@@ -30,15 +29,11 @@ for n in (163, 233, 283, 571):
 
 print("\n== exhaustive check on GF(2^5) ==")
 n = 5
-field = field_for(n)
 plan = inversion_plan(n)
-circ = synth_flt_inversion(plan)
-# the first wire of the slot that receives the inverse
-res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
-ok = 0
-for v in range(1, 32):
-    out = simulate(circ, v)
-    if (out >> res) & 31 == field_inv(BinaryPoly(v), field).bits:
-        ok += 1
-print(f"{ok}/31 nonzero elements invert correctly "
+vals = list(range(1, 1 << n))
+# f restored, f^-1 in the result slot and the temp slot back at 0
+bad = inversion_sweep(plan, synth_flt_inversion(plan), vals)
+if bad is not None:
+    raise SystemExit(f"FAILURE at f = {vals[bad[0]]:#x}")
+print(f"all {len(vals)} nonzero elements invert correctly "
       f"({plan.mult_calls} multiplications each)")

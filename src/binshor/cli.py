@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .circuit import serialize
+from .circuit import parse, serialize
 from .gf2 import BinaryPoly, GF2Error, field_inv, poly_mul_mod
 from .oracle import first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
@@ -34,10 +34,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _field_arg(args) -> int:
-    if args.poly:
-        bits = int(args.poly, 16)
-        return BinaryPoly(bits).degree
-    return args.field
+    return BinaryPoly(int(args.poly, 16)).degree if args.poly else args.field
 
 
 def cmd_synth(args) -> int:
@@ -49,12 +46,12 @@ def cmd_synth(args) -> int:
     if args.target == "modmult":
         plan = pipeline.modmult_plan(n, poly_bits)
         report["counts"] = plan.counts().as_dict()
-        circ = synth_crt_modmult(plan) if args.emit else None
+        synth = synth_crt_modmult
     elif args.target in ("inversion", "inversion-noclear"):
         plan = pipeline.inversion_plan(n, args.target == "inversion", poly_bits)
         report["counts"] = plan.counts().as_dict()
         report["modmult_calls"] = plan.mult_calls
-        circ = synth_flt_inversion(plan) if args.emit else None
+        synth = synth_flt_inversion
     elif args.target == "ecpointadd":
         plan = pipeline.pointadd_plan(n, args.curve_a, args.curve_b, poly_bits)
         streamed = stream_pointadd_counts(plan)
@@ -63,16 +60,17 @@ def cmd_synth(args) -> int:
         report["toffoli_decomposition"] = cost.toffoli
         report["qubits_model"] = cost.qubits
         report["census"] = pointadd_census(streamed.census)
-        circ = synth_ecpointadd(plan) if args.emit else None
+        synth = synth_ecpointadd
     else:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
     if args.emit:
-        if circ.width > args.emit_cap:
-            print(f"refusing to emit {circ.width}-qubit circuit "
+        if (width := plan.layout().width) > args.emit_cap:
+            print(f"refusing to emit {width}-qubit circuit "
                   f"(cap {args.emit_cap}); use --counts-only or raise "
                   f"--emit-cap", file=sys.stderr)
             return 2
+        circ = synth(plan)
         _write_atomic(args.emit, serialize(circ))
         report["emitted"] = args.emit
         report["gates"] = len(circ.gates)
@@ -100,9 +98,10 @@ def _modmult_cases(n: int, exhaustive: bool, rng, samples: int) -> list:
             for _ in range(samples)]
 
 
-def _modmult_sweep(circ, layout, cases, p: BinaryPoly):
-    """First (index, input, got, want) where ``circ`` is not h ^= f*g mod p
-    on the registers f, g and h of the multiplier ``layout``, or None."""
+def modmult_sweep(circ, layout, p: BinaryPoly, cases):
+    """The multiplier contract on each (f, g, h) of ``cases``: (f, g, h ^ f*g
+    mod p) on the registers of ``layout``, every other wire at 0. Returns
+    None or the first failing (index, input, got, want), as whole states."""
     fo, go, ho = (layout.reg(name)[0] for name in "fgh")  # bit offsets
 
     def state(f, g, h):
@@ -115,25 +114,61 @@ def _modmult_sweep(circ, layout, cases, p: BinaryPoly):
 
     states = [state(*case) for case in cases]
     bad = first_mismatch(circ, states, lambda i, out: out == want(i))
-    return None if bad is None else (bad[0], states[bad[0]], bad[1],
-                                     want(bad[0]))
+    return bad and (bad[0], states[bad[0]], bad[1], want(bad[0]))
+
+
+def inversion_sweep(plan, circ, vals):
+    """The inversion contract on each nonzero f of ``vals``: f restored, f^-1
+    in ``plan.result_slot`` and 0 in ``plan.temp_slot``. Returns None or the
+    first failing (index, result slot, f^-1, temp slot)."""
+    slots = plan.slots(*map(plan.layout().reg, ("f", "w")))
+    fo, ro, to = (slots[i][0] for i in (0, plan.result_slot, plan.temp_slot))
+    mask = (1 << plan.n) - 1
+
+    def inverse(v):
+        return field_inv(BinaryPoly(v), plan.field).bits
+
+    bad = first_mismatch(circ, [v << fo for v in vals], lambda i, out: (
+        (out >> fo) & mask == vals[i] and (out >> to) & mask == 0
+        and (out >> ro) & mask == inverse(vals[i])))
+    return bad and (bad[0], (bad[1] >> ro) & mask, inverse(vals[bad[0]]),
+                    (bad[1] >> to) & mask)
+
+
+def pointadd_sweep(plan, circ, pts, pairs):
+    """The point-addition contract on each (i, j) of ``pairs``: P1 = pts[i]
+    becomes P1 + P2 for P2 = pts[j], P2 and its slope in lr are restored and
+    the flags, lam, w and s end at 0. Returns None or the first failing
+    (index, output state)."""
+    layout = plan.layout()
+    x1, y1, x2, y2, lr = (layout.reg(r)[0] for r in "x1 y1 x2 y2 lr".split())
+    tails = [(p.x.bits << x2) | (p.y.bits << y2)
+             | (slope_for(p, plan.curve.field).bits << lr) for p in pts]
+
+    def point(p):
+        return (p.x.bits << x1) | (p.y.bits << y1)
+
+    def added(k, out):
+        i, j = pairs[k]
+        return out == point(ec_add_classical(pts[i], pts[j],
+                                             plan.curve)) | tails[j]
+
+    return first_mismatch(circ, [point(pts[i]) | tails[j] for i, j in pairs],
+                          added)
 
 
 def _validate_circuit_file(args, exhaustive: bool) -> int:
     """Check a serialized circuit against the modular-multiplication oracle."""
-    from .circuit import parse
-
     n = args.field
     field = pipeline.field_for(n)
     layout = multiplier_layout(n)
-    text = Path(args.circuit).read_text()
-    circ = parse(text)
+    circ = parse(Path(args.circuit).read_text())
     if circ.width < layout.width:
         raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "
                        f"multiplier needs at least {layout.width}")
     rng = random.Random(args.seed)
     cases = _modmult_cases(n, exhaustive, rng, args.samples)
-    bad = _modmult_sweep(circ, layout, cases, field.p)
+    bad = modmult_sweep(circ, layout, field.p, cases)
     ok = _check("circuit file vs modmult oracle", bad is None,
                 "" if bad is None else "counterexample input={} got={} "
                 "want={}".format(*(bin(s)[2:].zfill(circ.width)[::-1]
@@ -149,49 +184,30 @@ def cmd_validate(args) -> int:
     if args.circuit:
         return _validate_circuit_file(args, exhaustive)
     rng = random.Random(args.seed)
-    field = pipeline.field_for(n)
     plan = pipeline.modmult_plan(n)
     all_ok = True
     if args.mode == "exhaustive" and not exhaustive:
         print(f"refusing exhaustive mode: 3n = {3 * n} qubits exceeds the cap "
               f"{args.exhaustive_cap}; running sampled mode instead")
-    circ = synth_crt_modmult(plan)
     cases = _modmult_cases(n, exhaustive, rng, args.samples)
     label = ("modmult exhaustive" if exhaustive
              else f"modmult sampled ({args.samples})")
-    bad = _modmult_sweep(circ, circ, cases, field.p)
+    bad = modmult_sweep(synth_crt_modmult(plan), plan.layout(), plan.p, cases)
     all_ok &= _check(label, bad is None,
                      "" if bad is None else "counterexample f={:#x} g={:#x} "
                      "h={:#x} -> {:#x}".format(*cases[bad[0]], bad[2]))
-    # inversion sweep: f restored, its inverse in the result slot and the
-    # temp slot back at 0
     inv_plan = pipeline.inversion_plan(n)
-    icirc = synth_flt_inversion(inv_plan)
-    slots = inv_plan.slots(icirc.reg("f"), icirc.reg("w"))
-    fo, ro, to = (slots[i][0] for i in (0, inv_plan.result_slot,
-                                         inv_plan.temp_slot))
-    mask = (1 << n) - 1
     if exhaustive:
         vals = list(range(1, 1 << n))
         label = "inversion exhaustive"
     else:
         vals = [rng.randrange(1, 1 << n) for _ in range(args.samples // 10 + 1)]
         label = f"inversion sampled ({len(vals)})"
-
-    def inverted(i, out):
-        return ((out >> fo) & mask == vals[i] and (out >> to) & mask == 0
-                and (out >> ro) & mask
-                == field_inv(BinaryPoly(vals[i]), field).bits)
-
-    bad = first_mismatch(icirc, [v << fo for v in vals], inverted)
-    detail = ""
-    if bad is not None:
-        v, out = vals[bad[0]], bad[1]
-        temp = (out >> to) & mask
-        detail = (f"f={v:#x} got {(out >> ro) & mask:#x} want "
-                  f"{field_inv(BinaryPoly(v), field).bits:#x}"
-                  + (f" temp {temp:#x}" if temp else ""))
-    all_ok &= _check(label, bad is None, detail)
+    bad = inversion_sweep(inv_plan, synth_flt_inversion(inv_plan), vals)
+    all_ok &= _check(label, bad is None, "" if bad is None else
+                     "f={:#x} got {:#x} want {:#x}".format(vals[bad[0]],
+                                                          *bad[1:3])
+                     + (f" temp {bad[3]:#x}" if bad[3] else ""))
     # point addition on the toy curve (only for small fields)
     if n <= 8:
         pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
@@ -204,28 +220,10 @@ def cmd_validate(args) -> int:
             pairs = [(rng.randrange(len(pts)), rng.randrange(len(pts)))
                      for _ in range(args.samples)]
             label = f"point addition sampled ({args.samples} pairs)"
-        # P2 and its slope ride through unchanged; P1 becomes P1 + P2
-        x1, y1, x2, y2, lr = (pcirc.reg(name)[0] for name in (
-            "x1", "y1", "x2", "y2", "lr"))
-        tails = [(p2.x.bits << x2) | (p2.y.bits << y2)
-                 | (slope_for(p2, field).bits << lr) for p2 in pts]
-
-        def point(p):
-            return (p.x.bits << x1) | (p.y.bits << y1)
-
-        states = [point(pts[i]) | tails[j] for i, j in pairs]
-
-        def added(k, out):
-            i, j = pairs[k]
-            return out == point(ec_add_classical(pts[i], pts[j],
-                                                 pa.curve)) | tails[j]
-
-        bad = first_mismatch(pcirc, states, added)
-        if bad is not None:
-            p1, p2 = (pts[i] for i in pairs[bad[0]])
-        all_ok &= _check(label, bad is None,
-                         "" if bad is None else f"P1=({p1.x},{p1.y}) "
-                         f"P2=({p2.x},{p2.y}) out={bad[1]:#x}")
+        bad = pointadd_sweep(pa, pcirc, pts, pairs)
+        all_ok &= _check(label, bad is None, "" if bad is None else
+                         "P1=({0.x},{0.y}) P2=({1.x},{1.y}) out={2:#x}".format(
+                             *(pts[i] for i in pairs[bad[0]]), bad[1]))
         census = pointadd_census(pcirc.census())
         all_ok &= _check("point addition census", census == TABLE_CENSUS,
                          str(census))

@@ -42,6 +42,10 @@ class CurveSpec:
     def __post_init__(self):
         if self.b.is_zero():
             raise CurveError("b must be nonzero (ordinary curve)")
+        for name, c in (("a", self.a), ("b", self.b)):
+            if c.degree >= self.field.n:
+                raise CurveError(f"curve coefficient {name} = {c.bits:#x} is "
+                                 f"not an element of GF(2^{self.field.n})")
 
     def contains(self, pt: "ECPoint") -> bool:
         if pt.is_infinity():

@@ -4,6 +4,8 @@ Every gate permutes basis states, so a sweep packs all of its input states
 into bit-planes and runs them through the circuit together
 (:func:`~binshor.circuit.simulate_planes`, one machine word per qubit for
 every 64 cases); only the classical check runs once per case.
+Each plan's contract is one sweep in :mod:`binshor.cli` (``modmult_sweep``,
+``inversion_sweep``, ``pointadd_sweep``), where perfbench times the oracles.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion asserted at its stated tolerance and
 reported as one pass/fail line (run with ``pytest -s`` to see the lines)."""
 
+import itertools
 import math
 import random
 import time
@@ -8,15 +9,14 @@ import time
 import pytest
 
 from binshor.circuit import counts, simulate
+from binshor.cli import inversion_sweep, modmult_sweep, pointadd_sweep
 from binshor.datafiles import load_chain, load_formula
 from binshor.ecc import (
     TABLE_CENSUS,
-    ec_add_classical,
     pointadd_census,
-    slope_for,
     synth_ecpointadd,
 )
-from binshor.gf2 import BinaryPoly, enumerate_irreducibles, field_inv, poly_mul_mod
+from binshor.gf2 import BinaryPoly, enumerate_irreducibles, poly_mul_mod
 from binshor.pipeline import (
     field_for,
     inversion_plan,
@@ -208,18 +208,6 @@ def _sweep(circ, cases, oracle):
     return f"input {v:#x}: got {o:#x}, want {oracle(v):#x}"
 
 
-def _inversion_sweep(plan, vals):
-    """First v in ``vals`` the plan's inversion circuit does not map to v,
-    1/v."""
-    field, circ = plan.field, synth_flt_inversion(plan)
-    mask = (1 << field.n) - 1
-    res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
-    bad = first_mismatch(circ, vals, lambda i, out: (
-        out & mask == vals[i] and (out >> res) & mask
-        == field_inv(BinaryPoly(vals[i]), field).bits))
-    return None if bad is None else vals[bad[0]]
-
-
 def test_criterion_7_oracle_suite():
     t0 = time.time()
     rng = random.Random(7)
@@ -277,22 +265,20 @@ def test_criterion_7_oracle_suite():
                 failures.append(f"squaring n={n} k={k}: {bad}")
 
         plan = modmult_plan(n)
-        c = synth_crt_modmult(plan)
-        space = 1 << (3 * n)
-        cases = range(space) if space <= (1 << 12) else (
-            rng.getrandbits(3 * n) for _ in range(4096))
-        bad = _sweep(c, cases, lambda v: (v & mask) | (v >> n & mask) << n | (
-            ((v >> 2 * n) ^ poly_mul_mod(BinaryPoly(v & mask),
-                                         BinaryPoly((v >> n) & mask), p).bits)
-            << 2 * n))
+        cases = (list(itertools.product(range(1 << n), repeat=3))
+                 if 3 * n <= 12 else
+                 [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
+                  for _ in range(4096)])
+        bad = modmult_sweep(synth_crt_modmult(plan), plan.layout(), p, cases)
         if bad:
             failures.append(f"modmult n={n}: {bad}")
 
         for clearing in (True, False):
-            v = _inversion_sweep(inversion_plan(n, clearing),
-                                 list(range(1, 1 << n)))
-            if v is not None:
-                failures.append(f"inversion n={n} clearing={clearing} v={v}")
+            plan = inversion_plan(n, clearing)
+            bad = inversion_sweep(plan, synth_flt_inversion(plan),
+                                  list(range(1, 1 << n)))
+            if bad:
+                failures.append(f"inversion n={n} clearing={clearing}: {bad}")
 
     # split multipliers d <= 5, exhaustive per degree
     for d in (2, 3, 4, 5):
@@ -333,40 +319,26 @@ def test_criterion_7_oracle_suite():
 
     # sampled checks at n = 8 and 16
     for n in (8, 16):
-        field = field_for(n)
-        mask = (1 << n) - 1
         plan = modmult_plan(n)
-        c = synth_crt_modmult(plan)
-        cases = [rng.getrandbits(3 * n) for _ in range(1000)]
-        bad = _sweep(c, cases, lambda v: (v & mask) | (v >> n & mask) << n | (
-            ((v >> 2 * n) ^ poly_mul_mod(BinaryPoly(v & mask),
-                                         BinaryPoly((v >> n) & mask),
-                                         field.p).bits) << 2 * n))
+        cases = [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
+                 for _ in range(1000)]
+        bad = modmult_sweep(synth_crt_modmult(plan), plan.layout(),
+                            field_for(n).p, cases)
         if bad:
             failures.append(f"modmult n={n}: {bad}")
         draws = [rng.getrandbits(n) for _ in range(1000 if n == 8 else 300)]
-        v = _inversion_sweep(inversion_plan(n, True), [v for v in draws if v])
-        if v is not None:
-            failures.append(f"inversion n={n} v={v:#x}")
+        plan = inversion_plan(n, True)
+        bad = inversion_sweep(plan, synth_flt_inversion(plan),
+                              [v for v in draws if v])
+        if bad:
+            failures.append(f"inversion n={n}: {bad}")
 
     # point addition: exhaustive over both toy curves, all ancillas clean
     for n, a, b in ((4, 0, 1), (5, 2, 3)):
         plan = pointadd_plan(n, a, b)
-        curve = plan.curve
-        circ = synth_ecpointadd(plan)
-        pts = curve.points()
-        inputs, wants = [], []
-        for p1 in pts:
-            for p2 in pts:
-                lam = slope_for(p2, curve.field)
-                inputs.append(p1.x.bits | (p1.y.bits << n)
-                              | (p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
-                              | (lam.bits << 4 * n))
-                p3 = ec_add_classical(p1, p2, curve)
-                wants.append(p3.x.bits | (p3.y.bits << n)
-                             | (p2.x.bits << 2 * n) | (p2.y.bits << 3 * n)
-                             | (lam.bits << 4 * n))
-        if first_mismatch(circ, inputs, lambda i, o: o == wants[i]):
+        pts = plan.curve.points()
+        pairs = list(itertools.product(range(len(pts)), repeat=2))
+        if pointadd_sweep(plan, synth_ecpointadd(plan), pts, pairs):
             failures.append(f"point addition n={n}")
 
     elapsed = time.time() - t0

@@ -1,9 +1,12 @@
+import itertools
 import json
-import os
 
 import pytest
 
+import binshor.cli as cli
 from binshor.cli import main
+from binshor.pipeline import (field_for, inversion_plan, modmult_plan,
+                              pointadd_plan)
 
 
 def run(capsys, *argv):
@@ -56,6 +59,22 @@ def test_synth_missing_formula_file_reports_path(tmp_path, capsys, monkeypatch):
         pipeline.clear_caches()
 
 
+def test_emit_cap_is_checked_before_the_circuit_is_built(tmp_path, monkeypatch,
+                                                         capsys):
+    def unbuildable(plan):
+        raise AssertionError("circuit built before the emit cap was checked")
+
+    monkeypatch.setattr(cli, "synth_ecpointadd", unbuildable)
+    rc, out, err = run(capsys, "synth", "--field", "4", "--target",
+                       "ecpointadd", "--emit", str(tmp_path / "pa.txt"),
+                       "--emit-cap", "10")
+    assert rc == 2
+    assert out == ""
+    assert err == ("refusing to emit 42-qubit circuit (cap 10); use "
+                   "--counts-only or raise --emit-cap\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_modmult_circuit(path, n):
     from binshor.circuit import serialize
     from binshor.pipeline import modmult_plan
@@ -100,9 +119,15 @@ MALFORMED_LINES = {
     *((["validate", "--field", "4", "--circuit", "{bad}"],
        f"line 2: malformed line {line!r}", f"reg a 12 input\n{line}\n")
       for line in MALFORMED_LINES.values()),
+    # curve coefficients that are not elements of GF(2^n)
+    (["validate", "--field", "4", "--curve-a", "1f"], "a = 0x1f", None),
+    (["synth", "--field", "4", "--target", "ecpointadd", "--curve-a", "1f",
+      "--counts-only"], "a = 0x1f", None),
+    (["validate", "--field", "3", "--curve-b", "10"], "b = 0x10", None),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
         "emit-missing-dir", "narrow-circuit-exhaustive",
-        "narrow-circuit-sampled", *MALFORMED_LINES])
+        "narrow-circuit-sampled", *MALFORMED_LINES, "curve-a-degree-validate",
+        "curve-a-degree-synth", "curve-b-degree-validate"])
 def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
                                          capsys):
     missing = tmp_path / "missing"
@@ -275,3 +300,58 @@ def test_landscape_minima_233(tmp_path, capsys):
     av = {int(s): float(a) for s, _, a in rows}
     assert min(toffoli, key=toffoli.get) == 13
     assert min(av, key=av.get) == 14
+
+
+# -- the three contracts: met by each circuit, broken by one more gate --------
+
+def _mutants(circ, mutations):
+    """Yield each (gate, *qubits) of ``mutations`` while ``circ`` ends with
+    that one extra gate."""
+    for gate, *qubits in mutations:
+        getattr(circ, gate)(*qubits)
+        yield (gate, *qubits)
+        circ.gates.pop()
+
+
+def test_modmult_contract_clauses():
+    plan = modmult_plan(4)
+    layout = plan.layout()
+    circ = cli.synth_crt_modmult(plan)
+    cases = list(itertools.product(range(16), repeat=3))
+
+    def sweep():
+        return cli.modmult_sweep(circ, layout, field_for(4).p, cases)
+
+    assert sweep() is None
+    for mutation in _mutants(circ, [("x", layout.reg("f")[0]),
+                                    ("x", layout.reg("h")[3])]):
+        assert sweep() is not None, mutation
+
+
+def test_inversion_contract_clauses():
+    plan = inversion_plan(4)
+    layout = plan.layout()
+    circ = cli.synth_flt_inversion(plan)
+    slots = plan.slots(layout.reg("f"), layout.reg("w"))
+    vals = list(range(1, 16))
+    assert cli.inversion_sweep(plan, circ, vals) is None
+    for mutation in _mutants(circ, [("x", slots[0][1]),
+                                    ("x", slots[plan.result_slot][0]),
+                                    ("x", slots[plan.temp_slot][3])]):
+        assert cli.inversion_sweep(plan, circ, vals) is not None, mutation
+
+
+def test_pointadd_contract_clauses():
+    plan = pointadd_plan(4, 0, 1)
+    layout = plan.layout()
+    circ = cli.synth_ecpointadd(plan)
+    pts = plan.curve.points()
+    pairs = list(itertools.product(range(len(pts)), repeat=2))
+    assert cli.pointadd_sweep(plan, circ, pts, pairs) is None
+    x1, y1, x2, lr = (layout.reg(name) for name in ("x1", "y1", "x2", "lr"))
+    mutations = [("x", q) for q in layout.reg("flags")]
+    mutations += [("x", layout.reg("lam")[0]), ("x", layout.reg("s")[0]),
+                  ("x", layout.reg("w")[-1]), ("cnot", x1[0], x2[0]),
+                  ("cnot", y1[1], lr[1])]
+    for mutation in _mutants(circ, mutations):
+        assert cli.pointadd_sweep(plan, circ, pts, pairs) is not None, mutation

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from binshor.circuit import counts, lower_mcx, simulate
-from binshor.oracle import first_mismatch
+from binshor.cli import pointadd_sweep
 from binshor.ecc import (
     INFINITY,
     CurveError,
@@ -30,6 +31,15 @@ CURVE5 = CurveSpec(F5, BinaryPoly(2), BinaryPoly(3))
 def test_curve_requires_nonzero_b():
     with pytest.raises(CurveError):
         CurveSpec(F4, BinaryPoly(1), BinaryPoly(0))
+
+
+@pytest.mark.parametrize("a, b", [(0b10000, 1), (0b11111, 1), (0, 0b10000),
+                                  (1, 0b100001)])
+def test_curve_coefficients_are_field_elements(a, b):
+    # a coefficient of degree >= n is not an element of GF(2^n)
+    with pytest.raises(CurveError, match="not an element of GF"):
+        CurveSpec(F4, BinaryPoly(a), BinaryPoly(b))
+    CurveSpec(F4, BinaryPoly(a & 0b1111), BinaryPoly((b & 0b1111) or 1))
 
 
 def test_add_identity():
@@ -143,28 +153,18 @@ def test_equality_test_counts():
     assert cc2.toffoli == n - 1 + 2
 
 
-def sweep_curve(plan, curve):
-    n = curve.field.n
+def sweep_curve(plan):
+    """The plan's circuit, checked on every ordered pair of curve points."""
     circ = synth_ecpointadd(plan)
-    pts = curve.points()
-    mask = (1 << n) - 1
-    inputs, expected = [], []
-    for p1 in pts:
-        for p2 in pts:
-            lam = slope_for(p2, curve.field)
-            inputs.append(p1.x.bits | (p1.y.bits << n) | (p2.x.bits << 2 * n)
-                          | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-            p3 = ec_add_classical(p1, p2, curve)
-            expected.append(p3.x.bits | (p3.y.bits << n) | (p2.x.bits << 2 * n)
-                            | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-    # the outputs include the flags, the slope ancilla and the workspace at 0
-    assert first_mismatch(circ, inputs, lambda i, o: o == expected[i]) is None
+    pts = plan.curve.points()
+    pairs = list(itertools.product(range(len(pts)), repeat=2))
+    assert pointadd_sweep(plan, circ, pts, pairs) is None
     return circ
 
 
 def test_pointadd_exhaustive_a_zero_curve():
     plan = pointadd_plan(4, 0, 1)
-    circ = sweep_curve(plan, plan.curve)
+    circ = sweep_curve(plan)
     assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
@@ -175,13 +175,13 @@ def test_pointadd_exhaustive_gf8_with_correction_multiplier():
 
     assert modulus_set_for(3).omega(3) == 1
     plan = pointadd_plan(3, 1, 1)
-    circ = sweep_curve(plan, plan.curve)
+    circ = sweep_curve(plan)
     assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
 def test_pointadd_exhaustive_a_nonzero_curve():
     plan = pointadd_plan(5, 2, 3)
-    circ = sweep_curve(plan, plan.curve)
+    circ = sweep_curve(plan)
     assert pointadd_census(circ.census()) == TABLE_CENSUS
 
 
@@ -276,18 +276,8 @@ def test_streamed_pointadd_reports_the_layout_width():
 
 def test_pointadd_sampled_n8():
     plan = pointadd_plan(8, 1, 1)
-    curve = plan.curve
-    n = 8
-    circ = synth_ecpointadd(plan)
     rng = random.Random(8)
-    pts = curve.points()
-    picks = [(rng.choice(pts), rng.choice(pts)) for _ in range(300)]
-    inputs, expected = [], []
-    for p1, p2 in picks:
-        lam = slope_for(p2, curve.field)
-        inputs.append(p1.x.bits | (p1.y.bits << n) | (p2.x.bits << 2 * n)
-                      | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-        p3 = ec_add_classical(p1, p2, curve)
-        expected.append(p3.x.bits | (p3.y.bits << n) | (p2.x.bits << 2 * n)
-                        | (p2.y.bits << 3 * n) | (lam.bits << 4 * n))
-    assert first_mismatch(circ, inputs, lambda i, o: o == expected[i]) is None
+    pts = plan.curve.points()
+    pairs = [(rng.randrange(len(pts)), rng.randrange(len(pts)))
+             for _ in range(300)]
+    assert pointadd_sweep(plan, synth_ecpointadd(plan), pts, pairs) is None

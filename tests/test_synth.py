@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import binshor.synth
+from binshor.cli import inversion_sweep, modmult_sweep
 from binshor.circuit import (Circuit, Register, counts, emit_mcx_lowered,
                              lower_mcx, simulate)
 from binshor.oracle import first_mismatch
@@ -367,24 +369,19 @@ def test_correction_rejects_omega_zero():
 
 # -- CRT modular multiplication ---------------------------------------------------
 
-def exhaustive_modmult(n, a_bits=None):
-    field = field_for(n)
+def random_triples(rng, n, count):
+    """``count`` random (f, g, h) multiplier inputs."""
+    return [(rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n))
+            for _ in range(count)]
+
+
+def exhaustive_modmult(n):
+    """Every (f, g, h) for 3n <= 12, else 4000 random ones."""
     plan = modmult_plan(n)
-    circ = synth_crt_modmult(plan)
-    inputs = list(range(1 << (3 * n))) if 3 * n <= 12 else None
-    if inputs is None:
-        rng = random.Random(n)
-        inputs = [rng.getrandbits(3 * n) for _ in range(4000)]
-    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
-        inputs[i], n, field.p)) is None
-
-
-def modmult_oracle(v, n, p):
-    """f | g << n | h << 2n  ->  f | g << n | (h ^ f*g mod p) << 2n."""
-    mask = (1 << n) - 1
-    f, g, h = v & mask, (v >> n) & mask, (v >> (2 * n)) & mask
-    want = h ^ poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
-    return f | (g << n) | (want << (2 * n))
+    cases = (list(itertools.product(range(1 << n), repeat=3)) if 3 * n <= 12
+             else random_triples(random.Random(n), n, 4000))
+    assert modmult_sweep(synth_crt_modmult(plan), plan.layout(),
+                         field_for(n).p, cases) is None
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -411,11 +408,9 @@ def test_modmult_sampled_n9_with_recursion():
     ms = ModulusSet(tuple(base))
     plan = ModmultPlan(9, field.p, ms, FORMULAS,
                        inner_sets=load_inner_modulus_set)
-    circ = synth_crt_modmult(plan)
-    rng = random.Random(99)
-    inputs = [rng.getrandbits(27) for _ in range(2000)]
-    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
-        inputs[i], 9, field.p)) is None
+    cases = random_triples(random.Random(99), 9, 2000)
+    assert modmult_sweep(synth_crt_modmult(plan), plan.layout(), field.p,
+                         cases) is None
 
 
 def test_modmult_sampled_n10_with_squared_quintic_factor():
@@ -436,11 +431,9 @@ def test_modmult_sampled_n10_with_squared_quintic_factor():
     deg10 = next(f for f in plan.factors if f.d == 10)
     assert deg10.inner is not None
     assert deg10.inner.counts().toffoli == 39
-    circ = synth_crt_modmult(plan)
-    rng = random.Random(10)
-    inputs = [rng.getrandbits(30) for _ in range(1500)]
-    assert first_mismatch(circ, inputs, lambda i, o: o == modmult_oracle(
-        inputs[i], 10, field.p)) is None
+    cases = random_triples(random.Random(10), 10, 1500)
+    assert modmult_sweep(synth_crt_modmult(plan), plan.layout(), field.p,
+                         cases) is None
 
 
 def test_modmult_missing_formula_errors():
@@ -735,15 +728,10 @@ def test_every_accepted_clearing_chain_plans_or_names_a_cleared_factor(
 
 
 def test_inversion_exhaustive_n5_both_variants():
-    f5 = field_for(5)
     for clearing in (True, False):
         plan = inversion_plan(5, clearing)
-        circ = synth_flt_inversion(plan)
-        res = plan.slots(circ.reg("f"), circ.reg("w"))[plan.result_slot][0]
-        for v in range(1, 32):
-            out = simulate(circ, v)
-            assert out & 31 == v
-            assert (out >> res) & 31 == field_inv(BinaryPoly(v), f5).bits
+        assert inversion_sweep(plan, synth_flt_inversion(plan),
+                               list(range(1, 32))) is None
 
 
 def run_schedule(plan, f: BinaryPoly) -> list:
