@@ -61,18 +61,6 @@ class GateCounts:
     ancilla_clean: int = 0
     ancilla_garbage: int = 0
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(
-            self.not_ + other.not_,
-            self.cnot + other.cnot,
-            self.swap + other.swap,
-            self.toffoli + other.toffoli,
-            self.ccx_uncompute + other.ccx_uncompute,
-            max(self.qubits_total, other.qubits_total),
-            max(self.ancilla_clean, other.ancilla_clean),
-            max(self.ancilla_garbage, other.ancilla_garbage),
-        )
-
     def as_dict(self) -> dict:
         return {
             "cnot": self.cnot,

@@ -184,6 +184,8 @@ def cmd_validate(args) -> int:
     if args.circuit:
         return _validate_circuit_file(args, exhaustive)
     rng = random.Random(args.seed)
+    # builds the curve, so bad coefficients exit before any sweep at every n
+    pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
     plan = pipeline.modmult_plan(n)
     all_ok = True
     if args.mode == "exhaustive" and not exhaustive:
@@ -210,7 +212,6 @@ def cmd_validate(args) -> int:
                      + (f" temp {bad[3]:#x}" if bad[3] else ""))
     # point addition on the toy curve (only for small fields)
     if n <= 8:
-        pa = pipeline.pointadd_plan(n, args.curve_a, args.curve_b)
         pcirc = synth_ecpointadd(pa)
         pts = pa.curve.points()
         if exhaustive:

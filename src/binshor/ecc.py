@@ -19,6 +19,7 @@ from .gf2 import BinaryPoly, FieldSpec, GF2Error, field_inv
 from .synth import (
     InversionPlan,
     ModmultPlan,
+    _emit_over_layout,
     emit_addition,
     emit_block,
     emit_controlled_addition,
@@ -207,152 +208,154 @@ class PointAddPlan:
             Register("s", 1, "ancilla-clean"),
         ])
 
+    def emit(self, sink, x1, y1, x2, y2, lr, flags, lam, w, s):
+        """Six-stage in-place point addition over the wires of the
+        registers of :meth:`layout`, one argument each, as one keyed
+        block."""
+        emit_block(sink, lambda sub: self._emit(
+            sub, x1, y1, x2, y2, lr, flags, lam, w, s), key=(self,))
 
-def emit_pointadd(sink, plan: PointAddPlan):
-    """Six-stage in-place point addition over the wires of
-    :meth:`PointAddPlan.layout`."""
-    layout = plan.layout()
-    A, B, C, D, L, flags, LAM, W, (S,) = (layout.reg(name) for name in (
-        "x1", "y1", "x2", "y2", "lr", "flags", "lam", "w", "s"))
-    f1, f2, f3, f4, ctrl = flags
-    inv = plan.inversion
-    slots = inv.slots(A, W)
-    Wout, T = slots[inv.result_slot], slots[inv.temp_slot]
+    def _emit(self, sink, A, B, C, D, L, flags, LAM, W, scratch):
+        (S,) = scratch
+        f1, f2, f3, f4, ctrl = flags
+        inv = self.inversion
+        slots = inv.slots(A, W)
+        Wout, T = slots[inv.result_slot], slots[inv.temp_slot]
 
-    @contextmanager
-    def census(label, units=1):
-        sink.begin_group(f"census:{label}", units)
-        yield
+        @contextmanager
+        def census(label, units=1):
+            sink.begin_group(f"census:{label}", units)
+            yield
+            sink.end_group()
+
+        def inversion(rev=False):
+            with census("inversion"):
+                emit_block(sink, lambda s: inv.emit(s, A, W), rev=rev)
+
+        def mult(fw, gw, hw):
+            with census("multiplication"):
+                self.modmult.emit(sink, fw, gw, hw)
+
+        def eq(aw, bw, target, extras, units=1):
+            with census("equality-test", units):
+                emit_equality_test(sink, aw, bw, target, extras)
+
+        def zero_test(regs, target, extras, label="n-toffoli", units=None):
+            with census(label, len(regs) if units is None else units):
+                sink.mcx([(q, False) for r in regs for q in r] + list(extras),
+                         target)
+
+        def add(src, dst):
+            with census("addition"):
+                emit_addition(sink, src, dst)
+
+        def cadd(c, src, dst):
+            with census("controlled-addition"):
+                emit_controlled_addition(sink, c, src, dst)
+
+        def gated_add(c, src, dst):
+            with census("n-toffoli"):
+                emit_controlled_addition(sink, c, src, dst)
+
+        # ---- stage 1: exceptional-case flags ----------------------------
+        sink.begin_group("stage1")
+        eq(A, C, f1, [])                              # f1 = [x1 == x2]
+        add(C, D)                                     # D = x2 + y2
+        eq(B, D, f2, [(f1, True)], units=2)           # f2 = f1 & [y1 == x2+y2]
+        add(C, D)                                     # restore D
+        zero_test([A, B], f3, [])                     # f3 = [P1 == O]
+        zero_test([C, D], f4, [])                     # f4 = [P2 == O]
+        zero_test([(f2, f3, f4)], ctrl, [], units=2)  # ctrl = no exception
         sink.end_group()
 
-    def inversion(rev=False):
-        with census("inversion"):
-            emit_block(sink, lambda s: inv.emit(s, A, W), rev=rev)
+        # ---- stage 2: compute the slope ---------------------------------
+        sink.begin_group("stage2")
+        add(C, A)                                     # A = x1 + x2
+        cadd(ctrl, D, B)                              # B = y1 (+ y2 if ctrl)
+        inversion()                                   # Wout = (x1+x2)^-1
+        mult(B, Wout, T)
+        with census("n-toffoli", 1):                  # gate bit ctrl & !f1
+            sink.mcx([(ctrl, True), (f1, False)], S)
+        cadd(S, T, LAM)                               # LAM = lambda (generic)
+        with census("n-toffoli", 0):
+            sink.mcx([(ctrl, True), (f1, False)], S)
+        mult(B, Wout, T)                              # T back to 0
+        with census("n-toffoli", 1):                  # lambda_r copy path
+            sink.mcx([(ctrl, True), (f1, True)], S)
+        gated_add(S, L, LAM)                          # LAM = lambda_r (doubling)
+        with census("n-toffoli", 0):
+            sink.mcx([(ctrl, True), (f1, True)], S)
+        eq(LAM, L, S, [(ctrl, True)])                 # S = ctrl & [lam == lam_r]
+        with census("n-toffoli"):                     # swap f1, S if ctrl
+            sink.cnot(S, f1)
+            sink.ccx(ctrl, f1, S)
+            sink.cnot(S, f1)
+        zero_test([A], S, [(ctrl, True)])             # clears S (= [x1==x2])
+        inversion(rev=True)
+        sink.end_group()
 
-    def mult(fw, gw, hw):
-        with census("multiplication"):
-            plan.modmult.emit(sink, fw, gw, hw)
+        # ---- stage 3: toward x2 + x3 ------------------------------------
+        sink.begin_group("stage3")
+        mult(LAM, A, T)
+        add(T, B)                                     # B = 0 if ctrl else y1
+        mult(LAM, A, T)
+        cadd(ctrl, C, A)                              # A = x1 + a if ctrl
+        with census("controlled-const-addition"):
+            emit_controlled_constants(sink, ctrl, self.curve.a, A)
+        sink.end_group()
 
-    def eq(aw, bw, target, extras, units=1):
-        with census("equality-test", units):
-            emit_equality_test(sink, aw, bw, target, extras)
+        # ---- stage 4: A -> x2+x3, B -> y2+y3+x3 --------------------------
+        sink.begin_group("stage4")
+        add(LAM, A)
+        with census("squaring"):
+            self.sq.emit(sink, LAM)
+        add(LAM, A)                                   # A += lam + lam^2
+        with census("squaring"):
+            self.sq.emit(sink, LAM, rev=True)
+        mult(LAM, A, T)
+        add(T, B)                                     # B = lam (x2+x3) + prior
+        mult(LAM, A, T)
+        sink.end_group()
 
-    def zero_test(regs, target, extras, label="n-toffoli", units=None):
-        with census(label, len(regs) if units is None else units):
-            sink.mcx([(q, False) for r in regs for q in r] + list(extras),
-                     target)
+        # ---- stage 5: uncompute the slope, produce x3, y3 -----------------
+        sink.begin_group("stage5")
+        eq(LAM, L, f1, [(ctrl, True)])                # clears the stage-2 flag
+        inversion()                                   # Wout = (x2+x3)^-1
+        mult(B, Wout, T)
+        cadd(ctrl, T, LAM)                            # LAM -> 0 when x2+x3 != 0
+        mult(B, Wout, T)
+        zero_test([A], S, [(ctrl, True)])             # S = ctrl & [x2+x3 == 0]
+        gated_add(S, L, LAM)                          # doubling with x3 = x2
+        zero_test([A], S, [(ctrl, True)])
+        inversion(rev=True)
+        add(C, A)                                     # A = x3 / x1
+        cadd(ctrl, D, B)
+        cadd(ctrl, A, B)                              # B = y3 / y1
+        sink.end_group()
 
-    def add(src, dst):
-        with census("addition"):
-            emit_addition(sink, src, dst)
-
-    def cadd(c, src, dst):
-        with census("controlled-addition"):
-            emit_controlled_addition(sink, c, src, dst)
-
-    def gated_add(c, src, dst):
-        with census("n-toffoli"):
-            emit_controlled_addition(sink, c, src, dst)
-
-    # ---- stage 1: exceptional-case flags --------------------------------
-    sink.begin_group("stage1")
-    eq(A, C, f1, [])                                  # f1 = [x1 == x2]
-    add(C, D)                                         # D = x2 + y2
-    eq(B, D, f2, [(f1, True)], units=2)               # f2 = f1 & [y1 == x2+y2]
-    add(C, D)                                         # restore D
-    zero_test([A, B], f3, [])                         # f3 = [P1 == O]
-    zero_test([C, D], f4, [])                         # f4 = [P2 == O]
-    zero_test([(f2, f3, f4)], ctrl, [], units=2)      # ctrl = no exception
-    sink.end_group()
-
-    # ---- stage 2: compute the slope -------------------------------------
-    sink.begin_group("stage2")
-    add(C, A)                                         # A = x1 + x2
-    cadd(ctrl, D, B)                                  # B = y1 (+ y2 if ctrl)
-    inversion()                                       # Wout = (x1+x2)^-1
-    mult(B, Wout, T)
-    with census("n-toffoli", 1):                      # gate bit ctrl & !f1
-        sink.mcx([(ctrl, True), (f1, False)], S)
-    cadd(S, T, LAM)                                   # LAM = lambda (generic)
-    with census("n-toffoli", 0):
-        sink.mcx([(ctrl, True), (f1, False)], S)
-    mult(B, Wout, T)                                  # T back to 0
-    with census("n-toffoli", 1):                      # lambda_r copy path
-        sink.mcx([(ctrl, True), (f1, True)], S)
-    gated_add(S, L, LAM)                              # LAM = lambda_r (doubling)
-    with census("n-toffoli", 0):
-        sink.mcx([(ctrl, True), (f1, True)], S)
-    eq(LAM, L, S, [(ctrl, True)])                     # S = ctrl & [lam == lam_r]
-    with census("n-toffoli"):                         # swap f1, S if ctrl
-        sink.cnot(S, f1)
-        sink.ccx(ctrl, f1, S)
-        sink.cnot(S, f1)
-    zero_test([A], S, [(ctrl, True)])                 # clears S (= [x1==x2])
-    inversion(rev=True)
-    sink.end_group()
-
-    # ---- stage 3: toward x2 + x3 ----------------------------------------
-    sink.begin_group("stage3")
-    mult(LAM, A, T)
-    add(T, B)                                         # B = 0 if ctrl else y1
-    mult(LAM, A, T)
-    cadd(ctrl, C, A)                                  # A = x1 + a if ctrl
-    with census("controlled-const-addition"):
-        emit_controlled_constants(sink, ctrl, plan.curve.a, A)
-    sink.end_group()
-
-    # ---- stage 4: A -> x2+x3, B -> y2+y3+x3 ------------------------------
-    sink.begin_group("stage4")
-    add(LAM, A)
-    with census("squaring"):
-        plan.sq.emit(sink, LAM)
-    add(LAM, A)                                       # A += lam + lam^2
-    with census("squaring"):
-        plan.sq.emit(sink, LAM, rev=True)
-    mult(LAM, A, T)
-    add(T, B)                                         # B = lam (x2+x3) + prior
-    mult(LAM, A, T)
-    sink.end_group()
-
-    # ---- stage 5: uncompute the slope, produce x3, y3 ---------------------
-    sink.begin_group("stage5")
-    eq(LAM, L, f1, [(ctrl, True)])                    # clears the stage-2 flag
-    inversion()                                       # Wout = (x2+x3)^-1
-    mult(B, Wout, T)
-    cadd(ctrl, T, LAM)                                # LAM -> 0 when x2+x3 != 0
-    mult(B, Wout, T)
-    zero_test([A], S, [(ctrl, True)])                 # S = ctrl & [x2+x3 == 0]
-    gated_add(S, L, LAM)                              # doubling with x3 = x2
-    zero_test([A], S, [(ctrl, True)])
-    inversion(rev=True)
-    add(C, A)                                         # A = x3 / x1
-    cadd(ctrl, D, B)
-    cadd(ctrl, A, B)                                  # B = y3 / y1
-    sink.end_group()
-
-    # ---- stage 6: reset ctrl, repair exceptional cases --------------------
-    sink.begin_group("stage6")
-    zero_test([(f2, f3, f4)], ctrl, [], units=2)      # reset ctrl
-    zero_test([A], f1, [(f4, True), (f3, False)])     # spurious f1 from the
-    zero_test([C], f1, [(f3, True), (f4, False)])     # O representation
-    with census("n-toffoli", 2):                      # both points at O
-        sink.ccx(f3, f4, f1)
-        sink.ccx(f3, f4, f2)
-    with census("n-toffoli", 1):                      # P1 = -P2: output O
-        sink.ccx(f1, f2, S)
-    gated_add(S, C, A)
-    gated_add(S, C, B)
-    gated_add(S, D, B)
-    with census("n-toffoli", 0):
-        sink.ccx(f1, f2, S)
-    zero_test([A, B], f2, [(f1, True)],               # clear f2 (output == O)
-              label="equality-test")
-    zero_test([A, B], f1, [(f3, False), (f4, False)])  # clear f1 likewise
-    gated_add(f3, C, A)                               # P1 = O: copy P2
-    gated_add(f3, D, B)
-    eq(A + B, C + D, f3, [], units=2)                 # reset f3
-    zero_test([C, D], f4, [])                         # reset f4
-    sink.end_group()
+        # ---- stage 6: reset ctrl, repair exceptional cases ----------------
+        sink.begin_group("stage6")
+        zero_test([(f2, f3, f4)], ctrl, [], units=2)  # reset ctrl
+        zero_test([A], f1, [(f4, True), (f3, False)])  # spurious f1 from the
+        zero_test([C], f1, [(f3, True), (f4, False)])  # O representation
+        with census("n-toffoli", 2):                  # both points at O
+            sink.ccx(f3, f4, f1)
+            sink.ccx(f3, f4, f2)
+        with census("n-toffoli", 1):                  # P1 = -P2: output O
+            sink.ccx(f1, f2, S)
+        gated_add(S, C, A)
+        gated_add(S, C, B)
+        gated_add(S, D, B)
+        with census("n-toffoli", 0):
+            sink.ccx(f1, f2, S)
+        zero_test([A, B], f2, [(f1, True)],           # clear f2 (output == O)
+                  label="equality-test")
+        zero_test([A, B], f1, [(f3, False), (f4, False)])  # clear f1 likewise
+        gated_add(f3, C, A)                           # P1 = O: copy P2
+        gated_add(f3, D, B)
+        eq(A + B, C + D, f3, [], units=2)             # reset f3
+        zero_test([C, D], f4, [])                     # reset f4
+        sink.end_group()
 
 
 TABLE_CENSUS = {
@@ -368,14 +371,12 @@ TABLE_CENSUS = {
 
 
 def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
-    """Full point addition over named registers.
+    """The point addition emitted over its :meth:`PointAddPlan.layout`.
 
     Output (x3, y3) lands in the x1/y1 registers; x2, y2 and the slope input
     are restored; flags and all clean ancillas return to zero.
     """
-    circ = plan.layout()
-    emit_pointadd(circ, plan)
-    return circ
+    return _emit_over_layout(plan)
 
 
 def pointadd_census(census: dict[str, int]) -> dict[str, int]:

@@ -5,11 +5,11 @@ products; v is exactly the Toffoli cost of the synthesized multiplier, so
 the shipped formulas must hit the known best product counts
 {2:3, 3:6, 4:9, 5:13, 6:17, 7:22, 8:26}.
 
-The formulas are data files (``data/formulas/d*.txt``); this module parses
-and writes them.  :meth:`KaratsubaFormula.from_text` proves every formula
-equal to carry-less multiplication when it is loaded, from its d^2 pairs of
-basis monomials (see :meth:`KaratsubaFormula.verify`), so a shipped formula
-that computes the wrong product is rejected before any circuit uses it.
+The formulas are data files (``data/formulas/d*.txt``), read by
+:meth:`KaratsubaFormula.from_text`.  It proves every formula equal to
+carry-less multiplication when it is loaded, from its d^2 pairs of basis
+monomials (see :meth:`KaratsubaFormula.verify`), so a shipped formula that
+computes the wrong product is rejected before any circuit uses it.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class KaratsubaFormula:
                 raise GF2Error(
                     f"formula d={self.d} ({self.source}) wrong on "
                     f"f={f:#x}, g={g:#x}")
-
-    def to_text(self) -> str:
-        lines = [f"{self.d} {self.v}"]
-        for row in self.T.rows:
-            lines.append("".join(str((row >> j) & 1) for j in range(self.d)))
-        for row in self.R.rows:
-            lines.append("".join(str((row >> j) & 1) for j in range(self.v)))
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str, source: str = "file") -> "KaratsubaFormula":

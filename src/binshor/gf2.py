@@ -76,9 +76,6 @@ class BinaryPoly:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def __add__(self, other: "BinaryPoly") -> "BinaryPoly":
         return BinaryPoly(self.bits ^ other.bits)
 
@@ -303,9 +300,6 @@ class FieldSpec:
 
     def inv(self, a: BinaryPoly) -> BinaryPoly:
         return field_inv(a, self)
-
-    def elements(self):
-        return (BinaryPoly(v) for v in range(1 << self.n))
 
 
 def field_inv(a: BinaryPoly, field: FieldSpec) -> BinaryPoly:

@@ -169,26 +169,6 @@ class BitMatrix:
     def __repr__(self):
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
-    def to_text(self) -> str:
-        lines = [f"{self.nrows} {self.ncols}"]
-        for r in self.rows:
-            lines.append("".join(str((r >> j) & 1) for j in range(self.ncols)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines())
-                 if ln]
-        nrows, ncols = map(int, lines[0].split())
-        rows = []
-        for ln in lines[1:1 + nrows]:
-            if len(ln) != ncols:
-                raise GF2Error("bad row width in matrix text")
-            rows.append(sum((1 << j) for j, ch in enumerate(ln) if ch == "1"))
-        if len(rows) != nrows:
-            raise GF2Error("bad row count in matrix text")
-        return cls(rows, ncols)
-
 
 @dataclass(frozen=True)
 class PLUFactors:

@@ -21,8 +21,10 @@ class BaselineParams:
     def __post_init__(self):
         if not 0 < self.failure_budget < 1:
             raise ValueError("failure budget must be in (0, 1)")
-        if self.code_cycle_time <= 0:
-            raise ValueError("cycle time must be positive")
+        if not (math.isfinite(self.code_cycle_time)
+                and self.code_cycle_time > 0):
+            raise ValueError(f"cycle time must be finite and positive, got "
+                             f"{self.code_cycle_time}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,10 @@ class AVParams:
     failure_budget: float = 0.05
 
     def __post_init__(self):
-        if min(self.r_im, self.delay) <= 0:
-            raise ValueError("AV parameters must be positive")
+        for name, v in (("r_im", self.r_im), ("delay", self.delay)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"AV parameter {name} must be finite and "
+                                 f"positive, got {v}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .gf2 import GF2Error
-from .synth import CountSink, emit_block
-from .ecc import PointAddPlan, emit_pointadd
+from .synth import CountSink, count_plan
+from .ecc import PointAddPlan
 
 
 @dataclass
@@ -89,36 +89,31 @@ def pointadd_cost(plan: PointAddPlan,
     4*inversion + 8*multiplication + 39(n-1) + 6n (the equality tests and
     n-qubit Toffoli constructs of the census at n-1 Toffolis each, the six
     controlled additions at n); CNOT/swap totals come from the streamed
-    synthesis.  Qubits follow the 12n+7 footprint.
+    synthesis.  Qubits follow the 12n+7 footprint.  With ``weights``, the
+    active volume is :func:`active_volume` of these totals.
     """
     n = plan.n
     inv = plan.inversion.counts()
     mm = plan.modmult.counts()
     toffoli = 4 * inv.toffoli + 8 * mm.toffoli + 39 * (n - 1) + 6 * n
     streamed = stream_pointadd_counts(plan).counts
-    av = 0.0
+    cost = LogicalCost(toffoli=float(toffoli), cnot=float(streamed.cnot),
+                       swap=float(streamed.swap), qubits=12 * n + 7)
     if weights is not None:
-        av = (weights["cnot"] * streamed.cnot + weights["swap"] * streamed.swap
-              + weights["toffoli"] * toffoli)
-    return LogicalCost(toffoli=float(toffoli), cnot=float(streamed.cnot),
-                       swap=float(streamed.swap), qubits=12 * n + 7,
-                       active_volume=av)
+        cost.active_volume = active_volume(cost, weights)
+    return cost
 
 
 def stream_pointadd_counts(plan: PointAddPlan) -> CountSink:
     """Exact synthesized gate totals (``.counts``) and census groups
-    (``.census``) of one point addition.
+    (``.census``) of one point addition: :func:`~binshor.synth.count_plan`.
 
-    The point addition is emitted as one keyed block into a fresh
-    :class:`~binshor.synth.CountSink`: the first call for a plan emits it,
-    with its inversion and multiplier blocks, and later calls add the
-    stored tally.  ``qubits_total`` is the width of
+    The first call for a plan emits its keyed block, with its inversion and
+    multiplier blocks, and later calls add the stored tally.  The qubit and
+    ancilla fields are the register widths of
     :meth:`~binshor.ecc.PointAddPlan.layout`.
     """
-    cs = CountSink()
-    emit_block(cs, lambda s: emit_pointadd(s, plan), key=(plan,))
-    cs.counts.qubits_total = plan.layout().width
-    return cs
+    return count_plan(plan)
 
 
 # -- phase estimation -----------------------------------------------------------

@@ -16,9 +16,10 @@ A :class:`CountSink` emits a keyed block once into the process-wide
 block's tally (see :func:`emit_block`).  The block is walked gate by gate,
 except that a CNOT fan-in or fan-out (:func:`emit_fanin`,
 :func:`emit_fanout`) adds its CNOTs at once.  Each plan's ``layout()`` is
-the one place its registers are named: its ``counts()`` is its block
-emitted over those wires into a fresh :class:`CountSink`, and its
-``synth_*`` circuit is the layout with the block emitted into it.
+the one place its registers are named: :func:`count_plan` emits its block
+over those wires into a fresh :class:`CountSink` that starts from the
+layout's register widths, and its ``synth_*`` circuit is the layout with
+the block emitted into it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import Circuit, GateCounts, Register, emit_mcx_lowered
+from .circuit import (Circuit, GateCounts, Register, counts as circuit_counts,
+                      emit_mcx_lowered)
 from .gf2 import (
     BinaryPoly,
     FieldSpec,
@@ -472,7 +474,7 @@ class ModmultPlan:
             sink.end_group()
 
     def counts(self) -> GateCounts:
-        return _layout_counts(self)
+        return count_plan(self).counts
 
 
 def multiplier_layout(n: int) -> Circuit:
@@ -491,13 +493,19 @@ def _emit_over_layout(plan, sink=None) -> Circuit:
     return layout
 
 
-def _layout_counts(plan) -> GateCounts:
-    """The stored tally of ``plan``'s block; ``qubits_total`` is the width
-    of its layout."""
-    width = _emit_over_layout(plan, CountSink()).width
-    counts = TALLIES[(plan,)][0]
-    counts.qubits_total = width
-    return counts
+def count_plan(plan) -> CountSink:
+    """``plan`` emitted over its layout into a fresh :class:`CountSink`.
+
+    The sink's counts start as :func:`~binshor.circuit.counts` of the empty
+    layout, so the qubit and ancilla fields are the layout's register
+    widths (without the ancillas an MCX lowering would add); the gate
+    tallies and census are those of the plan's keyed block, emitted once
+    per plan into :data:`TALLIES`.
+    """
+    sink = CountSink()
+    sink.counts = circuit_counts(plan.layout())
+    _emit_over_layout(plan, sink)
+    return sink
 
 
 # -- addition chains and inversion -------------------------------------------
@@ -720,7 +728,7 @@ class InversionPlan:
                     sink.end_group()
 
     def counts(self) -> GateCounts:
-        return _layout_counts(self)
+        return count_plan(self).counts
 
 
 @cache

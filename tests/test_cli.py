@@ -124,10 +124,23 @@ MALFORMED_LINES = {
     (["synth", "--field", "4", "--target", "ecpointadd", "--curve-a", "1f",
       "--counts-only"], "a = 0x1f", None),
     (["validate", "--field", "3", "--curve-b", "10"], "b = 0x10", None),
+    # the curve is checked at every n, not only where the point addition
+    # is swept
+    (["validate", "--field", "16", "--curve-a", "1ffff", "--mode", "sampled",
+      "--samples", "20"], "a = 0x1ffff", None),
+    (["validate", "--field", "16", "--curve-b", "0", "--mode", "sampled",
+      "--samples", "20"], "b must be nonzero", None),
+    # physical parameters must be finite
+    (["estimate", "--field", "163", "--cycle", "nan"], "cycle time", None),
+    (["estimate", "--field", "163", "--cycle", "inf"], "cycle time", None),
+    (["estimate", "--field", "163", "--delay", "inf"], "delay", None),
+    (["estimate", "--field", "163", "--delay", "nan"], "delay", None),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
         "emit-missing-dir", "narrow-circuit-exhaustive",
         "narrow-circuit-sampled", *MALFORMED_LINES, "curve-a-degree-validate",
-        "curve-a-degree-synth", "curve-b-degree-validate"])
+        "curve-a-degree-synth", "curve-b-degree-validate",
+        "curve-a-degree-validate-16", "curve-b-zero-validate-16",
+        "cycle-nan", "cycle-inf", "delay-inf", "delay-nan"])
 def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
                                          capsys):
     missing = tmp_path / "missing"
@@ -143,7 +156,7 @@ def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
     assert len(err.strip().splitlines()) == 1
     assert message.format(missing=missing) in err
     assert ".tmp" not in err
-    assert "FAIL" not in out
+    assert out == ""   # rejected before any check or report is printed
 
 
 def test_validate_toy_curve_passes(capsys):

@@ -25,14 +25,6 @@ def test_shipped_formula_sampled(d):
     load_formula(d).verify(exhaustive=False, samples=10_000, seed=1)
 
 
-def test_text_roundtrip():
-    f = load_formula(5)
-    from binshor.formulas import KaratsubaFormula
-
-    g = KaratsubaFormula.from_text(f.to_text())
-    assert g.T == f.T and g.R == f.R
-
-
 def _mutants(f):
     """Every formula that differs from ``f`` in one bit of T or of R."""
     from binshor.formulas import KaratsubaFormula

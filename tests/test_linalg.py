@@ -312,9 +312,3 @@ def test_correction_matrix_omega_zero_errors():
     ms = load_modulus_set(163)
     with pytest.raises(GF2Error):
         correction_matrix(ms, 163, F163.p)
-
-
-def test_matrix_text_roundtrip():
-    rng = random.Random(2)
-    M = BitMatrix([rng.getrandbits(9) for _ in range(5)], 9)
-    assert BitMatrix.from_text(M.to_text()) == M

@@ -539,13 +539,14 @@ def test_keyed_inversion_counts_equal_full_stream():
 def test_reversed_blocks_drop_groups_in_every_sink():
     # the reversed inversions of a point addition add no census groups,
     # whether the sink reverses them (Circuit, TallySink) or not (CountSink)
-    from binshor.ecc import emit_pointadd, synth_ecpointadd
+    from binshor.ecc import synth_ecpointadd
     from binshor.pipeline import pointadd_plan
 
     plan = pointadd_plan(4, 0, 1)
+    layout = plan.layout()
     tally, cs = TallySink(), CountSink()
     for sink in (tally, cs):
-        emit_pointadd(sink, plan)
+        plan.emit(sink, *(layout.reg(r.name) for r in layout.registers))
     assert cs.census == tally.census == synth_ecpointadd(plan).census()
     low = counts(lower_mcx(synth_ecpointadd(plan)))
     assert _fields(cs.counts) == [tally.counts[k] for k in COUNT_FIELDS]
@@ -838,7 +839,26 @@ def test_inversion_counts_emitted_once(monkeypatch):
 
     monkeypatch.setattr(binshor.synth.LinearMap, "emit", no_emission)
     monkeypatch.setattr(plan.modmult, "emit", no_emission)
-    assert plan.counts() is first
+    assert plan.counts() == first
+
+
+def test_edited_counts_change_no_later_count(monkeypatch):
+    # each count is a fresh record: editing one changes neither the plan's
+    # next count nor the count of a plan whose block contains it
+    from binshor.pipeline import pointadd_plan
+    from binshor.shor import stream_pointadd_counts
+
+    mm, inv, pa = modmult_plan(8), inversion_plan(8), pointadd_plan(8)
+    counters = (mm.counts, inv.counts,
+                lambda: stream_pointadd_counts(pa).counts)
+    monkeypatch.setattr(binshor.synth, "TALLIES", {})
+    want = [count().as_dict() for count in counters]
+    monkeypatch.setattr(binshor.synth, "TALLIES", {})
+    for count in counters:   # each edit lands before the enclosing emission
+        edited = count()
+        edited.toffoli += 1000
+        edited.qubits_total += 1
+    assert [count().as_dict() for count in counters] == want
 
 
 def test_kmult_block_built_once_per_formula_and_factor(monkeypatch):
@@ -923,11 +943,10 @@ def test_emitted_bytes_are_pinned(name):
 @pytest.mark.parametrize("n", [4, 5, 163])
 def test_counts_and_circuits_read_the_plan_layout(n, monkeypatch):
     # every plan's registers are named once, in its layout(): its counts
-    # are as wide as the layout and its synth_* circuit has its registers.
-    # At n = 163 the circuits are built with emission switched off, so only
-    # their registers are compared.
-    import binshor.ecc
-    from binshor.ecc import synth_ecpointadd
+    # report the layout's qubits and ancillas, and its synth_* circuit has
+    # its registers.  At n = 163 the circuits are built with emission
+    # switched off, so only their registers are compared.
+    from binshor.ecc import PointAddPlan, synth_ecpointadd
     from binshor.pipeline import pointadd_plan
     from binshor.shor import stream_pointadd_counts
 
@@ -938,10 +957,12 @@ def test_counts_and_circuits_read_the_plan_layout(n, monkeypatch):
         inv = inversion_plan(n, clearing)
         cases.append((inv, inv.counts(), synth_flt_inversion))
     if n == 163:
-        for owner in (ModmultPlan, InversionPlan):
+        for owner in (ModmultPlan, InversionPlan, PointAddPlan):
             monkeypatch.setattr(owner, "emit", lambda *args: None)
-        monkeypatch.setattr(binshor.ecc, "emit_pointadd", lambda *args: None)
     for plan, tally, synth in cases:
         layout = plan.layout()
-        assert tally.qubits_total == layout.width
+        widths = counts(layout)
+        assert tally.qubits_total == widths.qubits_total == layout.width
+        assert tally.ancilla_clean == widths.ancilla_clean
+        assert tally.ancilla_garbage == widths.ancilla_garbage
         assert synth(plan).registers == layout.registers
