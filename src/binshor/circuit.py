@@ -168,6 +168,35 @@ class Circuit:
         self._chk(*qs, t)
         self.gates.append(("MCX", _enc_controls(controls), t))
 
+    def fanin(self, wires, mask: int, t: int):
+        """One CNOT from ``wires[j]`` onto ``t`` per set bit j of ``mask``,
+        in ascending j."""
+        while mask:
+            low = mask & -mask
+            self.cnot(wires[low.bit_length() - 1], t)
+            mask ^= low
+
+    def fanout(self, c: int, wires, mask: int):
+        """One CNOT from ``c`` onto ``wires[j]`` per set bit j of ``mask``,
+        in ascending j."""
+        while mask:
+            low = mask & -mask
+            self.cnot(c, wires[low.bit_length() - 1])
+            mask ^= low
+
+    def block(self, build, rev: bool = False, key=None):
+        """Emit ``build(self)``.  Reversed, the block is emitted forwards,
+        then its gates are reversed in place and the groups it closed are
+        dropped.  A circuit keeps every gate, so ``key`` is ignored."""
+        if not rev:
+            build(self)
+            return
+        gates, groups = self.gates, self.groups
+        start, first_group = len(gates), len(groups)
+        build(self)
+        gates[start:] = gates[start:][::-1]
+        del groups[first_group:]
+
     # -- groups ------------------------------------------------------------
 
     def begin_group(self, label: str, units: int = 1):

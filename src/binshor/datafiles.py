@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .gf2 import GF2Error, ModulusSet, parse_modulus_set
+from .gf2 import GF2Error, ModulusSet, data_lines, parse_modulus_set
 
 _PKG_DATA = Path(__file__).parent / "data"
 
@@ -47,10 +47,7 @@ def load_chain(n: int):
     """Addition chain for field size n from the chains table."""
     from .synth import AdditionChain
 
-    for raw in _read("chains.txt").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(_read("chains.txt")):
         parts = line.split()
         if int(parts[0]) == n:
             return AdditionChain(tuple(int(t) for t in parts[1:]))
@@ -65,10 +62,7 @@ def load_formula(d: int):
 
 def load_av_weights() -> dict[str, float]:
     out = {}
-    for raw in _read("av_weights.txt").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(_read("av_weights.txt")):
         key, val = line.split("=")
         out[key.strip()] = float(val)
     return out

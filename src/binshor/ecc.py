@@ -21,10 +21,9 @@ from .synth import (
     ModmultPlan,
     _emit_over_layout,
     emit_addition,
-    emit_block,
     emit_controlled_addition,
     emit_controlled_constants,
-    squaring_method,
+    emit_square,
 )
 
 
@@ -189,7 +188,6 @@ class PointAddPlan:
         self.n = curve.field.n
         self.modmult = modmult
         self.inversion = inversion
-        self.sq = squaring_method(curve.field, 1)[1]
 
     def layout(self) -> Circuit:
         """Empty circuit over the point-addition registers, in wire order.
@@ -212,7 +210,7 @@ class PointAddPlan:
         """Six-stage in-place point addition over the wires of the
         registers of :meth:`layout`, one argument each, as one keyed
         block."""
-        emit_block(sink, lambda sub: self._emit(
+        sink.block(lambda sub: self._emit(
             sub, x1, y1, x2, y2, lr, flags, lam, w, s), key=(self,))
 
     def _emit(self, sink, A, B, C, D, L, flags, LAM, W, scratch):
@@ -230,7 +228,7 @@ class PointAddPlan:
 
         def inversion(rev=False):
             with census("inversion"):
-                emit_block(sink, lambda s: inv.emit(s, A, W), rev=rev)
+                sink.block(lambda s: inv.emit(s, A, W), rev=rev)
 
         def mult(fw, gw, hw):
             with census("multiplication"):
@@ -308,10 +306,10 @@ class PointAddPlan:
         sink.begin_group("stage4")
         add(LAM, A)
         with census("squaring"):
-            self.sq.emit(sink, LAM)
+            emit_square(sink, self.curve.field, 1, LAM)
         add(LAM, A)                                   # A += lam + lam^2
         with census("squaring"):
-            self.sq.emit(sink, LAM, rev=True)
+            emit_square(sink, self.curve.field, 1, LAM, rev=True)
         mult(LAM, A, T)
         add(T, B)                                     # B = lam (x2+x3) + prior
         mult(LAM, A, T)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import GF2Error, clmul
+from .gf2 import GF2Error, clmul, data_lines
 from .linalg import BitMatrix
 
 BEST_PRODUCT_COUNTS = {1: 1, 2: 3, 3: 6, 4: 9, 5: 13, 6: 17, 7: 22, 8: 26}
@@ -78,8 +78,7 @@ class KaratsubaFormula:
 
     @classmethod
     def from_text(cls, text: str, source: str = "file") -> "KaratsubaFormula":
-        lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines())
-                 if ln]
+        lines = data_lines(text)
         d, v = map(int, lines[0].split())
         def parse_rows(rows, width):
             out = []

@@ -414,6 +414,13 @@ def crt_constants(modset: ModulusSet) -> tuple[BinaryPoly, ...]:
     return tuple(out)
 
 
+def data_lines(text: str) -> list[str]:
+    """The lines of a data file, each stripped of its ``#`` comment and of
+    surrounding whitespace, with blank lines skipped."""
+    return [ln for ln in (raw.split("#", 1)[0].strip()
+                          for raw in text.splitlines()) if ln]
+
+
 def parse_modulus_set(text: str) -> ModulusSet:
     """Parse a modulus-set config: one factor per line.
 
@@ -423,10 +430,7 @@ def parse_modulus_set(text: str) -> ModulusSet:
     ``#`` starts a comment.
     """
     factors = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in data_lines(text):
         if ":" in line:
             deg_s, idx_s, exp_s = line.split(":")
             deg, idx, exp = int(deg_s), int(idx_s), int(exp_s)

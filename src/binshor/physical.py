@@ -40,11 +40,24 @@ class AVParams:
                                  f"positive, got {v}")
 
 
+def _finite_positive(what: str, v: float) -> float:
+    """``v``, if it is finite and positive; an estimate's parameters can be
+    finite and still overflow or underflow it."""
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{what} is {v}: the physical parameters are out "
+                         f"of range")
+    return v
+
+
 @dataclass(frozen=True)
 class PhysicalEstimate:
     distance: int
     device_size: float                # physical qubits or interleaving modules
     runtime_avg: float                # seconds, includes the 10/9 retry factor
+
+    def __post_init__(self):
+        _finite_positive("device size", self.device_size)
+        _finite_positive("runtime", self.runtime_avg)
 
     @property
     def runtime_display(self) -> str:
@@ -74,7 +87,8 @@ def av_estimate(b_av: float, n_q: int,
     v_a = 2 * b_av
     d = solve_distance(v_a, params.failure_budget)
     states_per_module = params.r_im * params.delay
-    n_im = math.ceil(n * d * d / states_per_module)
+    n_im = math.ceil(_finite_positive("module count",
+                                      n * d * d / states_per_module))
     runtime = v_a * d ** 3 / (n_im * params.r_im)
     return PhysicalEstimate(d, n_im, runtime * 10 / 9)
 

@@ -11,15 +11,16 @@ factorisation of its matrix.  Each plan (a multiplier, an
 inversion, a point addition) emits as one keyed block, and so does each
 distinct piece inside it (a CRT recombination factor, the correction map,
 a reduction step, a squaring, a residue product per formula and factor).
-A :class:`CountSink` emits a keyed block once into the process-wide
-:data:`TALLIES` store, and each repeated or reversed copy adds that
-block's tally (see :func:`emit_block`).  The block is walked gate by gate,
-except that a CNOT fan-in or fan-out (:func:`emit_fanin`,
-:func:`emit_fanout`) adds its CNOTs at once.  Each plan's ``layout()`` is
-the one place its registers are named: :func:`count_plan` emits its block
-over those wires into a fresh :class:`CountSink` that starts from the
-layout's register widths, and its ``synth_*`` circuit is the layout with
-the block emitted into it.
+Emitters call only sink methods (one per gate kind, the group bounds,
+``fanin``/``fanout`` for a CNOT row into or out of one wire, and ``block``),
+so each sink keeps blocks its own way: a :class:`~binshor.circuit.Circuit`
+stores every gate and reverses a reversed block in place, and a
+:class:`CountSink` adds a CNOT row's count at once and adds, for every copy
+of a keyed block, the tally it stored in :data:`TALLIES` the first time.
+Each plan's ``layout()`` is the one place its registers are named:
+:func:`count_plan` emits its block over those wires into a fresh
+:class:`CountSink` that starts from the layout's register widths, and its
+``synth_*`` circuit is the layout with the block emitted into it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from .formulas import KaratsubaFormula
 # -- sinks -------------------------------------------------------------------
 
 # block key -> (counts, census) of one emission of that block, for every
-# CountSink of the process (see emit_block); pipeline.clear_caches() empties it
+# CountSink of the process (see CountSink.block); pipeline.clear_caches()
+# empties it
 TALLIES: dict = {}
 
 
@@ -84,13 +86,11 @@ class CountSink:
         # a tally reads no wire, so any indices stand in for the ancillas
         emit_mcx_lowered(self, controls, t, range(len(controls)))
 
-    def add_counts(self, other: GateCounts):
-        c = self.counts
-        c.not_ += other.not_
-        c.cnot += other.cnot
-        c.swap += other.swap
-        c.toffoli += other.toffoli
-        c.ccx_uncompute += other.ccx_uncompute
+    def fanin(self, wires, mask: int, t):
+        self.counts.cnot += mask.bit_count()
+
+    def fanout(self, c, wires, mask: int):
+        self.counts.cnot += mask.bit_count()
 
     def begin_group(self, label, units=1):
         self.census[label] = self.census.get(label, 0) + units
@@ -98,80 +98,41 @@ class CountSink:
     def end_group(self):
         pass
 
-
-def emit_block(sink, build, rev: bool = False, key=None):
-    """Emit ``build(sink)`` forwards, or reversed.
-
-    A reversed block's groups are dropped.  A sink other than a
-    :class:`CountSink` keeps its gates and closed groups in the lists
-    ``gates`` and ``groups``, as a :class:`Circuit` does: a reversed block
-    is emitted forwards, the new tail of ``gates`` is reversed in place and
-    the groups it appended are deleted.  A :class:`CountSink` never
-    reverses, since a tally does not depend on gate order: a keyed block is
-    emitted forwards into a sub-sink the first time its ``key`` is seen,
-    and its (counts, census) are stored in :data:`TALLIES` and added for
-    every copy.  Equal keys mean equal blocks while the store holds them,
-    so key on the objects that fix the block (a plan, or a formula and its
-    factor).  Other sinks ignore the key.
-    """
-    if not isinstance(sink, CountSink):
-        if not rev:
-            build(sink)
+    def block(self, build, rev: bool = False, key=None):
+        """Add the tally of ``build``'s block, without its groups if ``rev``
+        (a tally does not depend on gate order).  A keyed block is emitted
+        into a fresh sink when its ``key`` is first seen, and its stored
+        (counts, census) is added for every copy.  Equal keys mean equal
+        blocks while :data:`TALLIES` holds them, so key on the objects that
+        fix the block (a plan, or a formula and its factor)."""
+        if key is None and not rev:
+            build(self)
             return
-        gates, groups = sink.gates, sink.groups
-        start, first_group = len(gates), len(groups)
-        build(sink)
-        gates[start:] = gates[start:][::-1]
-        del groups[first_group:]
-        return
-    if key is None and not rev:
-        build(sink)
-        return
-    tally = TALLIES.get(key) if key is not None else None
-    if tally is None:
-        sub = CountSink()
-        build(sub)
-        tally = (sub.counts, sub.census)
-        if key is not None:
-            TALLIES[key] = tally
-    counts, census = tally
-    sink.add_counts(counts)
-    if not rev:
-        for label, units in census.items():
-            sink.begin_group(label, units)
+        tally = TALLIES.get(key) if key is not None else None
+        if tally is None:
+            sub = CountSink()
+            build(sub)
+            tally = (sub.counts, sub.census)
+            if key is not None:
+                TALLIES[key] = tally
+        counts, census = tally
+        c = self.counts
+        c.not_ += counts.not_
+        c.cnot += counts.cnot
+        c.swap += counts.swap
+        c.toffoli += counts.toffoli
+        c.ccx_uncompute += counts.ccx_uncompute
+        if not rev:
+            for label, units in census.items():
+                self.begin_group(label, units)
 
 
 # -- leaf emitters -----------------------------------------------------------
 
-def emit_fanin(sink, wires, mask: int, t):
-    """One CNOT from ``wires[j]`` onto ``t`` for each set bit j of ``mask``,
-    in ascending j.  A :class:`CountSink` adds the row's CNOTs at once;
-    every other sink gets them one by one through ``sink.cnot``."""
-    if isinstance(sink, CountSink):
-        sink.counts.cnot += mask.bit_count()
-        return
-    while mask:
-        low = mask & -mask
-        sink.cnot(wires[low.bit_length() - 1], t)
-        mask ^= low
-
-
-def emit_fanout(sink, c, wires, mask: int):
-    """One CNOT from ``c`` onto ``wires[j]`` for each set bit j of ``mask``,
-    in ascending j; a :class:`CountSink` adds them at once."""
-    if isinstance(sink, CountSink):
-        sink.counts.cnot += mask.bit_count()
-        return
-    while mask:
-        low = mask & -mask
-        sink.cnot(c, wires[low.bit_length() - 1])
-        mask ^= low
-
-
 def emit_cnot_matrix(sink, M: BitMatrix, src, dst):
     """|s, d> -> |s, d + M s>: one CNOT per set entry (row = target)."""
     for i, row in enumerate(M.rows):
-        emit_fanin(sink, src, row, dst[i])
+        sink.fanin(src, row, dst[i])
 
 
 def emit_constants(sink, c: BinaryPoly, dst):
@@ -193,7 +154,7 @@ def emit_controlled_addition(sink, ctrl, src, dst):
 
 
 def emit_controlled_constants(sink, ctrl, c: BinaryPoly, dst):
-    emit_fanout(sink, ctrl, dst, c.bits)
+    sink.fanout(ctrl, dst, c.bits)
 
 
 @dataclass(frozen=True)
@@ -232,13 +193,13 @@ class LinearMap:
             # the U stage in ascending rows, f_i += sum_{j>i} U_ij f_j, then
             # the L stage in descending rows, f_i += sum_{j<i} L_ij f_j
             for i, row in enumerate(self.U.rows):
-                emit_fanin(s, wires, row & ~((2 << i) - 1), wires[i])
+                s.fanin(wires, row & ~((2 << i) - 1), wires[i])
             for i in range(d - 1, -1, -1):
-                emit_fanin(s, wires, self.L.rows[i] & ((1 << i) - 1), wires[i])
+                s.fanin(wires, self.L.rows[i] & ((1 << i) - 1), wires[i])
             for a, b in self.swaps:
                 s.swap(wires[a], wires[b])
 
-        emit_block(sink, build, rev=rev, key=key)
+        sink.block(build, rev=rev, key=key)
 
     def cnot_equiv(self) -> int:
         """CNOT count of the map emitted into a :class:`CountSink`, with
@@ -266,7 +227,7 @@ def emit_reduction_step(sink, Ma, da, Mb, db, wires):
             r = row << d
             if i < len(other):
                 r &= ~(other[i] << d_other)
-            emit_fanin(sink, wires, r, wires[i])
+            sink.fanin(wires, r, wires[i])
 
 
 def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
@@ -300,15 +261,15 @@ def emit_kmult(sink, formula: KaratsubaFormula, m_i: BinaryPoly,
             rest = mask ^ (1 << piv)
             hpiv = (out & -out).bit_length() - 1
             hrest = out ^ (1 << hpiv)
-            emit_fanin(s, fw, rest, fw[piv])
-            emit_fanin(s, gw, rest, gw[piv])
-            emit_fanout(s, hw[hpiv], hw, hrest)
+            s.fanin(fw, rest, fw[piv])
+            s.fanin(gw, rest, gw[piv])
+            s.fanout(hw[hpiv], hw, hrest)
             s.ccx(fw[piv], gw[piv], hw[hpiv])
-            emit_fanout(s, hw[hpiv], hw, hrest)
-            emit_fanin(s, gw, rest, gw[piv])
-            emit_fanin(s, fw, rest, fw[piv])
+            s.fanout(hw[hpiv], hw, hrest)
+            s.fanin(gw, rest, gw[piv])
+            s.fanin(fw, rest, fw[piv])
 
-    emit_block(sink, build, key=("kmult", formula, m_i))
+    sink.block(build, key=("kmult", formula, m_i))
 
 
 def emit_correction(sink, omega: int, n: int, fw, gw, tw):
@@ -421,7 +382,7 @@ class ModmultPlan:
         step = (a.reduction if a else None, a.d if a else 0,
                 b.reduction if b else None, b.d if b else 0)
         for wires in (fw, gw):
-            emit_block(sink, lambda s: emit_reduction_step(s, *step, wires),
+            sink.block(lambda s: emit_reduction_step(s, *step, wires),
                        key=(self, "modred", i))
 
     def layout(self) -> Circuit:
@@ -431,7 +392,7 @@ class ModmultPlan:
     def emit(self, sink, fw, gw, hw):
         if not (len(fw) == len(gw) == len(hw) == self.n):
             raise GF2Error("register widths must equal n")
-        emit_block(sink, lambda s: self._emit(s, fw, gw, hw), key=(self,))
+        sink.block(lambda s: self._emit(s, fw, gw, hw), key=(self,))
 
     def _emit(self, sink, fw, gw, hw):
         n = self.n
@@ -587,18 +548,6 @@ class InversionPlan:
         self.n = field.n
         self._plan_schedule()
 
-    # squaring circuits ------------------------------------------------------
-
-    def _emit_square_power(self, sink, k: int, wires, rev: bool = False):
-        k %= self.n
-        if k == 0:
-            return
-        method, sq, reps = squaring_method(self.field, k)
-        sink.begin_group(f"square^{k} ({method})")
-        for _ in range(reps):
-            sq.emit(sink, wires, rev=rev, key=("square", self.field, k))
-        sink.end_group()
-
     # scheduling -------------------------------------------------------------
 
     def _plan_schedule(self):
@@ -702,7 +651,7 @@ class InversionPlan:
         wires."""
         if len(work) < (self.num_registers - 1) * self.n:
             raise GF2Error("workspace too small for the schedule")
-        emit_block(sink, lambda s: self._emit(s, fw, work), key=(self,))
+        sink.block(lambda s: self._emit(s, fw, work), key=(self,))
 
     def _emit(self, sink, fw, work):
         w = self.slots(fw, work)
@@ -711,19 +660,19 @@ class InversionPlan:
                 emit_addition(sink, w[op[1]], w[op[2]])
             elif op[0] == "sq":
                 _, i, k = op
-                self._emit_square_power(sink, abs(k), w[i], rev=k < 0)
+                emit_square(sink, self.field, abs(k), w[i], rev=k < 0)
             else:
                 _, a, b, dst, k, clear = op
                 if k:
                     sink.begin_group(f"clear double {2 * k}" if clear
                                      else f"double->{2 * k}")
                     emit_addition(sink, w[a], w[b])
-                    self._emit_square_power(sink, k, w[b])
+                    emit_square(sink, self.field, k, w[b])
                 sink.begin_group("modmult (clear)" if clear else "modmult")
                 self.modmult.emit(sink, w[a], w[b], w[dst])
                 sink.end_group()
                 if k:
-                    self._emit_square_power(sink, k, w[b], rev=True)
+                    emit_square(sink, self.field, k, w[b], rev=True)
                     emit_addition(sink, w[a], w[b])
                     sink.end_group()
 
@@ -753,6 +702,20 @@ def squaring_method(field: FieldSpec, k: int
     if fused.cnot_equiv() <= k * single.cnot_equiv():
         return ("fused", fused, 1)
     return ("sequential", single, k)
+
+
+def emit_square(sink, field: FieldSpec, k: int, wires, rev: bool = False):
+    """In place |f> -> |f^(2^k)> on ``wires`` (reversed, its inverse) by
+    the :func:`squaring_method` choice, in the group ``square^k (method)``;
+    each squaring map is the keyed block ``("square", field, k)``."""
+    k %= field.n
+    if k == 0:
+        return
+    method, sq, reps = squaring_method(field, k)
+    sink.begin_group(f"square^{k} ({method})")
+    for _ in range(reps):
+        sq.emit(sink, wires, rev=rev, key=("square", field, k))
+    sink.end_group()
 
 
 # -- public circuit-producing wrappers ----------------------------------------
@@ -812,10 +775,7 @@ def synth_square(field: FieldSpec, k: int = 1) -> Circuit:
     if k < 1:
         raise GF2Error("k must be >= 1")
     circ = Circuit()
-    wires = circ.add_register(Register("f", field.n))
-    _, sq, reps = squaring_method(field, k)
-    for _ in range(reps):
-        sq.emit(circ, wires)
+    emit_square(circ, field, k, circ.add_register(Register("f", field.n)))
     return circ
 
 

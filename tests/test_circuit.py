@@ -20,7 +20,6 @@ from binshor.circuit import (
     unpack_planes,
 )
 from binshor.gf2 import GF2Error
-from binshor.synth import emit_block
 
 
 def two_qubit():
@@ -531,18 +530,35 @@ def test_serialize_matches_reference(registers, ops):
     assert serialize(circ) == _serialize_reference(circ)
 
 
-# gate calls, groups and nested blocks (forwards or reversed)
+@st.composite
+def _fan_ops(draw):
+    """A CNOT fan-in or fan-out row over MCX_WIDTH wires."""
+    kind = draw(st.sampled_from(["fanin", "fanout"]))
+    qs = draw(st.permutations(range(MCX_WIDTH)))
+    mask = draw(st.integers(0, (1 << (MCX_WIDTH - 1)) - 1))
+    return kind, ((qs[1:], mask, qs[0]) if kind == "fanin"
+                  else (qs[0], qs[1:], mask))
+
+
+def _block(rev, body, keyed):
+    """A block op; a keyed block is keyed on its body, so equal bodies
+    have equal keys."""
+    return ("block", rev, body, ("drawn", repr(body)) if keyed else None)
+
+
+# gate calls, fan rows, groups and nested blocks (forwards or reversed,
+# keyed or not)
 _BLOCK_BODIES = st.recursive(
-    st.lists(_gate_ops(), max_size=6),
+    st.lists(st.one_of(_gate_ops(), _fan_ops()), max_size=6),
     lambda body: st.lists(st.one_of(
-        _gate_ops(),
+        _gate_ops(), _fan_ops(),
         st.tuples(st.just("group"), st.sampled_from("ab"), body),
-        st.tuples(st.just("block"), st.booleans(), body)), max_size=6),
+        st.builds(_block, st.booleans(), body, st.booleans())), max_size=6),
     max_leaves=30)
 
 
 def _play(sink, ops, replay=None):
-    """Apply drawn ops to ``sink``.  Blocks go through ``emit_block``, except
+    """Apply drawn ops to ``sink``.  Blocks go through ``sink.block``, except
     that with ``replay`` a reversed block goes through ``replay(sink, body)``."""
     for op in ops:
         if op[0] == "group":
@@ -552,8 +568,8 @@ def _play(sink, ops, replay=None):
         elif op[0] == "block" and op[1] and replay:
             replay(sink, op[2])
         elif op[0] == "block":
-            emit_block(sink, lambda s, body=op[2]: _play(s, body, replay),
-                       rev=op[1])
+            sink.block(lambda s, body=op[2]: _play(s, body, replay),
+                       rev=op[1], key=op[3])
         else:
             getattr(sink, op[0])(*op[1])
 
@@ -584,11 +600,25 @@ class BufferSink:
     def mcx(self, controls, t):
         self.ops.append(("mcx", controls, t))
 
+    def fanin(self, wires, mask, t):
+        for j in range(mask.bit_length()):
+            if (mask >> j) & 1:
+                self.cnot(wires[j], t)
+
+    def fanout(self, c, wires, mask):
+        for j in range(mask.bit_length()):
+            if (mask >> j) & 1:
+                self.cnot(c, wires[j])
+
     def begin_group(self, label, units=1):
         pass
 
     def end_group(self):
         pass
+
+    def block(self, build, rev: bool = False, key=None):
+        assert not rev  # _play hands reversed blocks to _buffer_replay
+        build(self)
 
     def play(self, sink, rev: bool = False):
         ops = reversed(self.ops) if rev else self.ops
@@ -614,7 +644,7 @@ def test_circuit_reverses_a_block_like_a_buffer_replay(before, body, outer):
         if outer:
             circ.begin_group("outer")
         play(circ, before)
-        play(circ, [("block", True, body)])
+        play(circ, [_block(True, body, False)])
         circ.x(0)
         if outer:
             circ.end_group()
@@ -625,3 +655,27 @@ def test_circuit_reverses_a_block_like_a_buffer_replay(before, body, outer):
     assert got.gates == want.gates
     assert got.groups == want.groups
     assert got._group_stack == want._group_stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK_BODIES, st.booleans(), st.booleans())
+def test_count_sink_and_circuit_read_the_same_stream(body, rev1, rev2):
+    # keyed, reversed and nested blocks with fan rows: a CountSink tallies
+    # what a Circuit materializes.  The body is played once in place and
+    # twice more as a keyed block, so the second copy reads the stored tally.
+    import binshor.synth as synth
+
+    ops = [*body, _block(rev1, body, True), _block(rev2, body, True)]
+    circ = Circuit([Register("q", MCX_WIDTH)])
+    _play(circ, ops)
+    saved, synth.TALLIES = synth.TALLIES, {}
+    try:
+        sink = synth.CountSink()
+        _play(sink, ops)
+    finally:
+        synth.TALLIES = saved
+    low = counts(lower_mcx(circ))
+    kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
+    assert ([getattr(sink.counts, k) for k in kinds]
+            == [getattr(low, k) for k in kinds])
+    assert sink.census == circ.census()

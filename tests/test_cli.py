@@ -135,12 +135,21 @@ MALFORMED_LINES = {
     (["estimate", "--field", "163", "--cycle", "inf"], "cycle time", None),
     (["estimate", "--field", "163", "--delay", "inf"], "delay", None),
     (["estimate", "--field", "163", "--delay", "nan"], "delay", None),
+    # finite parameters whose estimate is not
+    (["estimate", "--field", "163", "--delay", "1e-320"], "module count",
+     None),
+    (["estimate", "--field", "163", "--cycle", "1e306", "--arch", "baseline",
+      "--precomp", "0"], "runtime", None),
+    (["estimate", "--field", "163", "--delay", "1e300"], "module count", None),
+    (["estimate", "--field", "163", "--delay", "1e-310"], "runtime", None),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
         "emit-missing-dir", "narrow-circuit-exhaustive",
         "narrow-circuit-sampled", *MALFORMED_LINES, "curve-a-degree-validate",
         "curve-a-degree-synth", "curve-b-degree-validate",
         "curve-a-degree-validate-16", "curve-b-zero-validate-16",
-        "cycle-nan", "cycle-inf", "delay-inf", "delay-nan"])
+        "cycle-nan", "cycle-inf", "delay-inf", "delay-nan",
+        "delay-module-count-overflow", "cycle-runtime-overflow",
+        "delay-module-count-underflow", "delay-runtime-underflow"])
 def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
                                          capsys):
     missing = tmp_path / "missing"

@@ -205,22 +205,22 @@ def test_plu_swap_matrix():
     assert plu.reconstruct() == M
 
 
-@pytest.mark.parametrize("size,rounds", [(8, 1000), (64, 1000), (163, 1000)])
-def test_plu_roundtrip_random(size, rounds):
-    rng = random.Random(size)
-    done = 0
-    while done < rounds:
+@pytest.mark.parametrize("size", [8, 64, 163])
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_plu_roundtrip_random(size, seed):
+    # a uniformly random invertible matrix: draw until one is invertible
+    rng = random.Random(seed)
+    M = BitMatrix([rng.getrandbits(size) for _ in range(size)], size)
+    while not M.is_invertible():
         M = BitMatrix([rng.getrandbits(size) for _ in range(size)], size)
-        if not M.is_invertible():
-            continue
-        plu = plu_decompose(M)
-        assert plu.reconstruct() == M
-        # L unit-lower, U upper with unit diagonal over GF(2)
-        for i in range(size):
-            assert plu.L.get(i, i) == 1
-            assert plu.L.rows[i] >> (i + 1) == 0
-            assert plu.U.rows[i] & ((1 << i) - 1) == 0
-        done += 1
+    plu = plu_decompose(M)
+    assert plu.reconstruct() == M
+    # L unit-lower, U upper with unit diagonal over GF(2)
+    for i in range(size):
+        assert plu.L.get(i, i) == 1
+        assert plu.L.rows[i] >> (i + 1) == 0
+        assert plu.U.rows[i] & ((1 << i) - 1) == 0
 
 
 def test_plu_const_mul_gf163():

@@ -43,8 +43,6 @@ from binshor.synth import (
     synth_kmult,
     synth_out_of_place_mul,
     synth_square,
-    emit_fanin,
-    emit_fanout,
     emit_reduction_step,
     squaring_method,
 )
@@ -195,14 +193,14 @@ def test_linear_map_cnot_equiv_is_its_tally(shape, seed):
 @given(st.integers(0, 2**600 - 1), st.randoms(use_true_random=False))
 @example(0, random.Random(0))
 def test_emit_fanin_is_the_per_bit_loop(mask, rng):
-    # and emit_fanout, the same loop with control and targets swapped
+    # and the sinks' fanout, the same loop with control and targets swapped
     qubits = list(range(mask.bit_length() + 1 + rng.randrange(8)))
     rng.shuffle(qubits)
     t, wires = qubits[0], qubits[1:]
-    for emit, args, pair in ((emit_fanin, (wires, mask, t), lambda w: (w, t)),
-                             (emit_fanout, (t, wires, mask), lambda w: (t, w))):
+    for emit, args, pair in (("fanin", (wires, mask, t), lambda w: (w, t)),
+                             ("fanout", (t, wires, mask), lambda w: (t, w))):
         circ, ref = (Circuit([Register("q", len(qubits))]) for _ in range(2))
-        emit(circ, *args)
+        getattr(circ, emit)(*args)
         for j in range(mask.bit_length()):
             if (mask >> j) & 1:
                 ref.cnot(*pair(wires[j]))
@@ -212,7 +210,7 @@ def test_emit_fanin_is_the_per_bit_loop(mask, rng):
         sink.cnot(0, 1)
         sink.begin_group("g")
         before = _fields(sink.counts)
-        emit(sink, *args)
+        getattr(sink, emit)(*args)
         before[COUNT_FIELDS.index("cnot")] += mask.bit_count()
         assert _fields(sink.counts) == before
         assert sink.census == {"g": 1}
@@ -500,11 +498,24 @@ class TallySink:
     def mcx(self, controls, t):
         emit_mcx_lowered(self, controls, t, range(len(controls)))
 
+    def fanin(self, wires, mask, t):
+        self.gates += ["cnot"] * mask.bit_count()
+
+    def fanout(self, c, wires, mask):
+        self.gates += ["cnot"] * mask.bit_count()
+
     def begin_group(self, label, units=1):
         self.groups.append((label, units))
 
     def end_group(self):
         pass
+
+    def block(self, build, rev=False, key=None):
+        start, first_group = len(self.gates), len(self.groups)
+        build(self)
+        if rev:
+            self.gates[start:] = self.gates[start:][::-1]
+            del self.groups[first_group:]
 
 
 def _wires(n, k):
@@ -863,7 +874,7 @@ def test_edited_counts_change_no_later_count(monkeypatch):
 
 def test_kmult_block_built_once_per_formula_and_factor(monkeypatch):
     # n = 571: 511 residue products over 73 distinct (formula, factor) pairs
-    emit_block, emit_kmult = binshor.synth.emit_block, binshor.synth.emit_kmult
+    block, emit_kmult = CountSink.block, binshor.synth.emit_kmult
     products, builds = [], []
 
     def count_products(sink, *args):
@@ -872,14 +883,14 @@ def test_kmult_block_built_once_per_formula_and_factor(monkeypatch):
 
     def count_builds(sink, build, rev=False, key=None):
         if isinstance(key, tuple) and key[0] == "kmult":
-            emit_block(sink, lambda s: (builds.append(key), build(s)),
-                       rev=rev, key=key)
+            block(sink, lambda s: (builds.append(key), build(s)),
+                  rev=rev, key=key)
         else:
-            emit_block(sink, build, rev=rev, key=key)
+            block(sink, build, rev=rev, key=key)
 
     monkeypatch.setattr(binshor.synth, "TALLIES", {})
     monkeypatch.setattr(binshor.synth, "emit_kmult", count_products)
-    monkeypatch.setattr(binshor.synth, "emit_block", count_builds)
+    monkeypatch.setattr(CountSink, "block", count_builds)
     modmult_plan(571).counts()
     assert len(products) == 511
     assert len(builds) == len(set(builds)) == 73
