@@ -8,9 +8,9 @@ separately.  MCX controls are signed qubit indices shifted by one:
 ``+(q+1)`` is a closed control, ``-(q+1)`` an open control.
 
 Every gate kind permutes computational basis states, so the simulator works
-on bitstrings (single inputs) or on numpy bit-planes (batched inputs).
-Only the bit-plane functions import numpy, so counting and synthesis never
-load it.
+on bitstrings (single inputs) or on bit-planes (batched inputs): a 2-d
+memoryview of 64-bit words, one row per qubit, packed and unpacked by the
+byte-plane transpose of :meth:`~binshor.linalg.BitMatrix.from_columns`.
 
 The text format has one gate per line (see :func:`serialize`); ``parse``
 checks and ``serialize`` formats each distinct line once, and a repeated
@@ -20,12 +20,9 @@ line costs one dict lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .gf2 import GF2Error
-
-if TYPE_CHECKING:
-    import numpy as np
+from .linalg import BitMatrix
 
 
 REG_KINDS = ("input", "output", "ancilla-clean", "ancilla-garbage", "flag")
@@ -292,30 +289,35 @@ def simulate(circuit: Circuit, state) -> str | int:
     return s
 
 
-def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
+def _planes(ints: list[int], words: int) -> memoryview:
+    """Plane ints as a (len(ints), words) buffer of little-endian words."""
+    raw = b"".join(v.to_bytes(8 * words, "little") for v in ints)
+    return memoryview(raw).cast("Q", (len(ints), words))
+
+
+def _plane_ints(planes: memoryview) -> list[int]:
+    """Each plane as one int: bit 64*w + b is bit b of word w."""
+    nbytes, raw = 8 * planes.shape[1], planes.tobytes()
+    return [int.from_bytes(raw[i:i + nbytes], "little")
+            for i in range(0, len(raw), nbytes)]
+
+
+def simulate_planes(circuit: Circuit, planes: memoryview) -> memoryview:
     """Batched simulation on bit-planes.
 
-    ``planes`` has shape (width, words) and dtype uint64; bit b of
-    ``planes[q, w]`` is qubit q of batch element 64*w + b.  Returns a new
-    array; the input is not modified.
+    ``planes`` is a 2-d memoryview of format "Q" and shape (width, words);
+    bit b of ``planes[q, w]`` is qubit q of batch element 64*w + b.  Returns
+    a new buffer; the input is not modified.
     """
-    import numpy as np
-
-    if planes.dtype != np.uint64 or planes.ndim != 2:
-        raise GF2Error(f"planes must be a 2-d uint64 array, got "
-                       f"{planes.ndim}-d {planes.dtype}")
+    if (not isinstance(planes, memoryview) or planes.format != "Q"
+            or planes.ndim != 2):
+        raise GF2Error("planes must be a 2-d memoryview of format 'Q'")
     if planes.shape[0] != circuit.width:
         raise GF2Error(f"plane count {planes.shape[0]} != qubit count "
                        f"{circuit.width}")
-    # Each plane is held as one Python int (bit 64*w + b = word w, bit b),
-    # so a gate is one or two big-int operations: their fixed cost per call
-    # is far below that of numpy row operations, which dominates on the
-    # few-word batches of an oracle sweep.
-    width, words = planes.shape
-    nbytes = 8 * words
-    raw = np.ascontiguousarray(planes, "<u8").tobytes()
-    pl = [int.from_bytes(raw[q * nbytes:(q + 1) * nbytes], "little")
-          for q in range(width)]
+    # a gate is one or two big-int operations on whole planes
+    pl = _plane_ints(planes)
+    words = planes.shape[1]
     full = (1 << (64 * words)) - 1
     for g in circuit.gates:
         kind = g[0]
@@ -335,40 +337,30 @@ def simulate_planes(circuit: Circuit, planes: np.ndarray) -> np.ndarray:
             pl[g[2]] ^= acc
         else:
             raise GF2Error(f"unknown gate kind {kind}")
-    out = b"".join(v.to_bytes(nbytes, "little") for v in pl)
-    return np.frombuffer(out, "<u8").reshape(width, words).copy()
+    return _planes(pl, words)
 
 
-def pack_planes(inputs: list[int], width: int) -> np.ndarray:
+def pack_planes(inputs: list[int], width: int) -> memoryview:
     """Bit-planes of basis states: bit q of ``inputs[b]`` becomes bit b % 64
-    of ``planes[q, b // 64]``; lanes past ``len(inputs)`` are zero."""
-    import numpy as np
-
+    of ``planes[q, b // 64]``; lanes past ``len(inputs)`` are zero, and an
+    empty batch has one word."""
     count = len(inputs)
     if count and (min(inputs) < 0 or max(inputs) >> width):
         raise GF2Error("input out of range for qubit count")
-    nbytes = (width + 7) // 8
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in inputs)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(count, nbytes),
-                         axis=1, count=width, bitorder="little")
-    lanes = np.zeros((width, -(-count // 64) * 64), dtype=np.uint8)
-    lanes[:, :count] = bits.T
-    return np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    rows = BitMatrix.from_columns(inputs, width).rows if count else [0] * width
+    return _planes(rows, max(1, -(-count // 64)))  # cast refuses 0 words
 
 
-def unpack_planes(planes: np.ndarray, count: int) -> list[int]:
+def unpack_planes(planes: memoryview, count: int) -> list[int]:
     """Inverse of :func:`pack_planes`: the first ``count`` basis states."""
-    import numpy as np
-
-    width, words = planes.shape
-    if count > 64 * words:
-        raise GF2Error(f"{count} cases requested from {64 * words} lanes")
-    lanes = np.unpackbits(np.ascontiguousarray(planes, "<u8").view(np.uint8),
-                          axis=1, count=count, bitorder="little")
-    rows = np.packbits(lanes.T, axis=1, bitorder="little")
-    nbytes, raw = rows.shape[1], rows.tobytes()
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(count)]
+    if count > 64 * planes.shape[1]:
+        raise GF2Error(f"{count} cases requested from "
+                       f"{64 * planes.shape[1]} lanes")
+    if not count:
+        return []
+    lanes = (1 << count) - 1  # an X gate sets the lanes past count
+    return BitMatrix.from_columns([v & lanes for v in _plane_ints(planes)],
+                                  count).rows
 
 
 def emit_mcx_lowered(sink, controls, t: int, anc):
@@ -406,7 +398,8 @@ def emit_mcx_lowered(sink, controls, t: int, anc):
 
 def lower_mcx(circuit: Circuit) -> Circuit:
     """Replace every MCX by its :func:`emit_mcx_lowered` gates, sharing one
-    appended clean-ancilla register of width max(k-1)."""
+    appended clean-ancilla register of width max(k-2).  Each group spans
+    the lowering of the gates it spanned."""
     max_k = 0
     for g in circuit.gates:
         if g[0] == "MCX":
@@ -414,13 +407,17 @@ def lower_mcx(circuit: Circuit) -> Circuit:
     out = Circuit(list(circuit.registers))
     anc: list[int] = []
     if max_k > 2:
-        anc = out.add_register(Register("_mcx", max_k - 1, "ancilla-clean"))
+        anc = out.add_register(Register("_mcx", max_k - 2, "ancilla-clean"))
+    starts = []  # starts[i]: where the lowering of gate i begins
     for g in circuit.gates:
+        starts.append(len(out.gates))
         if g[0] != "MCX":
             out.gates.append(g)
             continue
         emit_mcx_lowered(out, [_dec_control(c) for c in g[1]], g[2], anc)
-    out.groups = list(circuit.groups)
+    starts.append(len(out.gates))
+    out.groups = [(label, units, starts[s], starts[e])
+                  for label, units, s, e in circuit.groups]
     return out
 
 

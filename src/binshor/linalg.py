@@ -145,23 +145,6 @@ class BitMatrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def inverse(self) -> "BitMatrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise GF2Error("inverse needs a square matrix")
-        aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if (aug[i] >> c) & 1), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular", rank=r)
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(n):
-                if i != r and (aug[i] >> c) & 1:
-                    aug[i] ^= aug[r]
-            r += 1
-        return BitMatrix([row >> n for row in aug], n)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.ncols == other.ncols
                 and self.rows == other.rows)

@@ -2,8 +2,11 @@
 
 Every gate permutes basis states, so a sweep packs all of its input states
 into bit-planes and runs them through the circuit together
-(:func:`~binshor.circuit.simulate_planes`, one machine word per qubit for
-every 64 cases); only the classical check runs once per case.
+(:func:`~binshor.circuit.simulate_planes`, one 64-bit word per qubit for
+every 64 cases, in a 2-d memoryview); only the classical check runs once
+per case.  Packing and unpacking are one bit transpose each, the byte-plane
+kernel of :meth:`~binshor.linalg.BitMatrix.from_columns`, so a sweep needs
+nothing outside the standard library.
 Each plan's contract is one sweep in :mod:`binshor.cli` (``modmult_sweep``,
 ``inversion_sweep``, ``pointadd_sweep``), where perfbench times the oracles.
 """

@@ -103,7 +103,7 @@ def test_lower_mcx_five_controls():
     low = lower_mcx(c)
     cc = counts(low)
     assert cc.toffoli == 4          # k-1 Toffolis counted
-    assert cc.ancilla_clean == 4    # k-1 clean ancillas allocated
+    assert cc.ancilla_clean == 3    # k-2: the ladder's ANDs of c0..c3
     # exhaustive truth-table equivalence on the original qubits
     for v in range(64):
         got = simulate(low, v)
@@ -248,6 +248,8 @@ def test_plane_simulation_matches_single():
     outs = unpack_planes(simulate_planes(c, planes), len(inputs))
     for v, o in zip(inputs, outs):
         assert simulate(c, v) == o
+    empty = simulate_planes(c, pack_planes([], 8))  # one all-zero word
+    assert empty.shape == (8, 1) and unpack_planes(empty, 0) == []
 
 
 def _pack_planes_reference(inputs, width):
@@ -269,8 +271,9 @@ def test_pack_unpack_roundtrip(case):
     # widths cross the byte and 64-bit word boundaries, counts the lane words
     width, xs = case
     planes = pack_planes(xs, width)
-    assert planes.dtype == np.uint64
-    assert np.array_equal(planes, _pack_planes_reference(xs, width))
+    assert planes.format == "Q"
+    assert planes.shape == (width, (len(xs) + 63) // 64)
+    assert np.array_equal(np.asarray(planes), _pack_planes_reference(xs, width))
     assert unpack_planes(planes, len(xs)) == xs
 
 
@@ -287,7 +290,8 @@ def test_simulate_planes_rejects_bad_batches():
     with pytest.raises(GF2Error):
         simulate_planes(c, pack_planes([1, 2, 3], 7))
     with pytest.raises(GF2Error):
-        simulate_planes(c, pack_planes([1, 2, 3], 8).astype(np.int64))
+        signed = pack_planes([1, 2, 3], 8).cast("B").cast("q", (8, 1))
+        simulate_planes(c, signed)
     with pytest.raises(GF2Error):
         unpack_planes(pack_planes([1, 2, 3], 8), 65)
 
@@ -321,6 +325,26 @@ def test_count_sink_matches_lowered_counts(ops):
     kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_gate_ops(), max_size=20).flatmap(lambda ops: st.tuples(
+    st.just(ops), st.lists(st.tuples(st.integers(0, len(ops)),
+                                     st.integers(0, len(ops))), max_size=6))))
+def test_lower_mcx_remaps_group_spans(case):
+    # a lowered span holds exactly the lowering of its original span
+    ops, spans = case
+    circ = Circuit([Register("q", MCX_WIDTH)])
+    for kind, args in ops:
+        getattr(circ, kind)(*args)
+    circ.groups = [(f"g{i}", i + 1, min(s, e), max(s, e))
+                   for i, (s, e) in enumerate(spans)]
+    low = lower_mcx(circ)
+    assert low.census() == circ.census()
+    for (_, _, s, e), (_, _, ls, le) in zip(circ.groups, low.groups):
+        part = Circuit(list(circ.registers))
+        part.gates = circ.gates[s:e]
+        assert low.gates[ls:le] == lower_mcx(part).gates
 
 
 @st.composite

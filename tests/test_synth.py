@@ -564,18 +564,26 @@ def test_reversed_blocks_drop_groups_in_every_sink():
     assert _fields(cs.counts) == _fields(low)
 
 
-def test_numpy_stays_off_the_counting_path():
+def test_numpy_stays_out_of_the_package(tmp_path):
+    # counting, emission, both oracle sweeps and the estimates, in one process
     import subprocess
     import sys
 
+    emitted = str(tmp_path / "modmult163.txt")
+    commands = [["validate", "--field", "5"],
+                ["synth", "--field", "163", "--emit", emitted,
+                 "--emit-cap", "1000"],
+                ["validate", "--field", "163", "--circuit", emitted,
+                 "--samples", "20"],
+                ["estimate", "--field", "163"]]
     code = ("import contextlib, io, sys\n"
             "from binshor.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    main(['synth', '--field', '163', '--target', 'modmult'])\n"
-            "print('numpy' in sys.modules)\n")
+            f"    codes = [main(argv) for argv in {commands!r}]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[0, 0, 0, 0] False\n"
 
 
 def reduction_pairs_reference(Ma, da, Mb, db):
