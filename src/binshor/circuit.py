@@ -14,7 +14,11 @@ byte-plane transpose of :meth:`~binshor.linalg.BitMatrix.from_columns`.
 
 The text format has one gate per line (see :func:`serialize`); ``parse``
 checks and ``serialize`` formats each distinct line once, and a repeated
-line costs one dict lookup.
+line costs one dict lookup.  A file streams both ways: a
+:class:`CircuitWriter` is a circuit that writes its gates out as they are
+emitted, holding only the gates of its outermost open reversed block (or a
+few thousand), and ``parse`` reads an open file in chunks, so neither side
+holds the whole text.
 """
 
 from __future__ import annotations
@@ -479,10 +483,61 @@ class _GateLines(dict):
         return line
 
 
+def _reg_line(r: Register) -> str:
+    return f"reg {r.name} {r.width} {r.kind}"
+
+
 def serialize(circuit: Circuit) -> str:
-    lines = [f"reg {r.name} {r.width} {r.kind}" for r in circuit.registers]
+    lines = list(map(_reg_line, circuit.registers))
     lines.extend(map(_GateLines().__getitem__, circuit.gates))
     return "\n".join(lines) + "\n"
+
+
+# gates a CircuitWriter holds before it writes them, outside reversed blocks
+_FLUSH_GATES = 4096
+
+
+class CircuitWriter(Circuit):
+    """A circuit that writes itself to the text file ``out`` as it is
+    emitted, in the format of :func:`serialize`.
+
+    The ``reg`` lines are written at once.  Gates are held until a block
+    ends with no reversed block open and more than a few thousand held;
+    they are then written and dropped, so a reversed block is still
+    reversed in place (:meth:`Circuit.block`) and the writer holds at most
+    its outermost open reversed block on top of that.  Groups are not kept,
+    as the text has none.  Call :meth:`flush` once emission ends; the text
+    is then ``serialize`` of the same circuit (for at least one register).
+    """
+
+    def __init__(self, registers: list[Register], out):
+        super().__init__(registers)
+        self.out = out
+        self.written = 0  # gates written so far
+        self._lines = _GateLines()
+        self._reversing = 0  # reversed blocks open
+        out.write("".join(_reg_line(r) + "\n" for r in self.registers))
+
+    def block(self, build, rev: bool = False, key=None):
+        self._reversing += rev
+        super().block(build, rev)
+        self._reversing -= rev
+        if len(self.gates) > _FLUSH_GATES and not self._reversing:
+            self.flush()
+
+    def begin_group(self, label: str, units: int = 1):
+        pass
+
+    def end_group(self):
+        pass
+
+    def flush(self):
+        """Write the gates held and drop them."""
+        if self.gates:
+            self.out.write("\n".join(map(self._lines.__getitem__,
+                                         self.gates)) + "\n")
+            self.written += len(self.gates)
+            self.gates.clear()
 
 
 class ParseError(GF2Error):
@@ -525,17 +580,40 @@ def _parse_line(circuit: Circuit, toks: list[str], lineno: int):
         raise ParseError(f"line {lineno}: unknown gate {kind!r}")
 
 
-def parse(text: str) -> Circuit:
-    """Parse the circuit text format; raises ParseError with line numbers.
+# characters parse reads from a file at a time
+_READ_CHARS = 1 << 16
+
+
+def _read_lines(f):
+    """The lines of ``f.read().splitlines()``, reading ``_READ_CHARS`` at a
+    time.  Each chunk is split after its last ``\\n``, which ends a line and
+    starts no line break, so the text up to it splits as the whole does."""
+    tail = ""
+    while chunk := f.read(_READ_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            tail += chunk
+            continue
+        yield from (tail + chunk[:cut]).splitlines()
+        tail = chunk[cut:]
+    yield from tail.splitlines()
+
+
+def parse(source) -> Circuit:
+    """Parse the circuit text format from a string or an open text file;
+    raises ParseError with line numbers.  A file is read in chunks, so its
+    text is never held whole.
 
     Each distinct gate line is checked once: a repeat appends the gate tuple
     of its first copy.  Widths only grow, so a line that passed its range
     and duplicate-qubit checks passes them again wherever it recurs.
     """
+    lines = (source.splitlines() if isinstance(source, str)
+             else _read_lines(source))
     circuit = Circuit()
     gates = circuit.gates
     seen: dict[str, tuple] = {}  # checked gate line -> its gate tuple
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         g = seen.get(raw)
         if g is not None:
             gates.append(g)

@@ -6,28 +6,39 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import pipeline
-from .circuit import parse, serialize
+from .circuit import CircuitWriter, parse
 from .gf2 import BinaryPoly, GF2Error, field_inv, poly_mul_mod
 from .oracle import first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
                    stream_pointadd_counts)
-from .synth import multiplier_layout, synth_crt_modmult, synth_flt_inversion
+from .synth import (_emit_over_layout, multiplier_layout, synth_crt_modmult,
+                    synth_flt_inversion)
 from .ecc import (TABLE_CENSUS, ec_add_classical, pointadd_census,
                   slope_for, synth_ecpointadd)
 
 FIELDS = (163, 233, 283, 571)
 
 
-def _write_atomic(path: str, text: str):
+@contextmanager
+def _write_atomic(path: str):
+    """An open text file that replaces ``path`` when the block ends.  It is
+    a temporary file beside ``path``, removed if the block raises, so a
+    failed write leaves neither file."""
     p = Path(path)
     tmp = p.with_suffix(p.suffix + ".tmp")
     try:
-        tmp.write_text(text)
-        tmp.replace(p)
+        try:
+            with open(tmp, "w") as f:
+                yield f
+            tmp.replace(p)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as e:
         # report the destination the user named, not the temporary file
         raise type(e)(e.errno, e.strerror, path) from None
@@ -46,12 +57,10 @@ def cmd_synth(args) -> int:
     if args.target == "modmult":
         plan = pipeline.modmult_plan(n, poly_bits)
         report["counts"] = plan.counts().as_dict()
-        synth = synth_crt_modmult
     elif args.target in ("inversion", "inversion-noclear"):
         plan = pipeline.inversion_plan(n, args.target == "inversion", poly_bits)
         report["counts"] = plan.counts().as_dict()
         report["modmult_calls"] = plan.mult_calls
-        synth = synth_flt_inversion
     elif args.target == "ecpointadd":
         plan = pipeline.pointadd_plan(n, args.curve_a, args.curve_b, poly_bits)
         streamed = stream_pointadd_counts(plan)
@@ -60,23 +69,26 @@ def cmd_synth(args) -> int:
         report["toffoli_decomposition"] = cost.toffoli
         report["qubits_model"] = cost.qubits
         report["census"] = pointadd_census(streamed.census)
-        synth = synth_ecpointadd
     else:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
     if args.emit:
-        if (width := plan.layout().width) > args.emit_cap:
-            print(f"refusing to emit {width}-qubit circuit "
+        layout = plan.layout()
+        if layout.width > args.emit_cap:
+            print(f"refusing to emit {layout.width}-qubit circuit "
                   f"(cap {args.emit_cap}); use --counts-only or raise "
                   f"--emit-cap", file=sys.stderr)
             return 2
-        circ = synth(plan)
-        _write_atomic(args.emit, serialize(circ))
+        with _write_atomic(args.emit) as f:
+            writer = CircuitWriter(layout.registers, f)
+            _emit_over_layout(plan, writer)
+            writer.flush()
         report["emitted"] = args.emit
-        report["gates"] = len(circ.gates)
+        report["gates"] = writer.written
     out = json.dumps(report, indent=2)
     if args.out:
-        _write_atomic(args.out, out)
+        with _write_atomic(args.out) as f:
+            f.write(out)
     else:
         print(out)
     return 0
@@ -162,7 +174,8 @@ def _validate_circuit_file(args, exhaustive: bool) -> int:
     n = args.field
     field = pipeline.field_for(n)
     layout = multiplier_layout(n)
-    circ = parse(Path(args.circuit).read_text())
+    with open(args.circuit) as f:
+        circ = parse(f)
     if circ.width < layout.width:
         raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "
                        f"multiplier needs at least {layout.width}")
@@ -284,7 +297,8 @@ def cmd_estimate(args) -> int:
         return 0
     report = json.dumps(rows, indent=2)
     if args.out:
-        _write_atomic(args.out, report)
+        with _write_atomic(args.out) as f:
+            f.write(report)
     else:
         print(report)
     if args.csv:
@@ -294,7 +308,8 @@ def cmd_estimate(args) -> int:
             lines.append(f"{r['field']},{r['precomp']},{r['architecture']},"
                          f"{param},{r['d']},{r['device_size']},"
                          f"{r['runtime_display']}")
-        _write_atomic(args.csv, "\n".join(lines) + "\n")
+        with _write_atomic(args.csv) as f:
+            f.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -310,7 +325,8 @@ def cmd_landscape(args) -> int:
         lines.append(f"{s},{tof},{av}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        with _write_atomic(args.out) as f:
+            f.write(text)
     else:
         print(text, end="")
     return 0

@@ -355,9 +355,10 @@ class ModulusSet:
 MAX_OMEGA = 8
 
 
+@cache
 def validate_modulus_set(modset: ModulusSet, n: int) -> int:
     """Check a modulus set against field size n; returns the correction
-    count omega = max(0, 2n-1-deg(m)).
+    count omega = max(0, 2n-1-deg(m)).  Checked once per (set, n).
     """
     # pairwise coprimality (distinct irreducible bases imply it; verify
     # anyway) in O(k): m_i is coprime to every other factor iff it is

@@ -296,11 +296,13 @@ def const_mul_matrix(h: BinaryPoly, field: FieldSpec) -> BitMatrix:
     return BitMatrix.from_columns(cols, field.n)
 
 
+@cache
 def reduction_matrix(m_i: BinaryPoly, n: int) -> BitMatrix:
     """d x (n-d) matrix reducing the high part of an (n-1)-degree polynomial.
 
     Column k holds the coefficients of x^(k+d) mod m_i, so that
-    f mod m_i = f_low + M @ f_high.
+    f mod m_i = f_low + M @ f_high.  Built once per (m_i, n): the matrix is
+    shared by every caller and must not be modified.
     """
     d = m_i.degree
     if not 1 <= d < n:

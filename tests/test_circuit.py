@@ -1,12 +1,18 @@
+import io
+import os
 import random
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binshor.circuit as circuit_mod
 from binshor.circuit import (
     REG_KINDS,
     Circuit,
+    CircuitWriter,
     GateCounts,
     ParseError,
     Register,
@@ -536,6 +542,50 @@ def test_parse_matches_reference_on_repeated_lines(text):
             == _parse_outcome(_parse_reference, text))
 
 
+# every line break str.splitlines() knows; "\r\n" is drawn as "\r" + "\n"
+_LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from(["a", " ", *_LINE_BREAKS]), max_size=80),
+       st.integers(1, 64))
+def test_read_lines_splits_like_splitlines(text, chunk):
+    with mock.patch.object(circuit_mod, "_READ_CHARS", chunk):
+        got = list(circuit_mod._read_lines(io.StringIO(text)))
+    assert got == text.splitlines()
+
+
+@st.composite
+def _separated_texts(draw):
+    """Repeated-line texts with each line ended by a run of one to three
+    line breaks, or by none at the end."""
+    lines = draw(_repeated_texts()).split("\n")
+    ends = draw(st.lists(
+        st.lists(st.sampled_from(_LINE_BREAKS), min_size=1,
+                 max_size=3).map("".join),
+        min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_separated_texts(), st.integers(1, 64), st.sampled_from([None, ""]))
+def test_parse_reads_a_file_in_chunks_as_its_text(text, chunk, newline):
+    # the same circuit, or the same error at the same line, at any chunk
+    # size; a file opened as validate --circuit opens it (newline=None:
+    # "\r" and "\r\n" read as "\n") or with its line breaks as written
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "circuit.txt")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with mock.patch.object(circuit_mod, "_READ_CHARS", chunk), \
+                open(path, encoding="utf-8", newline=newline) as f:
+            got = _parse_outcome(parse, f)
+    assert got == _parse_outcome(parse, text)
+
+
 def test_parse_shares_the_tuple_of_a_repeated_line():
     c = parse("reg a 3 input\nCNOT q[0] q[1]\nCNOT q[2] q[1]\n"
               "CNOT q[0] q[1]\n")
@@ -703,3 +753,21 @@ def test_count_sink_and_circuit_read_the_same_stream(body, rev1, rev2):
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
     assert sink.census == circ.census()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK_BODIES, st.integers(0, 8))
+def test_writer_writes_what_a_circuit_serializes(body, flush_gates):
+    # nested, reversed and keyed blocks with groups, written a few gates at
+    # a time: the text and the gate count of the materialized circuit
+    ops = [*body, _block(True, body, False), *body]
+    circ = Circuit([Register("q", MCX_WIDTH)])
+    _play(circ, ops)
+    out = io.StringIO()
+    with mock.patch.object(circuit_mod, "_FLUSH_GATES", flush_gates):
+        writer = CircuitWriter(circ.registers, out)
+        _play(writer, ops)
+        writer.flush()
+    assert out.getvalue() == serialize(circ)
+    assert writer.written == len(circ.gates)
+    assert writer.gates == [] and writer.groups == []

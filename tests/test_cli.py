@@ -64,7 +64,7 @@ def test_emit_cap_is_checked_before_the_circuit_is_built(tmp_path, monkeypatch,
     def unbuildable(plan):
         raise AssertionError("circuit built before the emit cap was checked")
 
-    monkeypatch.setattr(cli, "synth_ecpointadd", unbuildable)
+    monkeypatch.setattr(cli, "_emit_over_layout", unbuildable)
     rc, out, err = run(capsys, "synth", "--field", "4", "--target",
                        "ecpointadd", "--emit", str(tmp_path / "pa.txt"),
                        "--emit-cap", "10")
@@ -102,6 +102,22 @@ MALFORMED_LINES = {
     "reg-width-plus-sign": "reg b +2 output",
     "reg-width-non-ascii-digit": "reg b \u0662 input",
 }
+
+
+def test_malformed_lines_are_reported_from_a_file_at_any_chunk_size(
+        tmp_path, monkeypatch):
+    import binshor.circuit as circuit
+    from binshor.circuit import ParseError, parse
+
+    for line in MALFORMED_LINES.values():
+        path = tmp_path / "bad.txt"
+        path.write_text(f"reg a 12 input\n{line}\n", encoding="utf-8")
+        for chunk in (1, 5, 1 << 16):
+            monkeypatch.setattr(circuit, "_READ_CHARS", chunk)
+            with open(path, encoding="utf-8") as f, \
+                    pytest.raises(ParseError) as e:
+                parse(f)
+            assert str(e.value) == f"line 2: malformed line {line!r}"
 
 
 @pytest.mark.parametrize("argv, message, text", [
@@ -166,6 +182,57 @@ def test_bad_input_exits_2_with_one_line(argv, message, text, tmp_path,
     assert message.format(missing=missing) in err
     assert ".tmp" not in err
     assert out == ""   # rejected before any check or report is printed
+
+
+@pytest.mark.parametrize("target, n", [
+    *itertools.product(["modmult", "inversion", "inversion-noclear",
+                        "ecpointadd"], [4, 5, 8]),
+    ("modmult", 163)])
+def test_emitted_file_is_the_serialized_circuit(target, n, tmp_path, capsys):
+    # the file is written as the gates are emitted; its bytes and the
+    # report's gate count are those of the materialized circuit
+    from binshor.circuit import serialize
+    from binshor.ecc import synth_ecpointadd
+    from binshor.synth import synth_crt_modmult, synth_flt_inversion
+
+    path = tmp_path / "c.txt"
+    rc, out, _ = run(capsys, "synth", "--field", str(n), "--target", target,
+                     "--emit", str(path), "--emit-cap", "1000")
+    assert rc == 0
+    circ = {"modmult": lambda: synth_crt_modmult(modmult_plan(n)),
+            "inversion": lambda: synth_flt_inversion(inversion_plan(n)),
+            "inversion-noclear":
+                lambda: synth_flt_inversion(inversion_plan(n, False)),
+            "ecpointadd": lambda: synth_ecpointadd(pointadd_plan(n))}[target]()
+    assert path.read_bytes() == serialize(circ).encode()
+    assert json.loads(out)["gates"] == len(circ.gates)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+
+
+def test_failed_emission_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # an emitter that raises once the file has been partly written
+    import binshor.synth as synth
+    from binshor.gf2 import GF2Error
+
+    path = tmp_path / "mm.txt"
+    tmp = tmp_path / "mm.txt.tmp"
+    kmult = synth.emit_kmult
+    written = []
+
+    def failing(*args):
+        if tmp.stat().st_size > 100_000:
+            written.append(tmp.stat().st_size)
+            raise GF2Error("emitter failed")
+        kmult(*args)
+
+    monkeypatch.setattr(synth, "emit_kmult", failing)
+    rc, out, err = run(capsys, "synth", "--field", "163", "--target",
+                       "modmult", "--emit", str(path), "--emit-cap", "1000")
+    assert written
+    assert rc == 2
+    assert out == ""
+    assert err == "error: emitter failed\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_toy_curve_passes(capsys):

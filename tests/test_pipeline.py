@@ -25,7 +25,8 @@ def test_field_for_16():
 
 def test_clear_caches_empties_the_tally_store():
     # and the memoised field data that plans are built from
-    memos = (gf2._irreducibles, gf2.crt_cofactors, gf2.crt_constants,
+    memos = (gf2._irreducibles, gf2.validate_modulus_set, gf2.crt_cofactors,
+             gf2.crt_constants, linalg.reduction_matrix,
              linalg._squaring_powers, synth.squaring_method)
     before = modmult_plan(5).counts()
     inversion_plan(5).counts()
@@ -38,3 +39,18 @@ def test_clear_caches_empties_the_tally_store():
     after = modmult_plan(5).counts()   # a new plan, emitted again
     assert after is not before
     assert after == before
+
+
+def test_estimate_builds_each_reduction_matrix_and_set_check_once(capsys):
+    # estimate --field all asks for 810 reduction matrices, of 340 distinct
+    # (factor, n) pairs, and checks 6 distinct (modulus set, n) pairs 82
+    # times: the 4 standard sets and the 2 inner sets of the 78 inner plans
+    from binshor.cli import main
+
+    clear_caches()
+    assert main(["estimate", "--field", "all"]) == 0
+    capsys.readouterr()
+    red = linalg.reduction_matrix.cache_info()
+    check = gf2.validate_modulus_set.cache_info()
+    assert (red.misses, red.hits + red.misses) == (340, 810)
+    assert (check.misses, check.hits + check.misses) == (6, 82)

@@ -985,3 +985,40 @@ def test_counts_and_circuits_read_the_plan_layout(n, monkeypatch):
         assert tally.ancilla_clean == widths.ancilla_clean
         assert tally.ancilla_garbage == widths.ancilla_garbage
         assert synth(plan).registers == layout.registers
+
+
+def test_writer_holds_at_most_its_largest_reversed_block():
+    # while the n = 163 multiplier (112,903 gates) is written, the writer
+    # holds at most the flush count plus the largest reversed block: the
+    # gates it holds only grow between writes, so a write sees the peak
+    import io
+
+    from binshor import circuit
+    from binshor.circuit import CircuitWriter
+    from binshor.synth import _emit_over_layout
+
+    class Held(CircuitWriter):
+        peak = 0
+
+        def flush(self):
+            self.peak = max(self.peak, len(self.gates))
+            super().flush()
+
+    class Reversed(Circuit):
+        largest = 0
+
+        def block(self, build, rev=False, key=None):
+            start = len(self.gates)
+            super().block(build, rev, key)
+            if rev:
+                self.largest = max(self.largest, len(self.gates) - start)
+
+    plan = modmult_plan(163)
+    writer = Held(plan.layout().registers, io.StringIO())
+    _emit_over_layout(plan, writer)
+    writer.flush()
+    whole = Reversed(plan.layout().registers)
+    _emit_over_layout(plan, whole)
+    assert writer.written == len(whole.gates) == 112_903
+    assert writer.peak <= circuit._FLUSH_GATES + whole.largest
+    assert writer.peak < len(whole.gates) // 20
