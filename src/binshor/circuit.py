@@ -1,11 +1,12 @@
 """Reversible-circuit intermediate representation.
 
-Gates are compact tuples; the only kinds are X, CNOT, SWAP, CCX, CCXU and
-MCX.  CCXU is a Toffoli applied as a *measurement-based uncomputation* (the
+Gates are compact tuples; the only kinds are X, CNOT, SWAP, CCX and CCXU.
+CCXU is a Toffoli applied as a *measurement-based uncomputation* (the
 standard clean-ancilla trick): it acts like a CCX on basis states but is
 Toffoli-free at the fault-tolerant level, so gate counts tally it
-separately.  MCX controls are signed qubit indices shifted by one:
-``+(q+1)`` is a closed control, ``-(q+1)`` an open control.
+separately.  A multi-controlled NOT is not a gate kind: it is emitted as
+these gates by :func:`emit_mcx_lowered`, over clean ancillas its emitter
+names.
 
 Every gate kind permutes computational basis states, so the simulator works
 on bitstrings (single inputs) or on bit-planes (batched inputs): a 2-d
@@ -73,17 +74,6 @@ class GateCounts:
             "ancilla_clean": self.ancilla_clean,
             "ancilla_garbage": self.ancilla_garbage,
         }
-
-
-def _enc_controls(controls):
-    out = []
-    for q, closed in controls:
-        out.append((q + 1) if closed else -(q + 1))
-    return tuple(out)
-
-
-def _dec_control(c):
-    return (abs(c) - 1, c > 0)
 
 
 class Circuit:
@@ -163,11 +153,6 @@ class Circuit:
     def ccxu(self, c1: int, c2: int, t: int):
         self._chk(c1, c2, t)
         self.gates.append(("CCXU", c1, c2, t))
-
-    def mcx(self, controls, t: int):
-        qs = [q for q, _ in controls]
-        self._chk(*qs, t)
-        self.gates.append(("MCX", _enc_controls(controls), t))
 
     def fanin(self, wires, mask: int, t: int):
         """One CNOT from ``wires[j]`` onto ``t`` per set bit j of ``mask``,
@@ -277,15 +262,6 @@ def simulate(circuit: Circuit, state) -> str | int:
             a, b = (s >> g[1]) & 1, (s >> g[2]) & 1
             if a != b:
                 s ^= (1 << g[1]) | (1 << g[2])
-        elif kind == "MCX":
-            ok = True
-            for c in g[1]:
-                q, closed = _dec_control(c)
-                if ((s >> q) & 1) != (1 if closed else 0):
-                    ok = False
-                    break
-            if ok:
-                s ^= 1 << g[2]
         else:
             raise GF2Error(f"unknown gate kind {kind}")
     if as_str:
@@ -333,12 +309,6 @@ def simulate_planes(circuit: Circuit, planes: memoryview) -> memoryview:
             pl[g[1]] ^= full
         elif kind == "SWAP":
             pl[g[1]], pl[g[2]] = pl[g[2]], pl[g[1]]
-        elif kind == "MCX":
-            acc = full
-            for c in g[1]:
-                q, closed = _dec_control(c)
-                acc &= pl[q] if closed else pl[q] ^ full
-            pl[g[2]] ^= acc
         else:
             raise GF2Error(f"unknown gate kind {kind}")
     return _planes(pl, words)
@@ -368,14 +338,18 @@ def unpack_planes(planes: memoryview, count: int) -> list[int]:
 
 
 def emit_mcx_lowered(sink, controls, t: int, anc):
-    """Emit a multi-controlled X as NOT/CNOT/CCX/CCXU into ``sink``.
+    """Emit a multi-controlled X as NOT/CNOT/CCX/CCXU into ``sink``: the one
+    way a multi-controlled NOT is emitted.
 
     ``controls`` are (qubit, closed) pairs.  A k-control MCX costs k-1 CCX:
     an AND ladder into the clean ancillas ``anc`` (at least k-2 of them),
     with the final CCX targeting ``t`` directly; the ladder is then undone
-    with measurement-based uncomputations (CCXU).  Open controls are
-    realized by X conjugation.
+    with measurement-based uncomputations (CCXU), so ``anc`` ends at 0 as it
+    began.  Open controls are realized by X conjugation.
     """
+    if len(anc) < len(controls) - 2:
+        raise GF2Error(f"{len(controls)} controls need {len(controls) - 2} "
+                       f"ancillas, got {len(anc)}")
     opens = [q for q, closed in controls if not closed]
     for q in opens:
         sink.x(q)
@@ -400,33 +374,9 @@ def emit_mcx_lowered(sink, controls, t: int, anc):
         sink.x(q)
 
 
-def lower_mcx(circuit: Circuit) -> Circuit:
-    """Replace every MCX by its :func:`emit_mcx_lowered` gates, sharing one
-    appended clean-ancilla register of width max(k-2).  Each group spans
-    the lowering of the gates it spanned."""
-    max_k = 0
-    for g in circuit.gates:
-        if g[0] == "MCX":
-            max_k = max(max_k, len(g[1]))
-    out = Circuit(list(circuit.registers))
-    anc: list[int] = []
-    if max_k > 2:
-        anc = out.add_register(Register("_mcx", max_k - 2, "ancilla-clean"))
-    starts = []  # starts[i]: where the lowering of gate i begins
-    for g in circuit.gates:
-        starts.append(len(out.gates))
-        if g[0] != "MCX":
-            out.gates.append(g)
-            continue
-        emit_mcx_lowered(out, [_dec_control(c) for c in g[1]], g[2], anc)
-    starts.append(len(out.gates))
-    out.groups = [(label, units, starts[s], starts[e])
-                  for label, units, s, e in circuit.groups]
-    return out
-
-
 def counts(circuit: Circuit) -> GateCounts:
-    """Exact tallies by gate kind; requires an MCX-free (lowered) circuit."""
+    """Exact tallies by gate kind, and the qubit and ancilla widths of the
+    circuit's registers."""
     c = GateCounts()
     for g in circuit.gates:
         kind = g[0]
@@ -440,8 +390,6 @@ def counts(circuit: Circuit) -> GateCounts:
             c.not_ += 1
         elif kind == "SWAP":
             c.swap += 1
-        elif kind == "MCX":
-            raise GF2Error("circuit contains MCX gates; lower_mcx first")
     c.qubits_total = circuit.width
     c.ancilla_clean = sum(r.width for r in circuit.registers
                           if r.kind == "ancilla-clean")
@@ -468,10 +416,6 @@ def _gate_line(g: tuple) -> str:
         return f"SWAP q[{g[1]}] q[{g[2]}]"
     if kind == "CCXU":
         return f"CCXU q[{g[1]}] q[{g[2]}] q[{g[3]}]"
-    if kind == "MCX":
-        ctrls = " ".join(
-            f"{'+' if c > 0 else '-'}q[{abs(c) - 1}]" for c in g[1])
-        return f"MCX {ctrls} q[{g[2]}]"
     raise GF2Error(f"unknown gate kind {kind}")
 
 
@@ -569,40 +513,54 @@ def _parse_line(circuit: Circuit, toks: list[str], lineno: int):
                              f"qubits, got {len(toks) - 1}")
         getattr(circuit, kind.lower())(*[_parse_q(t, lineno)
                                          for t in toks[1:]])
-    elif kind == "MCX":
-        controls = []
-        for tok in toks[1:-1]:
-            if tok[0] not in "+-":
-                raise ParseError(f"line {lineno}: control needs +/- polarity")
-            controls.append((_parse_q(tok[1:], lineno), tok[0] == "+"))
-        circuit.mcx(controls, _parse_q(toks[-1], lineno))
     else:
         raise ParseError(f"line {lineno}: unknown gate {kind!r}")
 
 
-# characters parse reads from a file at a time
-_READ_CHARS = 1 << 16
+# bytes parse reads from a file at a time
+_READ_BYTES = 1 << 16
+
+
+def _pieces(f):
+    """The bytes of ``f``, read ``_READ_BYTES`` at a time, in pieces that
+    each end after a ``\\n``, but the last."""
+    tail = b""
+    while chunk := f.read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    yield tail
 
 
 def _read_lines(f):
-    """The lines of ``f.read().splitlines()``, reading ``_READ_CHARS`` at a
-    time.  Each chunk is split after its last ``\\n``, which ends a line and
-    starts no line break, so the text up to it splits as the whole does."""
-    tail = ""
-    while chunk := f.read(_READ_CHARS):
-        cut = chunk.rfind("\n") + 1
-        if not cut:
-            tail += chunk
-            continue
-        yield from (tail + chunk[:cut]).splitlines()
-        tail = chunk[cut:]
-    yield from tail.splitlines()
+    """The lines of ``f.read().decode().splitlines()`` for a file opened in
+    binary mode, read in :func:`_pieces`.  A ``\\n`` ends a line, starts no
+    line break and is no part of a longer UTF-8 sequence, so each piece
+    decodes and splits as it does in the whole text.  A byte that is not
+    UTF-8 raises a ParseError naming its line, once the lines above it are
+    yielded."""
+    done = 0  # lines yielded
+    for piece in _pieces(f):
+        try:
+            lines = piece.decode().splitlines()
+        except UnicodeDecodeError as e:
+            # the text before the byte, closed by a stand-in for the rest of
+            # its line
+            *above, _ = (piece[:e.start].decode() + "x").splitlines()
+            yield from above
+            raise ParseError(f"line {done + len(above) + 1}: byte "
+                             f"{piece[e.start]:#04x} is not UTF-8") from None
+        yield from lines
+        done += len(lines)
 
 
 def parse(source) -> Circuit:
-    """Parse the circuit text format from a string or an open text file;
-    raises ParseError with line numbers.  A file is read in chunks, so its
-    text is never held whole.
+    """Parse the circuit text format from a string or a file opened in
+    binary mode; raises ParseError with line numbers.  A file is read in
+    chunks and decoded as UTF-8, so its text is never held whole.
 
     Each distinct gate line is checked once: a repeat appends the gate tuple
     of its first copy.  Widths only grow, so a line that passed its range

@@ -150,8 +150,8 @@ def inversion_sweep(plan, circ, vals):
 def pointadd_sweep(plan, circ, pts, pairs):
     """The point-addition contract on each (i, j) of ``pairs``: P1 = pts[i]
     becomes P1 + P2 for P2 = pts[j], P2 and its slope in lr are restored and
-    the flags, lam, w and s end at 0. Returns None or the first failing
-    (index, output state)."""
+    the flags, lam, w, s and the MCX ladder end at 0. Returns None or the
+    first failing (index, output state)."""
     layout = plan.layout()
     x1, y1, x2, y2, lr = (layout.reg(r)[0] for r in "x1 y1 x2 y2 lr".split())
     tails = [(p.x.bits << x2) | (p.y.bits << y2)
@@ -174,7 +174,7 @@ def _validate_circuit_file(args, exhaustive: bool) -> int:
     n = args.field
     field = pipeline.field_for(n)
     layout = multiplier_layout(n)
-    with open(args.circuit) as f:
+    with open(args.circuit, "rb") as f:
         circ = parse(f)
     if circ.width < layout.width:
         raise GF2Error(f"{args.circuit} has {circ.width} qubits; a field-{n} "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .circuit import Circuit, Register
+from .circuit import Circuit, Register, emit_mcx_lowered
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, field_inv
 from .synth import (
     InversionPlan,
@@ -152,25 +152,31 @@ def build_window_table(r: ECPoint, s: int, curve: CurveSpec) -> WindowTable:
 
 # -- equality-test circuit -----------------------------------------------------
 
-def emit_equality_test(sink, aw, bw, target, extra_controls=()):
+def emit_equality_test(sink, aw, bw, target, anc, extra_controls=()):
     """Flip ``target`` iff registers a and b are equal (under any extra
-    closed/open controls): bitwise-CNOT conjugated open-control MCX."""
+    closed/open controls): bitwise-CNOT conjugated open-control MCX, lowered
+    onto the clean ancillas ``anc``."""
     for a, b in zip(aw, bw):
         sink.cnot(a, b)
     controls = [(b, False) for b in bw] + list(extra_controls)
-    sink.mcx(controls, target)
+    emit_mcx_lowered(sink, controls, target, anc)
     for a, b in zip(aw, bw):
         sink.cnot(a, b)
 
 
 def synth_equality_test(n: int, extra_controls: int = 0) -> Circuit:
+    """The equality test over a, b, the extra controls and the flag, then
+    the clean ancillas of its lowering when it has more than 2 controls."""
     circ = Circuit()
     aw = circ.add_register(Register("a", n))
     bw = circ.add_register(Register("b", n))
     extras = (circ.add_register(Register("c", extra_controls, "flag"))
               if extra_controls else [])
     t = circ.add_register(Register("flag", 1, "flag"))[0]
-    emit_equality_test(circ, aw, bw, t,
+    k = n + extra_controls
+    anc = (circ.add_register(Register("anc", k - 2, "ancilla-clean"))
+           if k > 2 else [])
+    emit_equality_test(circ, aw, bw, t, anc,
                        extra_controls=[(c, True) for c in extras])
     return circ
 
@@ -194,7 +200,10 @@ class PointAddPlan:
 
         x1, y1 (become x3, y3), x2, y2 and the table slope lr (restored),
         the flags [f1, f2, f3, f4, ctrl] (end at 0), the slope workspace
-        lam, the inverter workspace w and one scratch bit s (all end at 0).
+        lam, the inverter workspace w, one scratch bit s and the ladder, the
+        clean ancillas of every multi-controlled NOT (all end at 0).  The
+        widest of those, a zero test of x1, y1 under two flags, has 2n+2
+        controls, so the ladder has 2n wires.
         """
         n = self.n
         return Circuit([
@@ -204,16 +213,17 @@ class PointAddPlan:
             Register("w", (self.inversion.num_registers - 1) * n,
                      "ancilla-clean"),
             Register("s", 1, "ancilla-clean"),
+            Register("ladder", 2 * n, "ancilla-clean"),
         ])
 
-    def emit(self, sink, x1, y1, x2, y2, lr, flags, lam, w, s):
+    def emit(self, sink, x1, y1, x2, y2, lr, flags, lam, w, s, ladder):
         """Six-stage in-place point addition over the wires of the
         registers of :meth:`layout`, one argument each, as one keyed
         block."""
         sink.block(lambda sub: self._emit(
-            sub, x1, y1, x2, y2, lr, flags, lam, w, s), key=(self,))
+            sub, x1, y1, x2, y2, lr, flags, lam, w, s, ladder), key=(self,))
 
-    def _emit(self, sink, A, B, C, D, L, flags, LAM, W, scratch):
+    def _emit(self, sink, A, B, C, D, L, flags, LAM, W, scratch, ladder):
         (S,) = scratch
         f1, f2, f3, f4, ctrl = flags
         inv = self.inversion
@@ -234,14 +244,17 @@ class PointAddPlan:
             with census("multiplication"):
                 self.modmult.emit(sink, fw, gw, hw)
 
+        def mcx(controls, target):
+            emit_mcx_lowered(sink, controls, target, ladder)
+
         def eq(aw, bw, target, extras, units=1):
             with census("equality-test", units):
-                emit_equality_test(sink, aw, bw, target, extras)
+                emit_equality_test(sink, aw, bw, target, ladder, extras)
 
         def zero_test(regs, target, extras, label="n-toffoli", units=None):
             with census(label, len(regs) if units is None else units):
-                sink.mcx([(q, False) for r in regs for q in r] + list(extras),
-                         target)
+                mcx([(q, False) for r in regs for q in r] + list(extras),
+                    target)
 
         def add(src, dst):
             with census("addition"):
@@ -273,16 +286,16 @@ class PointAddPlan:
         inversion()                                   # Wout = (x1+x2)^-1
         mult(B, Wout, T)
         with census("n-toffoli", 1):                  # gate bit ctrl & !f1
-            sink.mcx([(ctrl, True), (f1, False)], S)
+            mcx([(ctrl, True), (f1, False)], S)
         cadd(S, T, LAM)                               # LAM = lambda (generic)
         with census("n-toffoli", 0):
-            sink.mcx([(ctrl, True), (f1, False)], S)
+            mcx([(ctrl, True), (f1, False)], S)
         mult(B, Wout, T)                              # T back to 0
         with census("n-toffoli", 1):                  # lambda_r copy path
-            sink.mcx([(ctrl, True), (f1, True)], S)
+            mcx([(ctrl, True), (f1, True)], S)
         gated_add(S, L, LAM)                          # LAM = lambda_r (doubling)
         with census("n-toffoli", 0):
-            sink.mcx([(ctrl, True), (f1, True)], S)
+            mcx([(ctrl, True), (f1, True)], S)
         eq(LAM, L, S, [(ctrl, True)])                 # S = ctrl & [lam == lam_r]
         with census("n-toffoli"):                     # swap f1, S if ctrl
             sink.cnot(S, f1)

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import (Circuit, GateCounts, Register, counts as circuit_counts,
-                      emit_mcx_lowered)
+from .circuit import Circuit, GateCounts, Register, counts as circuit_counts
 from .gf2 import (
     BinaryPoly,
     FieldSpec,
@@ -81,10 +80,6 @@ class CountSink:
 
     def ccxu(self, a, b, t):
         self.counts.ccx_uncompute += 1
-
-    def mcx(self, controls, t):
-        # a tally reads no wire, so any indices stand in for the ancillas
-        emit_mcx_lowered(self, controls, t, range(len(controls)))
 
     def fanin(self, wires, mask: int, t):
         self.counts.cnot += mask.bit_count()
@@ -459,9 +454,8 @@ def count_plan(plan) -> CountSink:
 
     The sink's counts start as :func:`~binshor.circuit.counts` of the empty
     layout, so the qubit and ancilla fields are the layout's register
-    widths (without the ancillas an MCX lowering would add); the gate
-    tallies and census are those of the plan's keyed block, emitted once
-    per plan into :data:`TALLIES`.
+    widths; the gate tallies and census are those of the plan's keyed
+    block, emitted once per plan into :data:`TALLIES`.
     """
     sink = CountSink()
     sink.counts = circuit_counts(plan.layout())

@@ -17,7 +17,7 @@ from binshor.circuit import (
     ParseError,
     Register,
     counts,
-    lower_mcx,
+    emit_mcx_lowered,
     pack_planes,
     parse,
     serialize,
@@ -26,6 +26,7 @@ from binshor.circuit import (
     unpack_planes,
 )
 from binshor.gf2 import GF2Error
+from binshor.synth import CountSink
 
 
 def two_qubit():
@@ -48,7 +49,7 @@ def test_simulate_cnot():
 def test_simulate_open_control_ccx():
     # open-control Toffoli flips the target when both controls are 0
     c = Circuit([Register("q", 3)])
-    c.mcx([(0, False), (1, False)], 2)
+    emit_mcx_lowered(c, [(0, False), (1, False)], 2, [])
     assert simulate(c, "001") == "000"
     assert simulate(c, "000") == "001"
     assert simulate(c, "100") == "100"
@@ -88,7 +89,8 @@ def test_reverse_roundtrip_random():
         elif kind == "ccx":
             c.ccx(*qs)
         else:
-            c.mcx([(qs[0], rng.random() < 0.5), (qs[1], True)], qs[2])
+            emit_mcx_lowered(c, [(qs[0], rng.random() < 0.5), (qs[1], True)],
+                             qs[2], [])
     r = c.reversed()
     for v in range(0, 64, 7):
         assert simulate(r, simulate(c, v)) == v
@@ -96,48 +98,68 @@ def test_reverse_roundtrip_random():
 
 def test_lower_mcx_two_controls():
     c = Circuit([Register("q", 3)])
-    c.mcx([(0, True), (1, True)], 2)
-    low = lower_mcx(c)
-    cc = counts(low)
+    emit_mcx_lowered(c, [(0, True), (1, True)], 2, [])
+    cc = counts(c)
     assert cc.toffoli == 1 and cc.ccx_uncompute == 0
-    assert low.width == 3  # no ancillas needed
+    assert c.gates == [("CCX", 0, 1, 2)]  # no ancillas needed
 
 
 def test_lower_mcx_five_controls():
-    c = Circuit([Register("q", 6)])
-    c.mcx([(i, True) for i in range(5)], 5)
-    low = lower_mcx(c)
-    cc = counts(low)
+    c = Circuit([Register("q", 6), Register("anc", 3, "ancilla-clean")])
+    emit_mcx_lowered(c, [(i, True) for i in range(5)], 5, c.reg("anc"))
+    cc = counts(c)
     assert cc.toffoli == 4          # k-1 Toffolis counted
     assert cc.ancilla_clean == 3    # k-2: the ladder's ANDs of c0..c3
     # exhaustive truth-table equivalence on the original qubits
     for v in range(64):
-        got = simulate(low, v)
+        got = simulate(c, v)
         anc = got >> 6
         assert anc == 0             # ancillas restored
         want = v ^ (1 << 5) if (v & 0b11111) == 0b11111 else v
         assert got & 63 == want
 
 
-def test_lower_mcx_open_controls_exhaustive():
-    rng = random.Random(3)
-    for k in (3, 4, 5, 6, 7, 8):
-        c = Circuit([Register("q", k + 1)])
-        pols = [rng.random() < 0.5 for _ in range(k)]
-        c.mcx([(i, pols[i]) for i in range(k)], k)
-        low = lower_mcx(c)
-        for v in range(1 << (k + 1)):
-            got = simulate(low, v)
-            fire = all(((v >> i) & 1) == (1 if pols[i] else 0) for i in range(k))
-            want = v ^ (1 << k) if fire else v
-            assert got & ((1 << (k + 1)) - 1) == want
-            assert got >> (k + 1) == 0
+def test_lower_mcx_needs_k_minus_2_ancillas():
+    c = Circuit([Register("q", 8)])
+    with pytest.raises(GF2Error, match="5 controls need 3 ancillas, got 2"):
+        emit_mcx_lowered(c, [(i, True) for i in range(5)], 5, [6, 7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda k: st.tuples(
+    st.lists(st.booleans(), min_size=k, max_size=k),
+    st.permutations(range(k + 1 + max(k - 2, 0))))))
+def test_emit_mcx_lowered_matches_its_truth_table(case):
+    # k controls of drawn polarities, the target and k-2 ancillas on drawn
+    # wires; every control assignment with the target at 0 and at 1
+    closed, wires = case
+    k = len(closed)
+    ctrl, t, anc = wires[:k], wires[k], wires[k + 1:]
+    circ = Circuit([Register("q", len(wires))])
+    emit_mcx_lowered(circ, list(zip(ctrl, closed)), t, anc)
+    inputs = [sum(((a >> i) & 1) << q for i, q in enumerate(ctrl)) | (b << t)
+              for a in range(1 << k) for b in (0, 1)]
+    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, len(wires))),
+                         len(inputs))
+    assert outs == [simulate(circ, v) for v in inputs]
+    for v, out in zip(inputs, outs):
+        fire = all((v >> q) & 1 == c for q, c in zip(ctrl, closed))
+        assert out == v ^ (fire << t)  # controls and ancillas unchanged
+    sink = CountSink()
+    emit_mcx_lowered(sink, list(zip(ctrl, closed)), t, anc)
+    opens = closed.count(False)
+    want = {0: (0, 0, 0, 1), 1: (0, 0, 1, 2 * opens)}.get(
+        k, (k - 1, k - 2, 0, 2 * opens))
+    c = sink.counts
+    assert (c.toffoli, c.ccx_uncompute, c.cnot, c.not_) == want
+    assert c.swap == 0
 
 
 def test_lower_mcx_163_controls():
-    c = Circuit([Register("q", 164)])
-    c.mcx([(i, True) for i in range(163)], 163)
-    assert counts(lower_mcx(c)).toffoli == 162
+    c = Circuit([Register("q", 164), Register("anc", 161, "ancilla-clean")])
+    emit_mcx_lowered(c, [(i, True) for i in range(163)], 163, c.reg("anc"))
+    cc = counts(c)
+    assert (cc.toffoli, cc.ccx_uncompute) == (162, 161)
 
 
 def test_counts_addition_circuit():
@@ -151,10 +173,10 @@ def test_counts_equality_test_lowered():
     from binshor.ecc import synth_equality_test
 
     n = 9
-    low = lower_mcx(synth_equality_test(n))
-    cc = counts(low)
+    cc = counts(synth_equality_test(n))
     assert cc.cnot == 2 * n
     assert cc.toffoli == n - 1
+    assert cc.ancilla_clean == n - 2  # the ladder of its n-control NOT
 
 
 def test_counts_empty():
@@ -163,11 +185,17 @@ def test_counts_empty():
     assert (cc.cnot, cc.toffoli, cc.swap, cc.not_) == (0, 0, 0, 0)
 
 
-def test_counts_requires_lowered():
+def test_mcx_is_not_a_gate_kind():
+    # a multi-controlled NOT exists only lowered: a circuit cannot store one
+    # and the text format has no line for one
+    assert not hasattr(Circuit, "mcx")
+    with pytest.raises(ParseError) as e:
+        parse("reg q 4 input\nMCX +q[0] -q[1] +q[2] q[3]\n")
+    assert str(e.value.__cause__) == "line 2: unknown gate 'MCX'"
     c = Circuit([Register("q", 4)])
-    c.mcx([(0, True), (1, True), (2, True)], 3)
-    with pytest.raises(GF2Error):
-        counts(c)
+    c.gates.append(("MCX", (1, 2, 3), 3))
+    with pytest.raises(GF2Error, match="unknown gate kind MCX"):
+        simulate(c, 0)
 
 
 def test_counts_additivity():
@@ -302,62 +330,49 @@ def test_simulate_planes_rejects_bad_batches():
         unpack_planes(pack_planes([1, 2, 3], 8), 65)
 
 
-MCX_WIDTH = 8
+WIDTH = 8
 _ARITY = {"x": 1, "cnot": 2, "swap": 2, "ccx": 3, "ccxu": 3}
 
 
 @st.composite
 def _gate_ops(draw):
+    """A gate call, or a lowered MCX of up to 4 controls with the wires
+    left over as its ancillas."""
     kind = draw(st.sampled_from(["x", "cnot", "swap", "ccx", "ccxu", "mcx"]))
-    qs = draw(st.permutations(range(MCX_WIDTH)))
+    qs = draw(st.permutations(range(WIDTH)))
     if kind != "mcx":
         return kind, tuple(qs[:_ARITY[kind]])
-    k = draw(st.integers(0, MCX_WIDTH - 1))
+    k = draw(st.integers(0, 4))
     closed = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    return kind, (list(zip(qs[:k], closed)), qs[k])
+    return kind, (list(zip(qs[:k], closed)), qs[k], qs[k + 1:])
+
+
+def _apply(sink, kind, args):
+    if kind == "mcx":
+        emit_mcx_lowered(sink, *args)
+    else:
+        getattr(sink, kind)(*args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_gate_ops(), max_size=40))
 def test_count_sink_matches_lowered_counts(ops):
-    from binshor.synth import CountSink
-
-    circ = Circuit([Register("q", MCX_WIDTH)])
+    circ = Circuit([Register("q", WIDTH)])
     sink = CountSink()
     for kind, args in ops:
-        getattr(circ, kind)(*args)
-        getattr(sink, kind)(*args)
-    low = counts(lower_mcx(circ))
+        _apply(circ, kind, args)
+        _apply(sink, kind, args)
+    low = counts(circ)
     kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_gate_ops(), max_size=20).flatmap(lambda ops: st.tuples(
-    st.just(ops), st.lists(st.tuples(st.integers(0, len(ops)),
-                                     st.integers(0, len(ops))), max_size=6))))
-def test_lower_mcx_remaps_group_spans(case):
-    # a lowered span holds exactly the lowering of its original span
-    ops, spans = case
-    circ = Circuit([Register("q", MCX_WIDTH)])
-    for kind, args in ops:
-        getattr(circ, kind)(*args)
-    circ.groups = [(f"g{i}", i + 1, min(s, e), max(s, e))
-                   for i, (s, e) in enumerate(spans)]
-    low = lower_mcx(circ)
-    assert low.census() == circ.census()
-    for (_, _, s, e), (_, _, ls, le) in zip(circ.groups, low.groups):
-        part = Circuit(list(circ.registers))
-        part.gates = circ.gates[s:e]
-        assert low.gates[ls:le] == lower_mcx(part).gates
-
-
 @st.composite
 def _registers(draw):
-    """Named registers of random widths and kinds over MCX_WIDTH wires."""
-    cuts = sorted(draw(st.sets(st.integers(1, MCX_WIDTH - 1), max_size=3)))
-    bounds = [0, *cuts, MCX_WIDTH]
+    """Named registers of random widths and kinds over WIDTH wires."""
+    cuts = sorted(draw(st.sets(st.integers(1, WIDTH - 1), max_size=3)))
+    bounds = [0, *cuts, WIDTH]
     return [Register(f"r{i}", hi - lo, draw(st.sampled_from(REG_KINDS)))
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
@@ -367,20 +382,21 @@ def _registers(draw):
 def test_parse_inverts_serialize(registers, ops):
     circ = Circuit(registers)
     for kind, args in ops:
-        getattr(circ, kind)(*args)
+        _apply(circ, kind, args)
     assert parse(serialize(circ)) == circ
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_gate_ops(), max_size=40),
-       st.lists(st.integers(0, (1 << MCX_WIDTH) - 1), min_size=1,
+       st.lists(st.integers(0, (1 << WIDTH) - 1), min_size=1,
                 max_size=150))
 def test_simulate_planes_matches_simulate(ops, inputs):
-    # every gate kind, MCX with open and closed controls, per-case reference
-    circ = Circuit([Register("q", MCX_WIDTH)])
+    # every gate kind, lowered MCX with open and closed controls, per-case
+    # reference
+    circ = Circuit([Register("q", WIDTH)])
     for kind, args in ops:
-        getattr(circ, kind)(*args)
-    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, MCX_WIDTH)),
+        _apply(circ, kind, args)
+    outs = unpack_planes(simulate_planes(circ, pack_planes(inputs, WIDTH)),
                          len(inputs))
     assert outs == [simulate(circ, v) for v in inputs]
 
@@ -413,10 +429,6 @@ def _serialize_reference(circuit):
             lines.append(f"CCX q[{g[1]}] q[{g[2]}] q[{g[3]}]")
         elif kind == "CCXU":
             lines.append(f"CCXU q[{g[1]}] q[{g[2]}] q[{g[3]}]")
-        elif kind == "MCX":
-            ctrls = " ".join(
-                f"{'+' if c > 0 else '-'}q[{abs(c) - 1}]" for c in g[1])
-            lines.append(f"MCX {ctrls} q[{g[2]}]")
         else:
             raise GF2Error(f"unknown gate kind {kind}")
     return "\n".join(lines) + "\n"
@@ -457,14 +469,6 @@ def _parse_reference(text):
                 circuit.ccx(*(q(t, lineno) for t in toks[1:4]))
             elif kind == "CCXU":
                 circuit.ccxu(*(q(t, lineno) for t in toks[1:4]))
-            elif kind == "MCX":
-                controls = []
-                for tok in toks[1:-1]:
-                    if tok[0] not in "+-":
-                        raise ParseError(
-                            f"line {lineno}: control needs +/- polarity")
-                    controls.append((q(tok[1:], lineno), tok[0] == "+"))
-                circuit.mcx(controls, q(toks[-1], lineno))
             else:
                 raise ParseError(f"line {lineno}: unknown gate {kind!r}")
         except (IndexError, ValueError) as e:
@@ -488,8 +492,7 @@ _POOL_QUBIT = st.one_of(st.integers(0, 4), st.integers(0, 13))
 @st.composite
 def _pool_lines(draw):
     shape = draw(st.sampled_from(
-        ["X", "CNOT", "SWAP", "CCX", "CCXU", "MCX", "comment", "blank",
-         "other"]))
+        ["X", "CNOT", "SWAP", "CCX", "CCXU", "comment", "blank", "other"]))
     if shape == "comment":
         return draw(st.sampled_from(["# a note", "   # indented", "#"]))
     if shape == "blank":
@@ -498,19 +501,14 @@ def _pool_lines(draw):
         # rejected alike by both parsers (a wrong arity is not: the
         # reference raised IndexError or TypeError for too few operands)
         return draw(st.sampled_from(
-            ["FOO q[1]", "CNOT q[0] nonsense", "MCX q[1] q[2]", "X q[1",
+            ["FOO q[1]", "CNOT q[0] nonsense", "MCX q[1] q[2]",
+             "MCX +q[0] -q[1] q[2]", "X q[1",
              "reg z 0 input", "reg y 1 bogus", "reg x w input",
              "reg x 1_0 input", "reg a 1 input"]))
-    if shape == "MCX":
-        ctrls = draw(st.lists(st.tuples(_POOL_QUBIT, st.booleans()),
-                              max_size=4))
-        toks = [f"{'+' if c else '-'}q[{q}]" for q, c in ctrls]
-        toks.append(f"q[{draw(_POOL_QUBIT)}]")
-    else:
-        k = {"X": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "CCXU": 3}[shape]
-        qs = draw(st.lists(_POOL_QUBIT, min_size=k, max_size=k,
-                           unique=draw(st.integers(0, 3)) > 0))
-        toks = [f"q[{q}]" for q in qs]
+    k = {"X": 1, "CNOT": 2, "SWAP": 2, "CCX": 3, "CCXU": 3}[shape]
+    qs = draw(st.lists(_POOL_QUBIT, min_size=k, max_size=k,
+                       unique=draw(st.integers(0, 3)) > 0))
+    toks = [f"q[{q}]" for q in qs]
     sep = draw(st.sampled_from([" ", "  ", "\t"]))
     line = sep.join([shape, *toks])
     tail = draw(st.sampled_from(["", "  ", " # tail", "# x"]))
@@ -551,9 +549,31 @@ _LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
 @given(st.text(st.sampled_from(["a", " ", *_LINE_BREAKS]), max_size=80),
        st.integers(1, 64))
 def test_read_lines_splits_like_splitlines(text, chunk):
-    with mock.patch.object(circuit_mod, "_READ_CHARS", chunk):
-        got = list(circuit_mod._read_lines(io.StringIO(text)))
+    # chunks of 1 to 64 bytes also cut the UTF-8 of "\x85", "\u2028", ...
+    with mock.patch.object(circuit_mod, "_READ_BYTES", chunk):
+        got = list(circuit_mod._read_lines(io.BytesIO(text.encode())))
     assert got == text.splitlines()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from(["a", " ", *_LINE_BREAKS]), max_size=80)
+       .flatmap(lambda text: st.tuples(st.just(text),
+                                       st.integers(0, len(text)))),
+       st.integers(1, 64))
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(case, chunk):
+    # 0xff inserted before character i: the lines above its line are
+    # yielded, then the error names its line, at any chunk size
+    text, i = case
+    lines = (text[:i] + "\ufffd" + text[i:]).splitlines()
+    bad = next(j for j, line in enumerate(lines) if "\ufffd" in line)
+    data = text[:i].encode() + b"\xff" + text[i:].encode()
+    got = []
+    with mock.patch.object(circuit_mod, "_READ_BYTES", chunk), \
+            pytest.raises(ParseError) as e:
+        for line in circuit_mod._read_lines(io.BytesIO(data)):
+            got.append(line)
+    assert got == lines[:bad]
+    assert str(e.value) == f"line {bad + 1}: byte 0xff is not UTF-8"
 
 
 @st.composite
@@ -571,17 +591,17 @@ def _separated_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_separated_texts(), st.integers(1, 64), st.sampled_from([None, ""]))
-def test_parse_reads_a_file_in_chunks_as_its_text(text, chunk, newline):
+@given(_separated_texts(), st.integers(1, 64))
+def test_parse_reads_a_file_in_chunks_as_its_text(text, chunk):
     # the same circuit, or the same error at the same line, at any chunk
-    # size; a file opened as validate --circuit opens it (newline=None:
-    # "\r" and "\r\n" read as "\n") or with its line breaks as written
+    # size, from a file opened as validate --circuit opens it (in binary
+    # mode, its line breaks as written)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "circuit.txt")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        with mock.patch.object(circuit_mod, "_READ_CHARS", chunk), \
-                open(path, encoding="utf-8", newline=newline) as f:
+        with open(path, "wb") as f:
+            f.write(text.encode())
+        with mock.patch.object(circuit_mod, "_READ_BYTES", chunk), \
+                open(path, "rb") as f:
             got = _parse_outcome(parse, f)
     assert got == _parse_outcome(parse, text)
 
@@ -598,7 +618,7 @@ def test_parse_shares_the_tuple_of_a_repeated_line():
 def test_serialize_matches_reference(registers, ops):
     circ = Circuit(registers)
     for kind, args in ops:
-        getattr(circ, kind)(*args)
+        _apply(circ, kind, args)
     # repeat the stream so every distinct gate is formatted once, used twice
     circ.gates += circ.gates
     assert serialize(circ) == _serialize_reference(circ)
@@ -606,10 +626,10 @@ def test_serialize_matches_reference(registers, ops):
 
 @st.composite
 def _fan_ops(draw):
-    """A CNOT fan-in or fan-out row over MCX_WIDTH wires."""
+    """A CNOT fan-in or fan-out row over WIDTH wires."""
     kind = draw(st.sampled_from(["fanin", "fanout"]))
-    qs = draw(st.permutations(range(MCX_WIDTH)))
-    mask = draw(st.integers(0, (1 << (MCX_WIDTH - 1)) - 1))
+    qs = draw(st.permutations(range(WIDTH)))
+    mask = draw(st.integers(0, (1 << (WIDTH - 1)) - 1))
     return kind, ((qs[1:], mask, qs[0]) if kind == "fanin"
                   else (qs[0], qs[1:], mask))
 
@@ -645,7 +665,7 @@ def _play(sink, ops, replay=None):
             sink.block(lambda s, body=op[2]: _play(s, body, replay),
                        rev=op[1], key=op[3])
         else:
-            getattr(sink, op[0])(*op[1])
+            _apply(sink, *op)
 
 
 class BufferSink:
@@ -670,9 +690,6 @@ class BufferSink:
 
     def ccxu(self, a, b, t):
         self.ops.append(("ccxu", a, b, t))
-
-    def mcx(self, controls, t):
-        self.ops.append(("mcx", controls, t))
 
     def fanin(self, wires, mask, t):
         for j in range(mask.bit_length()):
@@ -714,7 +731,7 @@ def test_circuit_reverses_a_block_like_a_buffer_replay(before, body, outer):
     # a Circuit reverses a block in place; the gates, the groups and any
     # still-open outer group must be those of a BufferSink replay
     def emit(play):
-        circ = Circuit([Register("q", MCX_WIDTH)])
+        circ = Circuit([Register("q", WIDTH)])
         if outer:
             circ.begin_group("outer")
         play(circ, before)
@@ -740,7 +757,7 @@ def test_count_sink_and_circuit_read_the_same_stream(body, rev1, rev2):
     import binshor.synth as synth
 
     ops = [*body, _block(rev1, body, True), _block(rev2, body, True)]
-    circ = Circuit([Register("q", MCX_WIDTH)])
+    circ = Circuit([Register("q", WIDTH)])
     _play(circ, ops)
     saved, synth.TALLIES = synth.TALLIES, {}
     try:
@@ -748,7 +765,7 @@ def test_count_sink_and_circuit_read_the_same_stream(body, rev1, rev2):
         _play(sink, ops)
     finally:
         synth.TALLIES = saved
-    low = counts(lower_mcx(circ))
+    low = counts(circ)
     kinds = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute")
     assert ([getattr(sink.counts, k) for k in kinds]
             == [getattr(low, k) for k in kinds])
@@ -761,7 +778,7 @@ def test_writer_writes_what_a_circuit_serializes(body, flush_gates):
     # nested, reversed and keyed blocks with groups, written a few gates at
     # a time: the text and the gate count of the materialized circuit
     ops = [*body, _block(True, body, False), *body]
-    circ = Circuit([Register("q", MCX_WIDTH)])
+    circ = Circuit([Register("q", WIDTH)])
     _play(circ, ops)
     out = io.StringIO()
     with mock.patch.object(circuit_mod, "_FLUSH_GATES", flush_gates):

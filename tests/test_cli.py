@@ -70,7 +70,7 @@ def test_emit_cap_is_checked_before_the_circuit_is_built(tmp_path, monkeypatch,
                        "--emit-cap", "10")
     assert rc == 2
     assert out == ""
-    assert err == ("refusing to emit 42-qubit circuit (cap 10); use "
+    assert err == ("refusing to emit 50-qubit circuit (cap 10); use "
                    "--counts-only or raise --emit-cap\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -113,11 +113,29 @@ def test_malformed_lines_are_reported_from_a_file_at_any_chunk_size(
         path = tmp_path / "bad.txt"
         path.write_text(f"reg a 12 input\n{line}\n", encoding="utf-8")
         for chunk in (1, 5, 1 << 16):
-            monkeypatch.setattr(circuit, "_READ_CHARS", chunk)
-            with open(path, encoding="utf-8") as f, \
-                    pytest.raises(ParseError) as e:
+            monkeypatch.setattr(circuit, "_READ_BYTES", chunk)
+            with open(path, "rb") as f, pytest.raises(ParseError) as e:
                 parse(f)
             assert str(e.value) == f"line 2: malformed line {line!r}"
+
+
+def test_a_byte_that_is_not_utf8_is_reported_by_its_line(
+        tmp_path, monkeypatch, capsys):
+    # the n = 163 multiplier file with 0xff inserted at byte 135,015, past
+    # the first 64 KiB chunk: line 7,276 at any chunk size
+    import binshor.circuit as circuit
+
+    path = tmp_path / "modmult163.txt"
+    _write_modmult_circuit(path, 163)
+    data = path.read_bytes()
+    assert data[:135_015].count(b"\n") == 7_275
+    path.write_bytes(data[:135_015] + b"\xff" + data[135_015:])
+    for chunk in (1, 5, 1 << 16):
+        monkeypatch.setattr(circuit, "_READ_BYTES", chunk)
+        rc, out, err = run(capsys, "validate", "--field", "163", "--circuit",
+                           str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: line 7276: byte 0xff is not UTF-8\n"
 
 
 @pytest.mark.parametrize("argv, message, text", [
@@ -135,6 +153,10 @@ def test_malformed_lines_are_reported_from_a_file_at_any_chunk_size(
     *((["validate", "--field", "4", "--circuit", "{bad}"],
        f"line 2: malformed line {line!r}", f"reg a 12 input\n{line}\n")
       for line in MALFORMED_LINES.values()),
+    # a multi-controlled NOT is emitted lowered and has no line of its own
+    (["validate", "--field", "4", "--circuit", "{bad}"],
+     "line 2: malformed line 'MCX +q[0] -q[1] q[2]'",
+     "reg a 12 input\nMCX +q[0] -q[1] q[2]\n"),
     # curve coefficients that are not elements of GF(2^n)
     (["validate", "--field", "4", "--curve-a", "1f"], "a = 0x1f", None),
     (["synth", "--field", "4", "--target", "ecpointadd", "--curve-a", "1f",
@@ -160,7 +182,8 @@ def test_malformed_lines_are_reported_from_a_file_at_any_chunk_size(
     (["estimate", "--field", "163", "--delay", "1e-310"], "runtime", None),
 ], ids=["estimate-empty-window", "landscape-empty-window", "zero-samples",
         "emit-missing-dir", "narrow-circuit-exhaustive",
-        "narrow-circuit-sampled", *MALFORMED_LINES, "curve-a-degree-validate",
+        "narrow-circuit-sampled", *MALFORMED_LINES, "mcx-line",
+        "curve-a-degree-validate",
         "curve-a-degree-synth", "curve-b-degree-validate",
         "curve-a-degree-validate-16", "curve-b-zero-validate-16",
         "cycle-nan", "cycle-inf", "delay-inf", "delay-nan",
@@ -293,9 +316,10 @@ def _drop_middle_gate(synth):
     ("synth_flt_inversion", "FAIL  inversion exhaustive  f=0x1 got 0x0 want 0x1",
      ()),
     ("synth_ecpointadd", "FAIL  point addition exhaustive (16^2 pairs)  "
-                         "P1=(0,1) P2=(x^2+x,0) out=0x160617", ()),
+                         "P1=(0,1) P2=(x^3+x,x^2+x) out=0x8016046a2c", ()),
     ("synth_ecpointadd", "FAIL  point addition sampled (50 pairs)  "
-                         "P1=(x^3+x^2+x+1,x^3) P2=(x^3+x^2,x^3+x) out=0x4aca6",
+                         "P1=(x^3+x^2+x+1,x^3) P2=(x^3+x^2,x^3+x) "
+                         "out=0x800204ac46",
      ("--mode", "sampled", "--samples", "50")),
 ], ids=["modmult", "inversion", "pointadd", "pointadd-sampled"])
 def test_validate_sweeps_catch_a_dropped_gate(synth, line, mode, monkeypatch,
@@ -444,3 +468,17 @@ def test_pointadd_contract_clauses():
                   ("cnot", y1[1], lr[1])]
     for mutation in _mutants(circ, mutations):
         assert cli.pointadd_sweep(plan, circ, pts, pairs) is not None, mutation
+
+
+def test_pointadd_contract_needs_the_ladder_back_at_0():
+    # the last CCXU of the first MCX ladder (the x1 == x2 test of stage 1)
+    # returns its first wire to 0; without it the whole-state sweep must fail
+    plan = pointadd_plan(4, 0, 1)
+    circ = cli.synth_ecpointadd(plan)
+    anc0 = plan.layout().reg("ladder")[0]
+    last = next(i for i, g in enumerate(circ.gates)
+                if g[0] == "CCXU" and g[3] == anc0)
+    del circ.gates[last]
+    pts = plan.curve.points()
+    pairs = list(itertools.product(range(len(pts)), repeat=2))
+    assert cli.pointadd_sweep(plan, circ, pts, pairs) is not None

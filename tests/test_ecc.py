@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from binshor.circuit import counts, lower_mcx, simulate
+from binshor.circuit import counts, simulate
 from binshor.cli import pointadd_sweep
 from binshor.ecc import (
     INFINITY,
@@ -146,11 +146,14 @@ def test_equality_test_exhaustive():
 
 def test_equality_test_counts():
     n = 6
-    cc = counts(lower_mcx(synth_equality_test(n)))
+    cc = counts(synth_equality_test(n))
     assert cc.cnot == 2 * n
     assert cc.toffoli == n - 1
-    cc2 = counts(lower_mcx(synth_equality_test(n, extra_controls=2)))
+    assert cc.ancilla_clean == n - 2
+    cc2 = counts(synth_equality_test(n, extra_controls=2))
     assert cc2.toffoli == n - 1 + 2
+    assert cc2.ancilla_clean == n
+    assert counts(synth_equality_test(2)).ancilla_clean == 0
 
 
 def sweep_curve(plan):
@@ -245,22 +248,26 @@ def test_pointadd_synthesized_vs_decomposition_toffoli():
         assert streamed.toffoli == formula - 11 * n + 50
 
 
-@pytest.mark.parametrize("n, a, b", [(4, 0, 1), (5, 2, 3), (8, 1, 1)])
+@pytest.mark.parametrize("n, a, b", [(2, 0, 1), (3, 1, 1), (4, 0, 1),
+                                     (5, 2, 3), (8, 1, 1)])
 def test_streamed_pointadd_counts_equal_lowered_circuit(n, a, b):
+    # the circuit's MCX are lowered as they are emitted, onto its ladder
+    # register, so the counter and the circuit read one gate stream
     from binshor.shor import stream_pointadd_counts
 
     plan = pointadd_plan(n, a, b)
     sink = stream_pointadd_counts(plan)
     circ = synth_ecpointadd(plan)
-    # the full census, the arithmetic blocks' inner groups included
+    # the full census, the arithmetic blocks' inner groups included; the
+    # reversed inversions add none, whether the sink reverses them (Circuit)
+    # or not (CountSink)
     assert sink.census == circ.census()
-    streamed = sink.counts
-    lowered = counts(lower_mcx(circ))
+    # every field, the qubit and ancilla widths included
+    assert sink.counts == counts(circ)
     kinds = ("cnot", "toffoli", "swap", "not_", "ccx_uncompute")
-    got = [getattr(streamed, k) for k in kinds]
-    assert got == [getattr(lowered, k) for k in kinds]
     if n == 8:
-        assert got == [7883, 931, 410, 360, 153]
+        assert [getattr(sink.counts, k) for k in kinds] == [
+            7883, 931, 410, 360, 153]
 
 
 def test_streamed_pointadd_reports_the_layout_width():
@@ -268,10 +275,12 @@ def test_streamed_pointadd_reports_the_layout_width():
 
     plan = pointadd_plan(4, 0, 1)
     width = stream_pointadd_counts(plan).counts.qubits_total
-    assert width == synth_ecpointadd(plan).width == 42
+    assert width == synth_ecpointadd(plan).width == 50
+    # the 11n+6 registers of the arithmetic plus the 2n ladder ancillas
     n = 163
-    assert (stream_pointadd_counts(pointadd_plan(n)).counts.qubits_total
-            == 11 * n + 6 == 1799)
+    counts163 = stream_pointadd_counts(pointadd_plan(n)).counts
+    assert counts163.qubits_total == 13 * n + 6 == 2125
+    assert counts163.ancilla_clean == 1305
 
 
 def test_pointadd_sampled_n8():
