@@ -543,6 +543,23 @@ def test_keyed_inversion_counts_equal_full_stream():
     assert tally.census == cs.census
 
 
+def test_reversed_blocks_drop_groups_in_every_sink():
+    # the reversed inversions of a point addition add no census groups,
+    # whether the sink reverses them (Circuit, TallySink) or not (CountSink)
+    from binshor.ecc import synth_ecpointadd
+    from binshor.pipeline import pointadd_plan
+
+    plan = pointadd_plan(4, 0, 1)
+    layout = plan.layout()
+    tally, cs = TallySink(), CountSink()
+    for sink in (tally, cs):
+        plan.emit(sink, *(layout.reg(r.name) for r in layout.registers))
+    circ = synth_ecpointadd(plan)
+    assert cs.census == tally.census == circ.census()
+    assert _fields(cs.counts) == [tally.counts[k] for k in COUNT_FIELDS]
+    assert _fields(cs.counts) == _fields(counts(circ))
+
+
 def test_numpy_stays_out_of_the_package(tmp_path):
     # counting, emission, both oracle sweeps and the estimates, in one process
     import subprocess
