@@ -582,8 +582,10 @@ def parse(source) -> Circuit:
         toks = line.split()
         try:
             _parse_line(circuit, toks, lineno)
-        except (IndexError, ValueError) as e:
-            raise ParseError(f"line {lineno}: malformed line {line!r}") from e
+        except ParseError:
+            raise
+        except GF2Error as e:  # a register or a gate the circuit rejects
+            raise ParseError(f"line {lineno}: {e}") from e
         if toks[0] != "reg":
             seen[raw] = gates[-1]
     return circuit

@@ -16,7 +16,7 @@ from .oracle import first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
                    stream_pointadd_counts)
-from .synth import (_emit_over_layout, multiplier_layout, synth_crt_modmult,
+from .synth import (emit_over_layout, multiplier_layout, synth_crt_modmult,
                     synth_flt_inversion)
 from .ecc import (TABLE_CENSUS, ec_add_classical, pointadd_census,
                   slope_for, synth_ecpointadd)
@@ -61,7 +61,7 @@ def cmd_synth(args) -> int:
         plan = pipeline.inversion_plan(n, args.target == "inversion", poly_bits)
         report["counts"] = plan.counts().as_dict()
         report["modmult_calls"] = plan.mult_calls
-    elif args.target == "ecpointadd":
+    else:  # ecpointadd
         plan = pipeline.pointadd_plan(n, args.curve_a, args.curve_b, poly_bits)
         streamed = stream_pointadd_counts(plan)
         cost = pointadd_cost(plan)
@@ -69,9 +69,6 @@ def cmd_synth(args) -> int:
         report["toffoli_decomposition"] = cost.toffoli
         report["qubits_model"] = cost.qubits
         report["census"] = pointadd_census(streamed.census)
-    else:
-        print(f"unknown target {args.target!r}", file=sys.stderr)
-        return 2
     if args.emit:
         layout = plan.layout()
         if layout.width > args.emit_cap:
@@ -81,7 +78,7 @@ def cmd_synth(args) -> int:
             return 2
         with _write_atomic(args.emit) as f:
             writer = CircuitWriter(layout.registers, f)
-            _emit_over_layout(plan, writer)
+            emit_over_layout(layout, plan.emit, writer)
             writer.flush()
         report["emitted"] = args.emit
         report["gates"] = writer.written
@@ -340,7 +337,7 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a circuit / report counts")
-    p.add_argument("--field", type=int, default=163, choices=None)
+    p.add_argument("--field", type=int, default=163)
     p.add_argument("--poly", help="custom field polynomial, hex bit-vector")
     p.add_argument("--target", default="modmult",
                    choices=["modmult", "inversion", "inversion-noclear",

@@ -2,7 +2,9 @@
 exception-complete reversible point-addition circuit.
 
 The classical side implements the curve group law with all exceptional
-cases and the window tables consumed by the phase-estimation structure.
+cases, the oracle of the point-addition sweeps, and the window tables
+([q]R, slope) of one window step.  No circuit reads those tables yet: the
+phase-estimation cost in :mod:`binshor.shor` prices the lookup by formula.
 The circuit side synthesizes the six-stage point addition: flag logic,
 slope computation, coordinate updates, slope uncomputation, and the
 exceptional-case repairs, using the arithmetic plans from
@@ -19,10 +21,10 @@ from .gf2 import BinaryPoly, FieldSpec, GF2Error, field_inv
 from .synth import (
     InversionPlan,
     ModmultPlan,
-    _emit_over_layout,
     emit_addition,
     emit_controlled_addition,
     emit_controlled_constants,
+    emit_over_layout,
     emit_square,
 )
 
@@ -162,23 +164,6 @@ def emit_equality_test(sink, aw, bw, target, anc, extra_controls=()):
     emit_mcx_lowered(sink, controls, target, anc)
     for a, b in zip(aw, bw):
         sink.cnot(a, b)
-
-
-def synth_equality_test(n: int, extra_controls: int = 0) -> Circuit:
-    """The equality test over a, b, the extra controls and the flag, then
-    the clean ancillas of its lowering when it has more than 2 controls."""
-    circ = Circuit()
-    aw = circ.add_register(Register("a", n))
-    bw = circ.add_register(Register("b", n))
-    extras = (circ.add_register(Register("c", extra_controls, "flag"))
-              if extra_controls else [])
-    t = circ.add_register(Register("flag", 1, "flag"))[0]
-    k = n + extra_controls
-    anc = (circ.add_register(Register("anc", k - 2, "ancilla-clean"))
-           if k > 2 else [])
-    emit_equality_test(circ, aw, bw, t, anc,
-                       extra_controls=[(c, True) for c in extras])
-    return circ
 
 
 # -- the point-addition circuit -------------------------------------------------
@@ -387,7 +372,7 @@ def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
     Output (x3, y3) lands in the x1/y1 registers; x2, y2 and the slope input
     are restored; flags and all clean ancillas return to zero.
     """
-    return _emit_over_layout(plan)
+    return emit_over_layout(plan.layout(), plan.emit)
 
 
 def pointadd_census(census: dict[str, int]) -> dict[str, int]:

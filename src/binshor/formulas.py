@@ -7,9 +7,10 @@ the shipped formulas must hit the known best product counts
 
 The formulas are data files (``data/formulas/d*.txt``), read by
 :meth:`KaratsubaFormula.from_text`.  It proves every formula equal to
-carry-less multiplication when it is loaded, from its d^2 pairs of basis
-monomials (see :meth:`KaratsubaFormula.verify`), so a shipped formula that
-computes the wrong product is rejected before any circuit uses it.
+carry-less multiplication when it is loaded, with
+:meth:`KaratsubaFormula.verify`, which compares the two on the d^2 pairs
+of basis monomials.  So a shipped formula that computes the wrong product
+is rejected before any circuit uses it.
 """
 
 from __future__ import annotations
@@ -48,28 +49,14 @@ class KaratsubaFormula:
                 prods |= 1 << r
         return self.R.mat_vec(prods)
 
-    def verify(self, exhaustive: bool | None = None, samples: int = 10_000,
-               seed: int = 0) -> None:
-        """Check the formula against carry-less multiplication.
-
-        By default on the d^2 basis pairs (x^i, x^j): ``multiply`` is
-        bilinear (R is linear, and each product is the parity of T_r f
-        times the parity of T_r g), as is clmul, so agreement on the basis
-        proves agreement on every input.  ``exhaustive=True`` compares all
-        pairs and ``exhaustive=False`` ``samples`` random ones.
-        """
-        import random
-
-        if exhaustive is None:
-            pairs = ((1 << i, 1 << j) for i in range(self.d)
-                     for j in range(self.d))
-        elif exhaustive:
-            pairs = ((f, g) for f in range(1 << self.d)
-                     for g in range(1 << self.d))
-        else:
-            rng = random.Random(seed)
-            pairs = ((rng.getrandbits(self.d), rng.getrandbits(self.d))
-                     for _ in range(samples))
+    def verify(self) -> None:
+        """Check the formula against carry-less multiplication on the d^2
+        basis pairs (x^i, x^j).  ``multiply`` is bilinear (R is linear, and
+        each product is the parity of T_r f times the parity of T_r g), as
+        is clmul, so agreement on the basis proves agreement on every
+        input."""
+        pairs = ((1 << i, 1 << j) for i in range(self.d)
+                 for j in range(self.d))
         for f, g in pairs:
             if self.multiply(f, g) != clmul(f, g):
                 raise GF2Error(

@@ -116,9 +116,7 @@ class BinaryPoly:
         return "+".join(terms)
 
 
-ZERO = BinaryPoly(0)
 ONE = BinaryPoly(1)
-X = BinaryPoly(2)
 
 
 def clmul(a: int, b: int) -> int:

@@ -49,10 +49,6 @@ class BitMatrix:
         return (len(self.rows), self.ncols)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls([0] * nrows, ncols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls([1 << i for i in range(n)], n)
 
@@ -109,12 +105,6 @@ class BitMatrix:
             rows = [a ^ table[v] for a, v in zip(rows, data[k::nb])]
         return BitMatrix(rows, other.ncols)
 
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.shape != other.shape:
-            raise GF2Error("shape mismatch")
-        return BitMatrix([a ^ b for a, b in zip(self.rows, other.rows)],
-                         self.ncols)
-
     def __pow__(self, k: int) -> "BitMatrix":
         if self.nrows != self.ncols:
             raise GF2Error("matrix power needs a square matrix")
@@ -142,9 +132,6 @@ class BitMatrix:
                 v ^= b
         return len(basis)
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitMatrix) and self.ncols == other.ncols
                 and self.rows == other.rows)
@@ -164,14 +151,6 @@ class PLUFactors:
     perm: tuple[int, ...]
     L: BitMatrix
     U: BitMatrix
-
-    @property
-    def P(self) -> BitMatrix:
-        n = len(self.perm)
-        return BitMatrix([1 << self.perm[i] for i in range(n)], n)
-
-    def reconstruct(self) -> BitMatrix:
-        return self.P @ self.L @ self.U
 
     def transpositions(self) -> list[tuple[int, int]]:
         """Decompose the permutation into transpositions (one per swap gate)."""

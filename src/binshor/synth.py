@@ -17,10 +17,12 @@ so each sink keeps blocks its own way: a :class:`~binshor.circuit.Circuit`
 stores every gate and reverses a reversed block in place, and a
 :class:`CountSink` adds a CNOT row's count at once and adds, for every copy
 of a keyed block, the tally it stored in :data:`TALLIES` the first time.
-Each plan's ``layout()`` is the one place its registers are named:
-:func:`count_plan` emits its block over those wires into a fresh
-:class:`CountSink` that starts from the layout's register widths, and its
-``synth_*`` circuit is the layout with the block emitted into it.
+Each plan's ``layout()`` is the one place its registers are named.
+:func:`emit_over_layout` emits a plan, or any emitter, over the wires of
+a layout's registers: into the layout itself, which builds the circuit,
+or into another sink.  :func:`count_plan` emits a plan's block that way
+into a fresh :class:`CountSink` that starts from the layout's register
+widths.
 """
 
 from __future__ import annotations
@@ -128,14 +130,6 @@ def emit_cnot_matrix(sink, M: BitMatrix, src, dst):
     """|s, d> -> |s, d + M s>: one CNOT per set entry (row = target)."""
     for i, row in enumerate(M.rows):
         sink.fanin(src, row, dst[i])
-
-
-def emit_constants(sink, c: BinaryPoly, dst):
-    b = c.bits
-    while b:
-        low = b & -b
-        sink.x(dst[low.bit_length() - 1])
-        b ^= low
 
 
 def emit_addition(sink, src, dst):
@@ -440,12 +434,13 @@ def multiplier_layout(n: int) -> Circuit:
                     Register("h", n, "output")])
 
 
-def _emit_over_layout(plan, sink=None) -> Circuit:
-    """Emit ``plan`` over the registers of its layout, in order, into
-    ``sink`` or else into the layout itself; returns the layout."""
-    layout = plan.layout()
-    plan.emit(layout if sink is None else sink,
-              *(layout.reg(r.name) for r in layout.registers))
+def emit_over_layout(layout: Circuit, emit, sink=None) -> Circuit:
+    """Call ``emit(sink, *wires)`` with the wires of each register of
+    ``layout``, in order, and with ``sink`` or else the layout itself as
+    the sink; returns the layout.  ``emit`` is a plan's ``emit`` or any
+    emitter over registers, such as :func:`emit_addition`."""
+    emit(layout if sink is None else sink,
+         *(layout.reg(r.name) for r in layout.registers))
     return layout
 
 
@@ -458,8 +453,9 @@ def count_plan(plan) -> CountSink:
     block, emitted once per plan into :data:`TALLIES`.
     """
     sink = CountSink()
-    sink.counts = circuit_counts(plan.layout())
-    _emit_over_layout(plan, sink)
+    layout = plan.layout()
+    sink.counts = circuit_counts(layout)
+    emit_over_layout(layout, plan.emit, sink)
     return sink
 
 
@@ -712,93 +708,16 @@ def emit_square(sink, field: FieldSpec, k: int, wires, rev: bool = False):
     sink.end_group()
 
 
-# -- public circuit-producing wrappers ----------------------------------------
-
-def synth_addition(mode: str, n: int, c: BinaryPoly | None = None) -> Circuit:
-    """Addition-family circuits: plain, constant(c), controlled, and
-    controlled-constant(c)."""
-    if n < 1:
-        raise GF2Error("n must be >= 1")
-    circ = Circuit()
-    if mode == "plain":
-        src = circ.add_register(Register("f", n))
-        dst = circ.add_register(Register("g", n))
-        emit_addition(circ, src, dst)
-    elif mode == "constant":
-        if c is None or c.degree >= n:
-            raise GF2Error("constant with degree < n required")
-        dst = circ.add_register(Register("g", n))
-        emit_constants(circ, c, dst)
-    elif mode == "controlled":
-        ctrl = circ.add_register(Register("ctrl", 1, "flag"))[0]
-        src = circ.add_register(Register("f", n))
-        dst = circ.add_register(Register("g", n))
-        emit_controlled_addition(circ, ctrl, src, dst)
-    elif mode == "controlled-constant":
-        if c is None or c.degree >= n:
-            raise GF2Error("constant with degree < n required")
-        ctrl = circ.add_register(Register("ctrl", 1, "flag"))[0]
-        dst = circ.add_register(Register("g", n))
-        emit_controlled_constants(circ, ctrl, c, dst)
-    else:
-        raise GF2Error(f"unknown addition mode {mode!r}")
-    return circ
-
-
-def synth_out_of_place_mul(M: BitMatrix) -> Circuit:
-    circ = Circuit()
-    src = circ.add_register(Register("g", M.ncols))
-    dst = circ.add_register(Register("f", M.nrows))
-    emit_cnot_matrix(circ, M, src, dst)
-    return circ
-
-
-def synth_in_place_mul(M: BitMatrix) -> Circuit:
-    if not M.is_invertible():
-        from .linalg import SingularMatrixError
-
-        raise SingularMatrixError("in-place map must be invertible", M.rank())
-    circ = Circuit()
-    wires = circ.add_register(Register("f", M.nrows))
-    LinearMap.of(M).emit(circ, wires)
-    return circ
-
-
-def synth_square(field: FieldSpec, k: int = 1) -> Circuit:
-    """In-place |f> -> |f^(2^k)> by the :func:`squaring_method` choice."""
-    if k < 1:
-        raise GF2Error("k must be >= 1")
-    circ = Circuit()
-    emit_square(circ, field, k, circ.add_register(Register("f", field.n)))
-    return circ
-
-
-def synth_kmult(formula: KaratsubaFormula, m_i: BinaryPoly) -> Circuit:
-    circ = Circuit()
-    d = formula.d
-    fw = circ.add_register(Register("f", d))
-    gw = circ.add_register(Register("g", d))
-    hw = circ.add_register(Register("h", d, "output"))
-    emit_kmult(circ, formula, m_i, fw, gw, hw)
-    return circ
-
-
-def synth_correction(omega: int, n: int) -> Circuit:
-    circ = Circuit()
-    fw = circ.add_register(Register("f", n))
-    gw = circ.add_register(Register("g", n))
-    tw = circ.add_register(Register("t", omega, "output"))
-    emit_correction(circ, omega, n, fw, gw, tw)
-    return circ
-
+# -- the plans emitted over their layouts ------------------------------------
+# One function per plan, not aliases: perfbench/tracer.py times each by name.
 
 def synth_crt_modmult(plan: ModmultPlan) -> Circuit:
     """The multiplier emitted over its :meth:`ModmultPlan.layout`."""
-    return _emit_over_layout(plan)
+    return emit_over_layout(plan.layout(), plan.emit)
 
 
 def synth_flt_inversion(plan: InversionPlan) -> Circuit:
     """The inversion emitted over its :meth:`InversionPlan.layout`; the
     inverse lands in slot ``plan.result_slot``, and slot ``plan.temp_slot``
     is the zero register of the interface (see :meth:`InversionPlan.slots`)."""
-    return _emit_over_layout(plan)
+    return emit_over_layout(plan.layout(), plan.emit)

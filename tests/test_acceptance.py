@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from binshor.circuit import counts, simulate
+from binshor.circuit import Circuit, Register, counts, simulate
 from binshor.cli import inversion_sweep, modmult_sweep, pointadd_sweep
 from binshor.datafiles import load_chain, load_formula
 from binshor.ecc import (
@@ -34,14 +34,16 @@ from binshor.shor import (
     stream_pointadd_counts,
 )
 from binshor.synth import (
-    synth_addition,
-    synth_correction,
+    LinearMap,
+    emit_addition,
+    emit_cnot_matrix,
+    emit_correction,
+    emit_kmult,
+    emit_over_layout,
+    emit_square,
+    multiplier_layout,
     synth_crt_modmult,
     synth_flt_inversion,
-    synth_in_place_mul,
-    synth_kmult,
-    synth_out_of_place_mul,
-    synth_square,
 )
 from binshor.linalg import const_mul_matrix, reduction_matrix
 
@@ -219,7 +221,8 @@ def test_criterion_7_oracle_suite():
         p = field.p
         mask = (1 << n) - 1
 
-        c = synth_addition("plain", n)
+        c = emit_over_layout(Circuit([Register("f", n), Register("g", n)]),
+                             emit_addition)
         bad = _sweep(c, range(1 << (2 * n)),
                      lambda v: (v & mask) | ((((v >> n) ^ v) & mask) << n))
         if bad:
@@ -227,14 +230,16 @@ def test_criterion_7_oracle_suite():
 
         h = BinaryPoly((rng.getrandbits(n) | 1) & mask)
         M = const_mul_matrix(h, field)
-        c = synth_out_of_place_mul(M)
+        c = emit_over_layout(Circuit([Register("g", n), Register("f", n)]),
+                             lambda s, g, f: emit_cnot_matrix(s, M, g, f))
         bad = _sweep(c, range(1 << (2 * n)), lambda v: (v & mask) | (
             (((v >> n) ^ poly_mul_mod(BinaryPoly(v & mask), h, p).bits) & mask)
             << n))
         if bad:
             failures.append(f"out-of-place mul n={n}: {bad}")
 
-        c = synth_in_place_mul(M)
+        c = emit_over_layout(Circuit([Register("f", n)]),
+                             LinearMap.of(M).emit)
         bad = _sweep(c, range(1 << n),
                      lambda v: poly_mul_mod(BinaryPoly(v), h, p).bits)
         if bad:
@@ -243,7 +248,9 @@ def test_criterion_7_oracle_suite():
         mi = enumerate_irreducibles(min(n - 1, 3))[0]
         red = reduction_matrix(mi, n)
         d = mi.degree
-        c = synth_out_of_place_mul(red)
+        c = emit_over_layout(
+            Circuit([Register("g", n - d), Register("f", d)]),
+            lambda s, g, f: emit_cnot_matrix(s, red, g, f))
         # register layout: the (n-d)-wide high part first, then the d-wide
         # low part that the reduction folds into
         hi_mask = (1 << (n - d)) - 1
@@ -254,7 +261,9 @@ def test_criterion_7_oracle_suite():
             failures.append(f"reduction n={n}: {bad}")
 
         for k in (1, 2, n):
-            c = synth_square(field, k)
+            c = emit_over_layout(
+                Circuit([Register("f", n)]),
+                lambda s, f: emit_square(s, field, k, f))
             def oracle_sq(v, k=k):
                 b = BinaryPoly(v)
                 for _ in range(k):
@@ -284,7 +293,8 @@ def test_criterion_7_oracle_suite():
     for d in (2, 3, 4, 5):
         f = load_formula(d)
         mi = enumerate_irreducibles(d)[0]
-        c = synth_kmult(f, mi)
+        c = emit_over_layout(multiplier_layout(d),
+                             lambda s, *w: emit_kmult(s, f, mi, *w))
         bad = _sweep(c, range(1 << min(3 * d, 14)), lambda v: (
             (v & ((1 << d) - 1)) | (v >> d & ((1 << d) - 1)) << d | (
                 ((v >> 2 * d) ^ poly_mul_mod(
@@ -296,7 +306,10 @@ def test_criterion_7_oracle_suite():
 
     # correction circuit omega <= 4, exhaustive at n = 6
     for omega in (1, 2, 3, 4):
-        circ = synth_correction(omega, 6)
+        circ = emit_over_layout(
+            Circuit([Register("f", 6), Register("g", 6),
+                     Register("t", omega, "output")]),
+            lambda s, *w: emit_correction(s, omega, 6, *w))
         def oracle_corr(v, omega=omega):
             f, g, t = v & 63, (v >> 6) & 63, v >> 12
             out = 0
@@ -360,10 +373,10 @@ def test_criterion_8_structural(field_plans):
                 v = rng.getrandbits(circ.width)
                 ok &= simulate(rev, simulate(circ, v)) == v
     # counts additivity
-    from binshor.circuit import Circuit, Register
-
-    a = synth_addition("plain", 5)
-    b = synth_addition("plain", 5)
+    a = emit_over_layout(Circuit([Register("f", 5), Register("g", 5)]),
+                         emit_addition)
+    b = emit_over_layout(Circuit([Register("f", 5), Register("g", 5)]),
+                         emit_addition)
     merged = Circuit(list(a.registers))
     merged.extend(a)
     merged.extend(b)

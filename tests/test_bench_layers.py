@@ -57,3 +57,16 @@ def test_field_hooks_read_the_field_size_argument():
                  .parameters.values() if p.kind in positional]
         if "n" in hook:
             assert "n" in layer and layer.index("n") == hook.index("n"), target
+
+
+def test_every_traced_layer_is_a_function_of_its_own():
+    # the tracer rebinds every name bound to a layer's function, so two
+    # layers on one function would wrap it twice and count each call twice
+    # (synth.gates_materialized, say).  This is why synth_crt_modmult,
+    # synth_flt_inversion, synth_ecpointadd and stream_pointadd_counts stay
+    # functions of their own over emit_over_layout and count_plan.
+    seen = {}
+    for _, target, *_ in load_tracer().LAYERS:
+        fn = resolve(target)
+        assert id(fn) not in seen, (target, seen.get(id(fn)))
+        seen[id(fn)] = target

@@ -61,10 +61,10 @@ def test_synth_missing_formula_file_reports_path(tmp_path, capsys, monkeypatch):
 
 def test_emit_cap_is_checked_before_the_circuit_is_built(tmp_path, monkeypatch,
                                                          capsys):
-    def unbuildable(plan):
+    def unbuildable(*args):
         raise AssertionError("circuit built before the emit cap was checked")
 
-    monkeypatch.setattr(cli, "_emit_over_layout", unbuildable)
+    monkeypatch.setattr(cli, "emit_over_layout", unbuildable)
     rc, out, err = run(capsys, "synth", "--field", "4", "--target",
                        "ecpointadd", "--emit", str(tmp_path / "pa.txt"),
                        "--emit-cap", "10")
@@ -84,23 +84,35 @@ def _write_modmult_circuit(path, n):
 
 
 # lines that the circuit parser rejects, each read as line 2 of a circuit
-# file: wrong arities, a reg line with an extra token, qubit indices that
-# are not ASCII decimal digits
+# file, with the reason it reports: wrong arities, a reg line with an
+# extra token, qubit indices that are not ASCII decimal digits, and
+# registers and gates that the circuit itself rejects
 MALFORMED_LINES = {
-    "cnot-three-qubits": "CNOT q[0] q[1] q[2]",
-    "x-trailing-token": "X q[0] junk",
-    "swap-three-qubits": "SWAP q[0] q[1] q[2]",
-    "ccx-four-qubits": "CCX q[0] q[1] q[2] q[3]",
-    "ccxu-four-qubits": "CCXU q[0] q[1] q[2] q[3]",
-    "ccx-two-qubits": "CCX q[0] q[1]",
-    "reg-extra-token": "reg b 3 input extra",
-    "qubit-underscore": "CNOT q[1_0] q[1]",
-    "qubit-plus-sign": "CNOT q[+1] q[2]",
-    "qubit-minus-sign": "X q[-1]",
-    "qubit-non-ascii-digit": "X q[\u0661]",
-    "reg-width-underscore": "reg b 1_0 input",
-    "reg-width-plus-sign": "reg b +2 output",
-    "reg-width-non-ascii-digit": "reg b \u0662 input",
+    "cnot-three-qubits": ("CNOT q[0] q[1] q[2]", "CNOT takes 2 qubits, got 3"),
+    "x-trailing-token": ("X q[0] junk", "X takes 1 qubits, got 2"),
+    "swap-three-qubits": ("SWAP q[0] q[1] q[2]", "SWAP takes 2 qubits, got 3"),
+    "ccx-four-qubits": ("CCX q[0] q[1] q[2] q[3]",
+                        "CCX takes 3 qubits, got 4"),
+    "ccxu-four-qubits": ("CCXU q[0] q[1] q[2] q[3]",
+                         "CCXU takes 3 qubits, got 4"),
+    "ccx-two-qubits": ("CCX q[0] q[1]", "CCX takes 3 qubits, got 2"),
+    "reg-extra-token": ("reg b 3 input extra",
+                        "reg takes a name, a width and a kind"),
+    "qubit-underscore": ("CNOT q[1_0] q[1]", "bad qubit token 'q[1_0]'"),
+    "qubit-plus-sign": ("CNOT q[+1] q[2]", "bad qubit token 'q[+1]'"),
+    "qubit-minus-sign": ("X q[-1]", "bad qubit token 'q[-1]'"),
+    "qubit-non-ascii-digit": ("X q[\u0661]", "bad qubit token 'q[\u0661]'"),
+    "reg-width-underscore": ("reg b 1_0 input", "bad register width '1_0'"),
+    "reg-width-plus-sign": ("reg b +2 output", "bad register width '+2'"),
+    "reg-width-non-ascii-digit": ("reg b \u0662 input",
+                                  "bad register width '\u0662'"),
+    "unknown-gate": ("FOO q[1]", "unknown gate 'FOO'"),
+    "qubit-out-of-range": ("CNOT q[0] q[99]",
+                           "qubit 99 out of range (width 12)"),
+    "duplicate-qubit": ("CNOT q[1] q[1]", "duplicate qubit in gate: (1, 1)"),
+    "duplicate-register": ("reg a 3 input", "duplicate register name 'a'"),
+    "register-width-zero": ("reg b 0 input", "register b must have width >= 1"),
+    "register-kind": ("reg b 1 bogus", "unknown register kind 'bogus'"),
 }
 
 
@@ -109,14 +121,14 @@ def test_malformed_lines_are_reported_from_a_file_at_any_chunk_size(
     import binshor.circuit as circuit
     from binshor.circuit import ParseError, parse
 
-    for line in MALFORMED_LINES.values():
+    for line, reason in MALFORMED_LINES.values():
         path = tmp_path / "bad.txt"
         path.write_text(f"reg a 12 input\n{line}\n", encoding="utf-8")
         for chunk in (1, 5, 1 << 16):
             monkeypatch.setattr(circuit, "_READ_BYTES", chunk)
             with open(path, "rb") as f, pytest.raises(ParseError) as e:
                 parse(f)
-            assert str(e.value) == f"line 2: malformed line {line!r}"
+            assert str(e.value) == f"line 2: {reason}"
 
 
 def test_a_byte_that_is_not_utf8_is_reported_by_its_line(
@@ -151,11 +163,11 @@ def test_a_byte_that_is_not_utf8_is_reported_by_its_line(
     (["validate", "--field", "16", "--circuit", "{modmult4}", "--samples",
       "5"], "needs at least 48", None),
     *((["validate", "--field", "4", "--circuit", "{bad}"],
-       f"line 2: malformed line {line!r}", f"reg a 12 input\n{line}\n")
-      for line in MALFORMED_LINES.values()),
+       f"error: line 2: {reason}\n", f"reg a 12 input\n{line}\n")
+      for line, reason in MALFORMED_LINES.values()),
     # a multi-controlled NOT is emitted lowered and has no line of its own
     (["validate", "--field", "4", "--circuit", "{bad}"],
-     "line 2: malformed line 'MCX +q[0] -q[1] q[2]'",
+     "error: line 2: unknown gate 'MCX'\n",
      "reg a 12 input\nMCX +q[0] -q[1] q[2]\n"),
     # curve coefficients that are not elements of GF(2^n)
     (["validate", "--field", "4", "--curve-a", "1f"], "a = 0x1f", None),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from binshor.circuit import counts, simulate
+from binshor.circuit import Circuit, Register, counts, simulate
 from binshor.cli import pointadd_sweep
 from binshor.ecc import (
     INFINITY,
@@ -14,13 +14,14 @@ from binshor.ecc import (
     build_window_table,
     ec_add_classical,
     ec_scalar_mul,
+    emit_equality_test,
     pointadd_census,
     slope_for,
     synth_ecpointadd,
-    synth_equality_test,
 )
 from binshor.gf2 import BinaryPoly, FieldSpec, enumerate_irreducibles
 from binshor.pipeline import field_for, pointadd_plan
+from binshor.synth import emit_over_layout
 
 F4 = field_for(4)
 CURVE4 = CurveSpec(F4, BinaryPoly(0), BinaryPoly(1))
@@ -134,7 +135,11 @@ def test_window_table():
 
 def test_equality_test_exhaustive():
     n = 3
-    circ = synth_equality_test(n)
+    circ = emit_over_layout(
+        Circuit([Register("a", n), Register("b", n),
+                 Register("flag", 1, "flag"),
+                 Register("anc", n - 2, "ancilla-clean")]),
+        lambda s, a, b, t, anc: emit_equality_test(s, a, b, t[0], anc))
     for a in range(8):
         for b in range(8):
             for t in (0, 1):
@@ -146,14 +151,28 @@ def test_equality_test_exhaustive():
 
 def test_equality_test_counts():
     n = 6
-    cc = counts(synth_equality_test(n))
+    cc = counts(emit_over_layout(
+        Circuit([Register("a", n), Register("b", n),
+                 Register("flag", 1, "flag"),
+                 Register("anc", n - 2, "ancilla-clean")]),
+        lambda s, a, b, t, anc: emit_equality_test(s, a, b, t[0], anc)))
     assert cc.cnot == 2 * n
     assert cc.toffoli == n - 1
     assert cc.ancilla_clean == n - 2
-    cc2 = counts(synth_equality_test(n, extra_controls=2))
+    cc2 = counts(emit_over_layout(
+        Circuit([Register("a", n), Register("b", n),
+                 Register("c", 2, "flag"), Register("flag", 1, "flag"),
+                 Register("anc", n, "ancilla-clean")]),
+        lambda s, a, b, c, t, anc: emit_equality_test(
+            s, a, b, t[0], anc, [(q, True) for q in c])))
     assert cc2.toffoli == n - 1 + 2
     assert cc2.ancilla_clean == n
-    assert counts(synth_equality_test(2)).ancilla_clean == 0
+    # two controls need no ancilla
+    cc3 = counts(emit_over_layout(
+        Circuit([Register("a", 2), Register("b", 2),
+                 Register("flag", 1, "flag")]),
+        lambda s, a, b, t: emit_equality_test(s, a, b, t[0], [])))
+    assert cc3.ancilla_clean == 0
 
 
 def sweep_curve(plan):

@@ -34,16 +34,19 @@ from binshor.synth import (
     InversionPlan,
     LinearMap,
     ModmultPlan,
-    synth_addition,
-    synth_correction,
+    emit_addition,
+    emit_cnot_matrix,
+    emit_controlled_addition,
+    emit_controlled_constants,
+    emit_correction,
+    emit_kmult,
+    emit_over_layout,
+    emit_reduction_step,
+    emit_square,
+    multiplier_layout,
+    squaring_method,
     synth_crt_modmult,
     synth_flt_inversion,
-    synth_in_place_mul,
-    synth_kmult,
-    synth_out_of_place_mul,
-    synth_square,
-    emit_reduction_step,
-    squaring_method,
 )
 
 FORMULAS = {d: load_formula(d) for d in range(1, 9)}
@@ -52,21 +55,19 @@ FORMULAS = {d: load_formula(d) for d in range(1, 9)}
 # -- addition family -----------------------------------------------------------
 
 def test_plain_addition():
-    c = synth_addition("plain", 3)
+    c = emit_over_layout(Circuit([Register("f", 3), Register("g", 3)]),
+                         emit_addition)
     # f = 101, g = 011 -> g' = 110 (bit i of the int is coefficient i)
     out = simulate(c, 0b101 | (0b011 << 3))
     assert out == 0b101 | (0b110 << 3)
     assert counts(c).cnot == 3
 
 
-def test_constant_addition_popcount():
-    c = synth_addition("constant", 3, BinaryPoly.from_terms(1, 0))
-    assert counts(c).not_ == 2
-    assert simulate(c, 0b000) == 0b011
-
-
 def test_controlled_addition_inactive():
-    c = synth_addition("controlled", 4)
+    c = emit_over_layout(
+        Circuit([Register("ctrl", 1, "flag"), Register("f", 4),
+                 Register("g", 4)]),
+        lambda s, ctrl, f, g: emit_controlled_addition(s, ctrl[0], f, g))
     f, g = 0b1010, 0b0110
     state = 0 | (f << 1) | (g << 5)
     assert simulate(c, state) == state           # control 0: unchanged
@@ -76,7 +77,10 @@ def test_controlled_addition_inactive():
 
 
 def test_controlled_constant_addition():
-    c = synth_addition("controlled-constant", 4, BinaryPoly.from_terms(2, 0))
+    c = emit_over_layout(
+        Circuit([Register("ctrl", 1, "flag"), Register("g", 4)]),
+        lambda s, ctrl, g: emit_controlled_constants(
+            s, ctrl[0], BinaryPoly.from_terms(2, 0), g))
     assert counts(c).cnot == 2
     assert simulate(c, 1) == 1 | (0b0101 << 1)
 
@@ -84,7 +88,9 @@ def test_controlled_constant_addition():
 # -- linear-map circuits ---------------------------------------------------------
 
 def test_out_of_place_identity_is_plain_addition():
-    c = synth_out_of_place_mul(BitMatrix.identity(4))
+    c = emit_over_layout(
+        Circuit([Register("g", 4), Register("f", 4)]),
+        lambda s, g, f: emit_cnot_matrix(s, BitMatrix.identity(4), g, f))
     assert counts(c).cnot == 4
     out = simulate(c, 0b0011 | (0b0101 << 4))
     assert out == 0b0011 | (0b0110 << 4)
@@ -93,7 +99,8 @@ def test_out_of_place_identity_is_plain_addition():
 def test_out_of_place_const_mul_exhaustive():
     f3 = FieldSpec(3, BinaryPoly.from_terms(3, 1, 0))
     M = const_mul_matrix(BinaryPoly.from_terms(1), f3)
-    c = synth_out_of_place_mul(M)
+    c = emit_over_layout(Circuit([Register("g", 3), Register("f", 3)]),
+                         lambda s, g, f: emit_cnot_matrix(s, M, g, f))
     assert counts(c).cnot == M.popcount() == 4
     for g in range(8):
         for f in range(8):
@@ -104,18 +111,22 @@ def test_out_of_place_const_mul_exhaustive():
 
 
 def test_out_of_place_zero_matrix_empty():
-    c = synth_out_of_place_mul(BitMatrix.zeros(3, 3))
+    c = emit_over_layout(
+        Circuit([Register("g", 3), Register("f", 3)]),
+        lambda s, g, f: emit_cnot_matrix(s, BitMatrix([0] * 3, 3), g, f))
     assert len(c.gates) == 0
 
 
 def test_in_place_identity_empty():
-    assert len(synth_in_place_mul(BitMatrix.identity(5)).gates) == 0
+    c = emit_over_layout(Circuit([Register("f", 5)]),
+                         LinearMap.of(BitMatrix.identity(5)).emit)
+    assert len(c.gates) == 0
 
 
 def test_in_place_squaring_exhaustive():
     f3 = FieldSpec(3, BinaryPoly.from_terms(3, 1, 0))
     S = squaring_matrix(f3, 1)
-    c = synth_in_place_mul(S)
+    c = emit_over_layout(Circuit([Register("f", 3)]), LinearMap.of(S).emit)
     for f in range(8):
         want = poly_mul_mod(BinaryPoly(f), BinaryPoly(f), f3.p).bits
         assert simulate(c, f) == want
@@ -126,7 +137,7 @@ def test_in_place_const_mul_oracle_gf163():
     f163 = FieldSpec.standard(163)
     h = BinaryPoly(rng.getrandbits(163) | 1)
     M = const_mul_matrix(h, f163)
-    c = synth_in_place_mul(M)
+    c = emit_over_layout(Circuit([Register("f", 163)]), LinearMap.of(M).emit)
     assert counts(c).cnot <= 163 * 163 - 163
     inputs = [rng.getrandbits(163) for _ in range(1000)]
     assert first_mismatch(c, inputs, lambda i, o: o == poly_mul_mod(
@@ -137,7 +148,7 @@ def test_in_place_singular_rejected():
     from binshor.linalg import SingularMatrixError
 
     with pytest.raises(SingularMatrixError):
-        synth_in_place_mul(BitMatrix([0b11, 0b11], 2))
+        LinearMap.of(BitMatrix([0b11, 0b11], 2))
 
 
 def full_rank(n, d, seed):
@@ -238,7 +249,8 @@ def test_linear_map_top_block_needs_no_second_plu(shape, seed):
 
 def test_square_k1_exhaustive_gf16():
     f4 = FieldSpec(4, enumerate_irreducibles(4)[0])
-    c = synth_square(f4, 1)
+    c = emit_over_layout(Circuit([Register("f", 4)]),
+                         lambda s, f: emit_square(s, f4, 1, f))
     for f in range(16):
         assert simulate(c, f) == poly_mul_mod(BinaryPoly(f), BinaryPoly(f),
                                               f4.p).bits
@@ -246,7 +258,8 @@ def test_square_k1_exhaustive_gf16():
 
 def test_square_k_equal_n_identity():
     f4 = FieldSpec(4, enumerate_irreducibles(4)[0])
-    c = synth_square(f4, 4)
+    c = emit_over_layout(Circuit([Register("f", 4)]),
+                         lambda s, f: emit_square(s, f4, 4, f))
     assert len(c.gates) == 0
     assert squaring_method(f4, 4)[0] == "fused"
 
@@ -259,7 +272,8 @@ def test_square_tie_prefers_fused():
 
 def test_square_k2_matches_double_square():
     f5 = FieldSpec(5, enumerate_irreducibles(5)[0])
-    c = synth_square(f5, 2)
+    c = emit_over_layout(Circuit([Register("f", 5)]),
+                         lambda s, f: emit_square(s, f5, 2, f))
     for f in range(32):
         w = poly_mul_mod(BinaryPoly(f), BinaryPoly(f), f5.p)
         w = poly_mul_mod(w, w, f5.p).bits
@@ -270,19 +284,22 @@ def test_square_k2_matches_double_square():
 
 def test_kmult_classic_karatsuba_three_toffolis():
     m = enumerate_irreducibles(2)[0]
-    c = synth_kmult(FORMULAS[2], m)
+    c = emit_over_layout(multiplier_layout(2),
+                         lambda s, *w: emit_kmult(s, FORMULAS[2], m, *w))
     assert counts(c).toffoli == 3
 
 
 def test_kmult_five_term_thirteen_toffolis():
     m = enumerate_irreducibles(5)[0]
-    c = synth_kmult(FORMULAS[5], m)
+    c = emit_over_layout(multiplier_layout(5),
+                         lambda s, *w: emit_kmult(s, FORMULAS[5], m, *w))
     assert counts(c).toffoli == 13
 
 
 def test_kmult_zero_input_leaves_target():
     m = enumerate_irreducibles(3)[0]
-    c = synth_kmult(FORMULAS[3], m)
+    c = emit_over_layout(multiplier_layout(3),
+                         lambda s, *w: emit_kmult(s, FORMULAS[3], m, *w))
     for g in range(8):
         for h in range(8):
             state = 0 | (g << 3) | (h << 6)
@@ -292,7 +309,8 @@ def test_kmult_zero_input_leaves_target():
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_kmult_exhaustive(d):
     for m in enumerate_irreducibles(d):
-        c = synth_kmult(FORMULAS[d], m)
+        c = emit_over_layout(multiplier_layout(d),
+                             lambda s, *w: emit_kmult(s, FORMULAS[d], m, *w))
         for f in range(1 << d):
             for g in range(1 << d):
                 for h in (0, (1 << d) - 1):
@@ -303,14 +321,22 @@ def test_kmult_exhaustive(d):
 
 
 def test_kmult_degree_mismatch():
+    m = enumerate_irreducibles(4)[0]
     with pytest.raises(GF2Error):
-        synth_kmult(FORMULAS[3], enumerate_irreducibles(4)[0])
+        emit_over_layout(multiplier_layout(3),
+                         lambda s, *w: emit_kmult(s, FORMULAS[3], m, *w))
 
 
 # -- correction circuit ----------------------------------------------------------
 
+def correction_layout(omega, n):
+    return Circuit([Register("f", n), Register("g", n),
+                    Register("t", omega, "output")])
+
+
 def test_correction_omega1_single_toffoli():
-    c = synth_correction(1, 5)
+    c = emit_over_layout(correction_layout(1, 5),
+                         lambda s, *w: emit_correction(s, 1, 5, *w))
     cc = counts(c)
     assert cc.toffoli == 1 and cc.cnot == 0
     # computes c_{2n-2} = f_{n-1} g_{n-1}
@@ -320,14 +346,17 @@ def test_correction_omega1_single_toffoli():
 
 
 def test_correction_omega7_counts():
-    c = counts(synth_correction(7, 9))
+    c = counts(emit_over_layout(correction_layout(7, 9),
+                                lambda s, *w: emit_correction(s, 7, 9, *w)))
     assert c.toffoli == 19
     assert c.cnot == 48
 
 
 @pytest.mark.parametrize("omega", (1, 2, 3, 4))
 def test_correction_counts_formulas(omega):
-    c = counts(synth_correction(omega, 6))
+    c = counts(emit_over_layout(
+        correction_layout(omega, 6),
+        lambda s, *w: emit_correction(s, omega, 6, *w)))
     assert c.toffoli == omega + omega * omega // 4
     want_cnot = 4 * (omega - 1) + omega * omega // 2 if omega > 1 else 0
     assert c.cnot == want_cnot
@@ -335,7 +364,8 @@ def test_correction_counts_formulas(omega):
 
 def test_correction_preserves_target_exhaustive():
     n, omega = 6, 3
-    circ = synth_correction(omega, n)
+    circ = emit_over_layout(correction_layout(omega, n),
+                            lambda s, *w: emit_correction(s, omega, n, *w))
 
     def brute(f, g):
         out = 0
@@ -361,7 +391,7 @@ def test_correction_preserves_target_exhaustive():
 
 def test_correction_rejects_omega_zero():
     with pytest.raises(GF2Error):
-        synth_correction(0, 4)
+        emit_correction(CountSink(), 0, 4, range(4), range(4, 8), [])
 
 
 # -- CRT modular multiplication ---------------------------------------------------
@@ -992,7 +1022,6 @@ def test_writer_holds_at_most_its_largest_reversed_block():
 
     from binshor import circuit
     from binshor.circuit import CircuitWriter
-    from binshor.synth import _emit_over_layout
 
     class Held(CircuitWriter):
         peak = 0
@@ -1012,10 +1041,9 @@ def test_writer_holds_at_most_its_largest_reversed_block():
 
     plan = modmult_plan(163)
     writer = Held(plan.layout().registers, io.StringIO())
-    _emit_over_layout(plan, writer)
+    emit_over_layout(plan.layout(), plan.emit, writer)
     writer.flush()
-    whole = Reversed(plan.layout().registers)
-    _emit_over_layout(plan, whole)
+    whole = emit_over_layout(Reversed(plan.layout().registers), plan.emit)
     assert writer.written == len(whole.gates) == 112_903
     assert writer.peak <= circuit._FLUSH_GATES + whole.largest
     assert writer.peak < len(whole.gates) // 20
