@@ -508,9 +508,11 @@ def _parse_line(circuit: Circuit, toks: list[str], lineno: int):
             raise ParseError(f"line {lineno}: bad register width {width!r}")
         circuit.add_register(Register(toks[1], int(width), toks[3]))
     elif kind in _ARITY:
-        if len(toks) != _ARITY[kind] + 1:
-            raise ParseError(f"line {lineno}: {kind} takes {_ARITY[kind]} "
-                             f"qubits, got {len(toks) - 1}")
+        arity = _ARITY[kind]
+        if len(toks) != arity + 1:
+            raise ParseError(f"line {lineno}: {kind} takes {arity} qubit"
+                             f"{'' if arity == 1 else 's'}, "
+                             f"got {len(toks) - 1}")
         getattr(circuit, kind.lower())(*[_parse_q(t, lineno)
                                          for t in toks[1:]])
     else:

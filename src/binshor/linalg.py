@@ -3,9 +3,14 @@
 Rows are stored as Python ints (bit j of row i = entry (i, j)), which makes
 mat-vec a popcount-parity; the largest matrices built are n x n at n = 571.
 The kernels work a byte at a time: a transpose reads one byte plane of the
-columns per 8 rows, and products and PLU use the method of Four Russians
-(a 256-entry table of XORs per 8 rows).  All constructed matrices are
-validated in the tests against the polynomial oracles in :mod:`binshor.gf2`.
+columns per 8 rows (or, for at most 8 columns, writes each row as one
+byte), and products and the PLU of a square matrix use the method of Four
+Russians (a 256-entry table of XORs per 8 rows).  A tall n x d matrix
+(d < n: the CRT recombination and correction maps, d <= 10) is built and
+factored on its d columns instead, as n-bit ints, by :func:`plu_columns`:
+O(d^2) big-int operations and no row built.  All constructed matrices are
+validated in the tests against the polynomial oracles in
+:mod:`binshor.gf2`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .gf2 import BinaryPoly, FieldSpec, GF2Error, ModulusSet, clmod
 # _BIT_CHARS[i] translates a byte to b"1" if its bit i is set, else b"0"
 _BIT_CHARS = [bytes(b"01"[(v >> i) & 1] for v in range(256))
               for i in range(8)]
+# translates the digits b"0"/b"1" to the bytes 0/1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class SingularMatrixError(GF2Error):
@@ -56,8 +63,17 @@ class BitMatrix:
     def from_columns(cls, cols: list[int], nrows: int) -> "BitMatrix":
         if not cols or nrows < 1:
             raise GF2Error("empty matrices are not allowed")
-        if max(cols).bit_length() > nrows:
+        if min(cols) < 0 or max(cols).bit_length() > nrows:
             raise GF2Error("column has bits outside the row range")
+        if len(cols) <= 8:
+            # each row fits in one byte: spell column j out one byte per
+            # bit (row i at byte i) and add it in at bit j of every byte
+            acc = 0
+            for j, c in enumerate(cols):
+                digits = format(c, f"0{nrows}b").encode()
+                acc |= int.from_bytes(digits.translate(_DIGIT_BYTES),
+                                      "big") << j
+            return cls(list(acc.to_bytes(nrows, "little")), len(cols))
         # byte k of every column, last column first, spelt as b"0"/b"1" by
         # its bit i, is row 8k + i written most significant bit first
         nb = (nrows + 7) >> 3
@@ -154,26 +170,29 @@ class PLUFactors:
 
     def transpositions(self) -> list[tuple[int, int]]:
         """Decompose the permutation into transpositions (one per swap gate)."""
-        perm = list(self.perm)
-        # invert: pos[src] = dest
-        n = len(perm)
-        out = []
-        # apply cycles: we want a gate sequence g s.t. applying swaps maps
-        # identity wire order to P; use cycle decomposition of perm.
-        seen = [False] * n
-        for start in range(n):
-            if seen[start] or perm[start] == start:
-                seen[start] = True
-                continue
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = perm[j]
-            for k in range(len(cycle) - 1, 0, -1):
-                out.append((cycle[0], cycle[k]))
-        return out
+        return _cycle_swaps({i: j for i, j in enumerate(self.perm) if i != j})
+
+
+def _cycle_swaps(moved: dict[int, int]) -> list[tuple[int, int]]:
+    """Transpositions (one per swap gate) of the permutation that takes
+    each row of ``moved`` to its value and fixes every other row.
+
+    Cycles are walked from their lowest row, in ascending order, and each
+    cycle (c0, c1, ..., ck) gives the swaps (c0, ck), ..., (c0, c1).
+    """
+    out = []
+    seen = set()
+    for start in sorted(moved):
+        if start in seen:
+            continue
+        cycle = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = moved[j]
+        out += [(cycle[0], cycle[k]) for k in range(len(cycle) - 1, 0, -1)]
+    return out
 
 
 def plu_decompose(M: BitMatrix) -> PLUFactors:
@@ -258,6 +277,53 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     return PLUFactors(tuple(inv), BitMatrix(L, d), U)
 
 
+def plu_columns(cols: list[int], n: int
+                ) -> tuple[BitMatrix, BitMatrix, BitMatrix, tuple]:
+    """PLU of the tall n x d matrix M (d < n) with these n-bit columns,
+    worked on the columns: O(d^2) big-int operations, no row of M built.
+
+    Returns (the top d rows of L, U, rest, the transpositions of P), each
+    as :func:`plu_decompose` gives it.  ``rest`` is the block of
+    P^-1 M = L U below its top d rows, held by column: a d x (n-d) matrix
+    whose row j is column j of the block.
+
+    Column c takes its pivot at the lowest row >= c that holds a one, swaps
+    that row up in every column (those of L found so far and of M too), and
+    clears its column below the pivot from every later column.
+    """
+    d = len(cols)
+    if not 0 < d < n:
+        raise GF2Error("plu_columns needs 0 < ncols < nrows")
+    if min(cols) < 0 or max(cols).bit_length() > n:
+        raise GF2Error("column has bits outside the row range")
+    work, mcols, lcols = list(cols), list(cols), []
+    pos: dict[int, int] = {}  # row position -> source row, where swapped
+    for c in range(d):
+        cand = work[c] >> c
+        if not cand:
+            raise SingularMatrixError("matrix has deficient column rank",
+                                      rank=BitMatrix(cols, n).rank())
+        p = c + (cand & -cand).bit_length() - 1
+        if p != c:
+            flip = (1 << c) | (1 << p)
+            for group, k0 in ((work, c), (lcols, 0), (mcols, 0)):
+                for k in range(k0, len(group)):
+                    if ((group[k] >> c) ^ (group[k] >> p)) & 1:
+                        group[k] ^= flip
+            pos[c], pos[p] = pos.get(p, p), pos.get(c, c)
+        below = work[c] & ~((2 << c) - 1)  # rows after the pivot
+        lcols.append(below)
+        for k in range(c, d):
+            if (work[k] >> c) & 1:
+                work[k] ^= below
+    top = (1 << d) - 1
+    L = BitMatrix.from_columns(
+        [(l & top) | (1 << c) for c, l in enumerate(lcols)], d)
+    rest = BitMatrix([m >> d for m in mcols], n - d)
+    swaps = _cycle_swaps({s: q for q, s in pos.items() if s != q})
+    return L, BitMatrix.from_columns(work, d), rest, tuple(swaps)
+
+
 def const_mul_matrix(h: BinaryPoly, field: FieldSpec) -> BitMatrix:
     """n x n matrix of multiplication by the fixed nonzero element h.
 
@@ -329,11 +395,14 @@ def squaring_matrix(field: FieldSpec, k: int = 1) -> BitMatrix:
 
 
 def crt_recombination_matrix(q_i: BinaryPoly, m: BinaryPoly,
-                             d_i: int, n: int, p: BinaryPoly) -> BitMatrix:
-    """n x d_i matrix with column k = ((x^k * q_i mod m) mod p).
+                             d_i: int, n: int, p: BinaryPoly) -> list[int]:
+    """The d_i columns, as n-bit ints, of the n x d_i matrix with column
+    k = ((x^k * q_i mod m) mod p).
 
     x^k q_i is stepped modulo m and modulo p side by side: a shift, then a
     conditional subtraction of p, and of m (with m mod p on the p side).
+    The columns are handed over as built (:func:`plu_columns` factors
+    them); ``BitMatrix.from_columns(cols, n)`` is the matrix.
     """
     top_m, top_p = 1 << m.degree, 1 << p.degree
     m_mod_p = clmod(m.bits, p.bits)
@@ -349,13 +418,15 @@ def crt_recombination_matrix(q_i: BinaryPoly, m: BinaryPoly,
         if acc & top_m:
             acc ^= m.bits
             acc_p ^= m_mod_p
-    return BitMatrix.from_columns(cols, n)
+    return cols
 
 
-def correction_matrix(modset: ModulusSet, n: int, p: BinaryPoly) -> BitMatrix:
-    """n x omega matrix of the correction terms ((x^i)+(x^i mod m)) mod p,
-    for i from 2n-1-omega up to 2n-2 (ascending column order).  p has
-    degree n and need not be irreducible (inner CRT stages)."""
+def correction_matrix(modset: ModulusSet, n: int, p: BinaryPoly) -> list[int]:
+    """The omega columns, as n-bit ints, of the n x omega matrix of the
+    correction terms ((x^i)+(x^i mod m)) mod p, for i from 2n-1-omega up
+    to 2n-2 (ascending column order).  p has degree n and need not be
+    irreducible (inner CRT stages).  As for
+    :func:`crt_recombination_matrix`, no row of the matrix is built."""
     omega = modset.omega(n)
     if omega < 1:
         raise GF2Error("modulus set needs no correction (omega = 0)")
@@ -364,4 +435,4 @@ def correction_matrix(modset: ModulusSet, n: int, p: BinaryPoly) -> BitMatrix:
     for i in range(2 * n - 1 - omega, 2 * n - 1):
         v = (1 << i) ^ clmod(1 << i, m.bits)
         cols.append(clmod(v, p.bits))
-    return BitMatrix.from_columns(cols, n)
+    return cols

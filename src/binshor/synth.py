@@ -7,10 +7,11 @@ cryptographic sizes).  Gate totals always come from the emitted gate
 stream, never from closed-form shortcuts.  Every Toffoli-free linear step
 (a CRT recombination map Q_i, the correction map H, a squaring) is a
 :class:`LinearMap`, compiled to CNOTs and swaps from one PLU
-factorisation of its matrix.  Each plan (a multiplier, an
-inversion, a point addition) emits as one keyed block, and so does each
-distinct piece inside it (a CRT recombination factor, the correction map,
-a reduction step, a squaring, a residue product per formula and factor).
+factorisation of its matrix (of its columns, for a tall map).  Each plan
+(a multiplier, an inversion, a point addition) emits as one keyed block,
+and so does each distinct piece inside it (a CRT recombination factor,
+the correction map, a reduction step, a squaring, a residue product per
+formula and factor).
 Emitters call only sink methods (one per gate kind, the group bounds,
 ``fanin``/``fanout`` for a CNOT row into or out of one wire, and ``block``),
 so each sink keeps blocks its own way: a :class:`~binshor.circuit.Circuit`
@@ -42,6 +43,7 @@ from .gf2 import (
 )
 from .linalg import (
     BitMatrix,
+    plu_columns,
     plu_decompose,
     reduction_matrix,
     crt_recombination_matrix,
@@ -154,31 +156,40 @@ class LinearMap:
     From one PLU factorisation M = P L U: ``rest``, the rows of L U below
     its d x d top block, is added out of place; the top block, whose own
     factors are (identity, ``L``, ``U``), is applied in place by a U stage
-    then an L stage; ``swaps`` apply P.
+    then an L stage; ``swaps`` apply P.  A square M is factored by
+    :func:`~binshor.linalg.plu_decompose`, a tall one on its d columns by
+    :func:`~binshor.linalg.plu_columns`, and ``rest`` is held by column
+    (d x (n-d)), to be transposed to its rows when the map is emitted.
     """
 
     L: BitMatrix               # top d rows of L
     U: BitMatrix
-    rest: BitMatrix | None     # (n-d) x d, None for a square map
+    rest: BitMatrix | None     # d x (n-d), by column; None for a square map
     swaps: tuple
 
     @classmethod
     def of(cls, M: BitMatrix) -> "LinearMap":
         n, d = M.shape
+        if d < n:
+            return cls.of_columns(M.transpose().rows, n)
         plu = plu_decompose(M)
-        lu = [0] * n  # L U = P^-1 M: row perm[i] of L U is row i of M
-        for i, j in enumerate(plu.perm):
-            lu[j] = M.rows[i]
-        return cls(BitMatrix(plu.L.rows[:d], d), plu.U,
-                   BitMatrix(lu[d:], d) if n > d else None,
-                   tuple(plu.transpositions()))
+        return cls(plu.L, plu.U, None, tuple(plu.transpositions()))
+
+    @classmethod
+    def of_columns(cls, cols: list[int], n: int) -> "LinearMap":
+        """The map of the n-row matrix with these columns; a tall one is
+        factored without building its rows."""
+        if len(cols) < n:
+            return cls(*plu_columns(cols, n))
+        return cls.of(BitMatrix.from_columns(cols, n))
 
     def emit(self, sink, wires, rev: bool = False, key=None):
         d = self.U.ncols
 
         def build(s):
             if self.rest is not None:
-                emit_cnot_matrix(s, self.rest, wires[:d], wires[d:])
+                emit_cnot_matrix(s, self.rest.transpose(), wires[:d],
+                                 wires[d:])
             # the U stage in ascending rows, f_i += sum_{j>i} U_ij f_j, then
             # the L stage in descending rows, f_i += sum_{j<i} L_ij f_j
             for i, row in enumerate(self.U.rows):
@@ -194,7 +205,7 @@ class LinearMap:
         """CNOT count of the map emitted into a :class:`CountSink`, with
         each swap at its three-CNOT equivalent."""
         sink = CountSink()
-        n = self.U.ncols + (self.rest.nrows if self.rest is not None else 0)
+        n = self.U.ncols + (self.rest.ncols if self.rest is not None else 0)
         self.emit(sink, range(n))
         return sink.counts.cnot + 3 * sink.counts.swap
 
@@ -346,7 +357,8 @@ class ModmultPlan:
         for (mi, qi) in zip(modset.moduli, qs):
             d = mi.degree
             red = reduction_matrix(mi, n) if d < n else None
-            q = LinearMap.of(crt_recombination_matrix(qi, m, d, n, p))
+            q = LinearMap.of_columns(
+                crt_recombination_matrix(qi, m, d, n, p), n)
             inner = None
             formula = None
             if d <= 8:
@@ -360,7 +372,7 @@ class ModmultPlan:
             self.factors.append(_Factor(
                 m=mi, d=d, reduction=red, q=q, formula=formula, inner=inner))
         if self.omega:
-            self.h = LinearMap.of(correction_matrix(modset, n, p))
+            self.h = LinearMap.of_columns(correction_matrix(modset, n, p), n)
 
     def _emit_modred(self, sink, i, fw, gw):
         """Reduction step i on f, then on g (one block key for both);

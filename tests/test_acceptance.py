@@ -2,11 +2,8 @@
 reported as one pass/fail line (run with ``pytest -s`` to see the lines)."""
 
 import itertools
-import math
 import random
 import time
-
-import pytest
 
 from binshor.circuit import Circuit, Register, counts, simulate
 from binshor.cli import inversion_sweep, modmult_sweep, pointadd_sweep
@@ -28,7 +25,6 @@ from binshor.physical import AVParams, BaselineParams, av_estimate, baseline_est
 from binshor.shor import (
     AVWeights,
     optimize_window,
-    pe_cost,
     pointadd_cost,
     round_sig,
     stream_pointadd_counts,

@@ -13,7 +13,6 @@ from binshor.circuit import (
     REG_KINDS,
     Circuit,
     CircuitWriter,
-    GateCounts,
     ParseError,
     Register,
     counts,

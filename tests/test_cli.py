@@ -89,7 +89,7 @@ def _write_modmult_circuit(path, n):
 # registers and gates that the circuit itself rejects
 MALFORMED_LINES = {
     "cnot-three-qubits": ("CNOT q[0] q[1] q[2]", "CNOT takes 2 qubits, got 3"),
-    "x-trailing-token": ("X q[0] junk", "X takes 1 qubits, got 2"),
+    "x-trailing-token": ("X q[0] junk", "X takes 1 qubit, got 2"),
     "swap-three-qubits": ("SWAP q[0] q[1] q[2]", "SWAP takes 2 qubits, got 3"),
     "ccx-four-qubits": ("CCX q[0] q[1] q[2] q[3]",
                         "CCX takes 3 qubits, got 4"),

@@ -19,7 +19,7 @@ from binshor.ecc import (
     slope_for,
     synth_ecpointadd,
 )
-from binshor.gf2 import BinaryPoly, FieldSpec, enumerate_irreducibles
+from binshor.gf2 import BinaryPoly
 from binshor.pipeline import field_for, pointadd_plan
 from binshor.synth import emit_over_layout
 

@@ -3,18 +3,21 @@
 The references below are the earlier implementations, kept verbatim in
 behaviour: a transpose one set bit at a time, a product one row XOR per set
 entry, PLU one column at a time, and remainder by bit-serial division.
-Every kernel must give the same matrix, factors, error and rank.
+Every kernel must give the same matrix, factors, error and rank.  The
+column kernel for tall maps, ``plu_columns``, has ``plu_decompose`` as its
+reference.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binshor.gf2 import STANDARD_POLYS, FieldSpec, GF2Error, clmod
 from binshor.linalg import (
     BitMatrix,
     SingularMatrixError,
+    plu_columns,
     plu_decompose,
     squaring_matrix,
 )
@@ -185,6 +188,83 @@ def test_from_columns_rejects_bits_outside_rows():
         BitMatrix.from_columns([0b1, 0b1000], 3)
     with pytest.raises(GF2Error, match="outside the row range"):
         BitMatrix.from_columns([1 << 9], 8)  # beyond the last byte
+    with pytest.raises(GF2Error, match="outside the row range"):
+        BitMatrix.from_columns([0b1, -0b11], 3)
     with pytest.raises(GF2Error, match="empty"):
         BitMatrix.from_columns([], 3)
     assert BitMatrix.from_columns([0b100], 3).rows == [0, 0, 1]
+
+
+def full_rank_columns(n, d, seed, zero_rows):
+    """d columns of a random full-column-rank n x d matrix whose first
+    ``zero_rows`` rows are zero, so that every pivot is swapped up."""
+    rng = random.Random(seed)
+    while True:
+        cols = [rng.getrandbits(n - zero_rows) << zero_rows for _ in range(d)]
+        if BitMatrix(cols, n).rank() == d:
+            return cols
+
+
+def assert_plu_columns_matches_plu(cols, n):
+    M = BitMatrix.from_columns(cols, n)
+    d = len(cols)
+    try:
+        plu = plu_decompose(M)
+    except SingularMatrixError as want:
+        with pytest.raises(SingularMatrixError) as e:
+            plu_columns(cols, n)
+        assert (e.value.rank, str(e.value)) == (want.rank, str(want))
+        return None
+    L, U, rest, swaps = plu_columns(cols, n)
+    assert L.rows == plu.L.rows[:d]
+    assert U == plu.U
+    assert swaps == tuple(plu.transpositions())
+    # rest: the rows of P^-1 M = L U below the top d, held by column
+    assert rest == BitMatrix.from_columns((plu.L @ plu.U).rows[d:], d)
+    return swaps
+
+
+tall_shapes = st.integers(2, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, min(n - 1, 12))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_shapes, st.integers(0, 2**32 - 1), st.integers(0, 80))
+@example((163, 10), 1, 0)
+@example((571, 10), 2, 0)
+@example((9, 1), 3, 0)
+@example((571, 1), 4, 570)
+@example((20, 6), 5, 14)
+@example((163, 10), 6, 100)
+def test_plu_columns_matches_plu_decompose(shape, seed, zero_rows):
+    n, d = shape
+    zero_rows = min(zero_rows, n - d)
+    swaps = assert_plu_columns_matches_plu(
+        full_rank_columns(n, d, seed, zero_rows), n)
+    assert swaps or not zero_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_shapes, st.data())
+def test_plu_columns_of_any_tall_map_matches_plu_decompose(shape, data):
+    # sparse, dense and zero columns: the same factors, or the same error
+    # with the same rank when the map is rank-deficient
+    n, d = shape
+    assert_plu_columns_matches_plu(data.draw(sparse_or_dense_rows(d, n)), n)
+
+
+@pytest.mark.parametrize("cols, n, rank", [
+    ([0], 5, 0),
+    ([0b0110, 0b0110], 4, 1),
+    ([0b1000, 0b0100, 0b1100], 4, 2),
+])
+def test_plu_columns_rank_deficient_reports_rank(cols, n, rank):
+    with pytest.raises(SingularMatrixError) as e:
+        plu_columns(cols, n)
+    assert e.value.rank == rank
+
+
+def test_plu_columns_needs_a_tall_matrix():
+    for cols, n in (([0b01, 0b10], 2), ([], 3), ([0b1000], 3)):
+        with pytest.raises(GF2Error):
+            plu_columns(cols, n)

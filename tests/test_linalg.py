@@ -190,8 +190,8 @@ def test_stepped_matrices_match_clmod_columns(dm, n, data):
     p = (1 << n) | data.draw(st.integers(0, (1 << n) - 1))
     q = data.draw(st.integers(0, (1 << (2 * dm)) - 1))
     d_i = data.draw(st.integers(1, 12))
-    M = crt_recombination_matrix(BinaryPoly(q), BinaryPoly(m), d_i, n,
-                                 BinaryPoly(p))
+    M = BitMatrix.from_columns(crt_recombination_matrix(
+        BinaryPoly(q), BinaryPoly(m), d_i, n, BinaryPoly(p)), n)
     for k in range(d_i):
         assert M.column(k) == clmod(clmod(q << k, m), p)
     if dm < n:
@@ -250,7 +250,8 @@ def test_plu_singular_reports_rank():
 def test_crt_recombination_identity_embedding():
     # q_i = 1 with m of degree > n: column k is x^k mod p for k < n
     m = BinaryPoly.from_terms(7, 0)
-    M = crt_recombination_matrix(BinaryPoly(1), m, 3, 3, P3)
+    M = BitMatrix.from_columns(
+        crt_recombination_matrix(BinaryPoly(1), m, 3, 3, P3), 3)
     for k in range(3):
         assert M.column(k) == clmod(1 << k, P3.bits)
 
@@ -262,8 +263,9 @@ def test_crt_recombination_two_factor_toy():
     ms = ModulusSet(((BinaryPoly(0b10), 1), (BinaryPoly(0b11), 1)))
     qs = crt_constants(ms)
     m = ms.m
-    mats = [crt_recombination_matrix(q, m, 1, 2, f2.p) for q in qs]
-    H = correction_matrix(ms, 2, f2.p)
+    mats = [BitMatrix.from_columns(crt_recombination_matrix(q, m, 1, 2, f2.p),
+                                   2) for q in qs]
+    H = BitMatrix.from_columns(correction_matrix(ms, 2, f2.p), 2)
     for fv in range(4):
         for gv in range(4):
             want = poly_mul_mod(BinaryPoly(fv), BinaryPoly(gv), f2.p).bits
@@ -290,7 +292,8 @@ def test_crt_recombination_oracle_163():
     qs = crt_constants(ms)
     m = ms.m
     mi = ms.moduli[0]
-    M = crt_recombination_matrix(qs[0], m, mi.degree, 163, F163.p)
+    M = BitMatrix.from_columns(
+        crt_recombination_matrix(qs[0], m, mi.degree, 163, F163.p), 163)
     for k in range(mi.degree):
         want = clmod(clmod(clmul_bits(1 << k, qs[0].bits), m.bits), F163.p.bits)
         assert M.column(k) == want
@@ -300,7 +303,7 @@ def test_correction_matrix_single_column():
     # toy3 set {x, x+1, x^2+x+1}: deg m = 4 = 2n-2 at n = 3, omega = 1
     ms = ModulusSet(((BinaryPoly(0b10), 1), (BinaryPoly(0b11), 1),
                      (BinaryPoly(0b111), 1)))
-    H = correction_matrix(ms, 3, P3)
+    H = BitMatrix.from_columns(correction_matrix(ms, 3, P3), 3)
     assert H.shape == (3, 1)
     i = 2 * 3 - 2
     want = clmod((1 << i) ^ clmod(1 << i, ms.m.bits), P3.bits)
@@ -310,7 +313,7 @@ def test_correction_matrix_single_column():
 def test_correction_matrix_283_columns():
     ms = load_modulus_set(283)
     f = FieldSpec.standard(283)
-    H = correction_matrix(ms, 283, f.p)
+    H = BitMatrix.from_columns(correction_matrix(ms, 283, f.p), 283)
     assert H.shape == (283, 4)
     m = ms.m
     for j, i in enumerate(range(2 * 283 - 1 - 4, 2 * 283 - 1)):

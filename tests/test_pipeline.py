@@ -54,3 +54,22 @@ def test_estimate_builds_each_reduction_matrix_and_set_check_once(capsys):
     check = gf2.validate_modulus_set.cache_info()
     assert (red.misses, red.hits + red.misses) == (340, 810)
     assert (check.misses, check.hits + check.misses) == (6, 82)
+
+
+def test_estimate_factors_only_the_square_maps_by_rows(capsys, monkeypatch):
+    # estimate --field all factors 904 maps: the 875 tall ones (every Q_i and
+    # H, d <= 10) on their columns, and only the 29 square squaring maps
+    # through the row kernel plu_decompose
+    from binshor.cli import main
+
+    shapes, tall = [], []
+    plu, plu_columns = linalg.plu_decompose, linalg.plu_columns
+    monkeypatch.setattr(synth, "plu_decompose",
+                        lambda M: shapes.append(M.shape) or plu(M))
+    monkeypatch.setattr(synth, "plu_columns",
+                        lambda cols, n: tall.append(n) or plu_columns(cols, n))
+    clear_caches()
+    assert main(["estimate", "--field", "all"]) == 0
+    capsys.readouterr()
+    assert (len(shapes), len(tall)) == (29, 875)
+    assert all(n == d for n, d in shapes)

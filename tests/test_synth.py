@@ -9,7 +9,7 @@ import binshor.synth
 from binshor.cli import inversion_sweep, modmult_sweep
 from binshor.circuit import Circuit, Register, counts, simulate
 from binshor.oracle import first_mismatch
-from binshor.datafiles import load_chain, load_formula, load_modulus_set
+from binshor.datafiles import load_chain, load_formula
 from binshor.gf2 import (
     BinaryPoly,
     FieldSpec,
@@ -242,7 +242,8 @@ def test_linear_map_top_block_needs_no_second_plu(shape, seed):
     assert (top.L.rows, top.U.rows) == (lm.L.rows, lm.U.rows)
     assert lm.L.rows == plu.L.rows[:d] and lm.U == plu.U
     assert (lm.rest is None) == (n == d)
-    assert (lm.rest.rows if lm.rest else []) == lu.rows[d:]
+    # rest is held by column: its transpose is the rows of L U below the top
+    assert (lm.rest.transpose().rows if lm.rest else []) == lu.rows[d:]
 
 
 # -- squaring -------------------------------------------------------------------
