@@ -77,12 +77,11 @@ class GateCounts:
 
 
 class Circuit:
-    """Ordered gate list over named registers, with group metadata.
+    """Ordered gate list over named registers.
 
-    Groups are (label, units, start, end) spans used for provenance tagging
-    and subroutine censuses; ``units`` carries the bookkeeping weight of the
-    tagged construct (e.g. a 2n-qubit equality test counts as two n-qubit
-    units).
+    A circuit keeps no groups: :meth:`begin_group` and :meth:`end_group`
+    accept an emitter's group bounds and drop them.  Censuses are kept by
+    :class:`~binshor.synth.CountSink`, from the same gate stream.
     """
 
     def __init__(self, registers: list[Register] | None = None):
@@ -90,8 +89,6 @@ class Circuit:
         self._offsets: dict[str, int] = {}
         self.width = 0  # qubit count: the register widths, summed as added
         self.gates: list[tuple] = []
-        self.groups: list[tuple[str, int, int, int]] = []
-        self._group_stack: list[tuple[str, int, int]] = []
         if registers:
             for r in registers:
                 self.add_register(r)
@@ -171,33 +168,18 @@ class Circuit:
             mask ^= low
 
     def block(self, build, rev: bool = False, key=None):
-        """Emit ``build(self)``.  Reversed, the block is emitted forwards,
-        then its gates are reversed in place and the groups it closed are
-        dropped.  A circuit keeps every gate, so ``key`` is ignored."""
-        if not rev:
-            build(self)
-            return
-        gates, groups = self.gates, self.groups
-        start, first_group = len(gates), len(groups)
+        """Emit ``build(self)``, its gates reversed in place if ``rev``.  A
+        circuit keeps every gate, so ``key`` is ignored."""
+        start = len(self.gates)
         build(self)
-        gates[start:] = gates[start:][::-1]
-        del groups[first_group:]
-
-    # -- groups ------------------------------------------------------------
+        if rev:
+            self.gates[start:] = self.gates[start:][::-1]
 
     def begin_group(self, label: str, units: int = 1):
-        self._group_stack.append((label, units, len(self.gates)))
+        pass
 
     def end_group(self):
-        label, units, start = self._group_stack.pop()
-        self.groups.append((label, units, start, len(self.gates)))
-
-    def census(self) -> dict[str, int]:
-        """Sum group units by label."""
-        out: dict[str, int] = {}
-        for label, units, _, _ in self.groups:
-            out[label] = out.get(label, 0) + units
-        return out
+        pass
 
     # -- structure ---------------------------------------------------------
 
@@ -205,10 +187,7 @@ class Circuit:
         """Append another circuit over the same register layout."""
         if other.registers != self.registers:
             raise GF2Error("register layouts differ")
-        base = len(self.gates)
         self.gates.extend(other.gates)
-        for label, units, s, e in other.groups:
-            self.groups.append((label, units, s + base, e + base))
 
     def reversed(self) -> "Circuit":
         """Inverse circuit: reversed gate order.  Every kind is an involution
@@ -449,9 +428,9 @@ class CircuitWriter(Circuit):
     ends with no reversed block open and more than a few thousand held;
     they are then written and dropped, so a reversed block is still
     reversed in place (:meth:`Circuit.block`) and the writer holds at most
-    its outermost open reversed block on top of that.  Groups are not kept,
-    as the text has none.  Call :meth:`flush` once emission ends; the text
-    is then ``serialize`` of the same circuit (for at least one register).
+    its outermost open reversed block on top of that.  Call :meth:`flush`
+    once emission ends; the text is then ``serialize`` of the same circuit
+    (for at least one register).
     """
 
     def __init__(self, registers: list[Register], out):
@@ -468,12 +447,6 @@ class CircuitWriter(Circuit):
         self._reversing -= rev
         if len(self.gates) > _FLUSH_GATES and not self._reversing:
             self.flush()
-
-    def begin_group(self, label: str, units: int = 1):
-        pass
-
-    def end_group(self):
-        pass
 
     def flush(self):
         """Write the gates held and drop them."""

@@ -235,7 +235,7 @@ def cmd_validate(args) -> int:
         all_ok &= _check(label, bad is None, "" if bad is None else
                          "P1=({0.x},{0.y}) P2=({1.x},{1.y}) out={2:#x}".format(
                              *(pts[i] for i in pairs[bad[0]]), bad[1]))
-        census = pointadd_census(pcirc.census())
+        census = pointadd_census(stream_pointadd_counts(pa).census)
         all_ok &= _check("point addition census", census == TABLE_CENSUS,
                          str(census))
     return 0 if all_ok else 1

@@ -376,7 +376,7 @@ def synth_ecpointadd(plan: PointAddPlan) -> Circuit:
 
 
 def pointadd_census(census: dict[str, int]) -> dict[str, int]:
-    """Subroutine census from a label -> units mapping (``circ.census()``
-    or a count sink's ``census``): the ``census:`` labels, prefix removed."""
+    """Subroutine census from a :class:`~binshor.synth.CountSink`'s
+    ``census`` (label -> units): the ``census:`` labels, prefix removed."""
     return {label.split(":", 1)[1]: units for label, units in census.items()
             if label.startswith("census:")}

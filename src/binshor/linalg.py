@@ -85,21 +85,6 @@ class BitMatrix:
                      for t in _BIT_CHARS[:nrows - 8 * k]]
         return cls(rows, len(cols))
 
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
-        return out
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(list(self.rows), self.ncols)
-
-    def popcount(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
     def mat_vec(self, x: int) -> int:
         out = 0
         for i, r in enumerate(self.rows):

@@ -15,9 +15,11 @@ formula and factor).
 Emitters call only sink methods (one per gate kind, the group bounds,
 ``fanin``/``fanout`` for a CNOT row into or out of one wire, and ``block``),
 so each sink keeps blocks its own way: a :class:`~binshor.circuit.Circuit`
-stores every gate and reverses a reversed block in place, and a
-:class:`CountSink` adds a CNOT row's count at once and adds, for every copy
-of a keyed block, the tally it stored in :data:`TALLIES` the first time.
+stores every gate, reverses a reversed block in place and drops the group
+bounds, and a :class:`CountSink` adds a CNOT row's count at once and adds,
+for every copy of a keyed block, the tally it stored in :data:`TALLIES` the
+first time.  A :class:`CountSink` is the one sink that keeps groups: its
+census sums their units by label and leaves out a reversed block's.
 Each plan's ``layout()`` is the one place its registers are named.
 :func:`emit_over_layout` emits a plan, or any emitter, over the wires of
 a layout's registers: into the layout itself, which builds the circuit,
@@ -63,8 +65,8 @@ TALLIES: dict = {}
 
 class CountSink:
     """Gate-stream consumer that tallies counts and census groups (label ->
-    units, in the order the groups begin).  Keyed blocks are read from and
-    stored in :data:`TALLIES`."""
+    units, in the order the groups begin; a reversed block adds none).
+    Keyed blocks are read from and stored in :data:`TALLIES`."""
 
     def __init__(self):
         self.counts = GateCounts()

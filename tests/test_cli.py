@@ -270,10 +270,19 @@ def test_failed_emission_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+CENSUS_LINE = ("PASS  point addition census  {'equality-test': 9, "
+               "'addition': 8, 'n-toffoli': 30, 'controlled-addition': 6, "
+               "'inversion': 4, 'multiplication': 8, "
+               "'controlled-const-addition': 1, 'squaring': 2}")
+
+
 def test_validate_toy_curve_passes(capsys):
-    rc, out, _ = run(capsys, "validate", "--field", "4")
-    assert rc == 0
-    assert "PASS  point addition exhaustive" in out
+    # the census line is printed whole, in the order its groups begin
+    for args in (("--field", "4"), ("--field", "3", "--curve-a", "1")):
+        rc, out, _ = run(capsys, "validate", *args)
+        assert rc == 0
+        assert "PASS  point addition exhaustive" in out
+        assert out.splitlines()[-1] == CENSUS_LINE
 
 
 def test_validate_corrupted_circuit_reports_counterexample(tmp_path, capsys):

@@ -21,7 +21,9 @@ from binshor.ecc import (
 )
 from binshor.gf2 import BinaryPoly
 from binshor.pipeline import field_for, pointadd_plan
+from binshor.shor import stream_pointadd_counts
 from binshor.synth import emit_over_layout
+from test_synth import TallySink
 
 F4 = field_for(4)
 CURVE4 = CurveSpec(F4, BinaryPoly(0), BinaryPoly(1))
@@ -181,13 +183,12 @@ def sweep_curve(plan):
     pts = plan.curve.points()
     pairs = list(itertools.product(range(len(pts)), repeat=2))
     assert pointadd_sweep(plan, circ, pts, pairs) is None
-    return circ
 
 
 def test_pointadd_exhaustive_a_zero_curve():
     plan = pointadd_plan(4, 0, 1)
-    circ = sweep_curve(plan)
-    assert pointadd_census(circ.census()) == TABLE_CENSUS
+    sweep_curve(plan)
+    assert pointadd_census(stream_pointadd_counts(plan).census) == TABLE_CENSUS
 
 
 def test_pointadd_exhaustive_gf8_with_correction_multiplier():
@@ -197,24 +198,37 @@ def test_pointadd_exhaustive_gf8_with_correction_multiplier():
 
     assert modulus_set_for(3).omega(3) == 1
     plan = pointadd_plan(3, 1, 1)
-    circ = sweep_curve(plan)
-    assert pointadd_census(circ.census()) == TABLE_CENSUS
+    sweep_curve(plan)
+    assert pointadd_census(stream_pointadd_counts(plan).census) == TABLE_CENSUS
 
 
 def test_pointadd_exhaustive_a_nonzero_curve():
     plan = pointadd_plan(5, 2, 3)
-    circ = sweep_curve(plan)
-    assert pointadd_census(circ.census()) == TABLE_CENSUS
+    sweep_curve(plan)
+    assert pointadd_census(stream_pointadd_counts(plan).census) == TABLE_CENSUS
+
+
+class GroupEnds(Circuit):
+    """A circuit that records its gate count where each group ends."""
+
+    def __init__(self, registers):
+        super().__init__(registers)
+        self.open, self.ends = [], {}
+
+    def begin_group(self, label, units=1):
+        self.open.append(label)
+
+    def end_group(self):
+        self.ends[self.open.pop()] = len(self.gates)
 
 
 def test_pointadd_stage2_postconditions():
     # after stage 2 the coordinate registers hold x1+x2 and y1 (+ y2 when the
     # generic branch is active) and the slope register holds 0 / lambda
     plan = pointadd_plan(4, 0, 1)
-    circ = synth_ecpointadd(plan)
-    end2 = next(e for label, units, s, e in circ.groups if label == "stage2")
-    prefix = circ.__class__(list(circ.registers))
-    prefix.gates = circ.gates[:end2]
+    circ = emit_over_layout(GroupEnds(plan.layout().registers), plan.emit)
+    prefix = Circuit(list(circ.registers))
+    prefix.gates = circ.gates[:circ.ends["stage2"]]
     n = 4
     pts = [p for p in plan.curve.points() if not p.is_infinity()]
     rng = random.Random(0)
@@ -245,8 +259,6 @@ def test_pointadd_stage2_postconditions():
 
 
 def test_pointadd_census_at_n8():
-    from binshor.shor import stream_pointadd_counts
-
     streamed = stream_pointadd_counts(pointadd_plan(8, 1, 1))
     assert pointadd_census(streamed.census) == TABLE_CENSUS
 
@@ -256,7 +268,6 @@ def test_pointadd_synthesized_vs_decomposition_toffoli():
     # a fixed 11n - 50 (narrow flag gates where the decomposition charges
     # n-scale constructs); pin the relationship so silent drift is caught
     from binshor.pipeline import inversion_plan, modmult_plan
-    from binshor.shor import stream_pointadd_counts
 
     for n, a, b in ((4, 0, 1), (5, 2, 3), (8, 1, 1)):
         plan = pointadd_plan(n, a, b)
@@ -272,15 +283,15 @@ def test_pointadd_synthesized_vs_decomposition_toffoli():
 def test_streamed_pointadd_counts_equal_lowered_circuit(n, a, b):
     # the circuit's MCX are lowered as they are emitted, onto its ladder
     # register, so the counter and the circuit read one gate stream
-    from binshor.shor import stream_pointadd_counts
-
     plan = pointadd_plan(n, a, b)
     sink = stream_pointadd_counts(plan)
     circ = synth_ecpointadd(plan)
     # the full census, the arithmetic blocks' inner groups included; the
-    # reversed inversions add none, whether the sink reverses them (Circuit)
-    # or not (CountSink)
-    assert sink.census == circ.census()
+    # reversed inversions add none, whether the sink reverses them
+    # (TallySink) or not (CountSink)
+    tally = TallySink()
+    emit_over_layout(plan.layout(), plan.emit, tally)
+    assert sink.census == tally.census
     # every field, the qubit and ancilla widths included
     assert sink.counts == counts(circ)
     kinds = ("cnot", "toffoli", "swap", "not_", "ccx_uncompute")
@@ -290,8 +301,6 @@ def test_streamed_pointadd_counts_equal_lowered_circuit(n, a, b):
 
 
 def test_streamed_pointadd_reports_the_layout_width():
-    from binshor.shor import stream_pointadd_counts
-
     plan = pointadd_plan(4, 0, 1)
     width = stream_pointadd_counts(plan).counts.qubits_total
     assert width == synth_ecpointadd(plan).width == 50
