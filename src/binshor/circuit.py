@@ -167,6 +167,13 @@ class Circuit:
             self.cnot(c, wires[low.bit_length() - 1])
             mask ^= low
 
+    def fanin_columns(self, src, cols, dst):
+        """|s, d> -> |s, d + M s> for the matrix M whose column j is
+        ``cols[j]`` (bit i: a CNOT from ``src[j]`` onto ``dst[i]``): a
+        :meth:`fanin` per row of M, in ascending rows."""
+        for t, row in zip(dst, BitMatrix.from_columns(cols, len(dst)).rows):
+            self.fanin(src, row, t)
+
     def block(self, build, rev: bool = False, key=None):
         """Emit ``build(self)``, its gates reversed in place if ``rev``.  A
         circuit keeps every gate, so ``key`` is ignored."""

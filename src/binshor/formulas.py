@@ -66,7 +66,16 @@ class KaratsubaFormula:
     @classmethod
     def from_text(cls, text: str, source: str = "file") -> "KaratsubaFormula":
         lines = data_lines(text)
-        d, v = map(int, lines[0].split())
+        if not lines:
+            raise GF2Error(f"formula {source} is empty")
+        try:
+            d, v = map(int, lines[0].split())
+        except ValueError:
+            raise GF2Error(f"formula {source}: the header {lines[0]!r} is "
+                           f"not the two integers d v") from None
+        if len(lines) - 1 < v + 2 * d - 1:
+            raise GF2Error(f"formula {source}: d = {d} and v = {v} need "
+                           f"{v + 2 * d - 1} rows, found {len(lines) - 1}")
         def parse_rows(rows, width):
             out = []
             for ln in rows:

@@ -9,10 +9,18 @@ Everything here is classical and serves two roles: the ground-truth oracle
 that synthesized circuits are checked against, and the source of the
 precomputed constants (reduction matrices, CRT constants, ...) that the
 synthesizers consume.
+
+A long dividend is divided or reduced by a modulus of degree at most 16 a
+byte at a time, from two 256-entry tables per modulus, so the CRT
+constants of a degree-~2n product cost about n/4 steps per factor, not
+2n.  The irreducibles of degree at most 12 come from a sieve that strikes
+every product of lower-degree ones, and :func:`is_irreducible` looks those
+degrees up there; Rabin's test answers larger degrees.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -129,10 +137,58 @@ def clmul(a: int, b: int) -> int:
     return r
 
 
+# cldivmod and clmod go a byte at a time (_divmod_bytes) when the modulus
+# has at most this degree and the dividend more than _BYTES_MIN_BITS bits
+# beyond it
+_BYTES_MAX_DEG = 16
+_BYTES_MIN_BITS = 64
+
+
+@cache
+def _byte_tables(m: int) -> tuple[bytes, array]:
+    """The quotient and the remainder of t x^d by m (of degree d <= 16),
+    for every byte t: XORs of those of the 8 shifted powers x^(d+i)."""
+    dm = m.bit_length() - 1
+    q, r = [0], [0]
+    for i in range(8):
+        qi, ri = cldivmod(1 << (dm + i), m)
+        q += [x ^ qi for x in q]
+        r += [x ^ ri for x in r]
+    return bytes(q), array("H", r)
+
+
+def _divmod_bytes(a: int, m: int, quotient: bool = True
+                  ) -> tuple[int, int]:
+    """(a // m, a mod m) for m of degree d <= 16, a byte of a at a time:
+    with the remainder so far r (degree < d), r x^8 + byte = hi x^d + lo
+    has hi < 256, so its quotient is that of hi x^d and its remainder lo
+    plus that of hi x^d (:func:`_byte_tables`).  With ``quotient`` false
+    the quotient is not kept and returned as 0."""
+    dm = m.bit_length() - 1
+    qt, rt = _byte_tables(m)
+    mask = (1 << dm) - 1
+    data = a.to_bytes((a.bit_length() + 7) >> 3, "big")
+    r = 0
+    if not quotient:
+        for byte in data:
+            v = (r << 8) | byte
+            r = (v & mask) ^ rt[v >> dm]
+        return 0, r
+    q = bytearray(len(data))
+    for i, byte in enumerate(data):
+        v = (r << 8) | byte
+        hi = v >> dm
+        r = (v & mask) ^ rt[hi]
+        q[i] = qt[hi]
+    return int.from_bytes(q, "big"), r
+
+
 def cldivmod(a: int, m: int) -> tuple[int, int]:
     if m == 0:
         raise ZeroModulusError("division by the zero polynomial")
     dm = m.bit_length() - 1
+    if dm <= _BYTES_MAX_DEG and a.bit_length() > dm + _BYTES_MIN_BITS:
+        return _divmod_bytes(a, m)
     q = 0
     da = a.bit_length() - 1
     while da >= dm:
@@ -149,12 +205,16 @@ def clsquare(a: int) -> int:
 
 
 def clmod(a: int, m: int) -> int:
-    """a mod m.  When m = x^dm + low with deg(low) <= dm/2, as for sparse
-    field polynomials, a = hi x^dm + lo folds to lo + hi low, which lowers
-    the degree by at least dm/2 a step; other moduli divide bit by bit."""
+    """a mod m.  A long a is reduced by a modulus of small degree a byte at
+    a time (:func:`_divmod_bytes`).  Else when m = x^dm + low with
+    deg(low) <= dm/2, as for sparse field polynomials, a = hi x^dm + lo
+    folds to lo + hi low, which lowers the degree by at least dm/2 a step;
+    other moduli divide bit by bit."""
     if m == 0:
         raise ZeroModulusError("division by the zero polynomial")
     dm = m.bit_length() - 1
+    if dm <= _BYTES_MAX_DEG and a.bit_length() > dm + _BYTES_MIN_BITS:
+        return _divmod_bytes(a, m, quotient=False)[1]
     low = m ^ (1 << dm)
     if 2 * low.bit_length() <= dm + 2:
         mask = (1 << dm) - 1
@@ -205,7 +265,20 @@ def poly_inv_mod(a: BinaryPoly, m: BinaryPoly) -> BinaryPoly:
     return BinaryPoly(clmod(s, m.bits))
 
 
+# irreducibles of at most this degree are found by a sieve (_irreducibles)
+# and looked up there by is_irreducible
+_SIEVE_MAX_DEG = 12
+
+
 def is_irreducible(p: BinaryPoly) -> bool:
+    """Irreducibility over F2: up to degree 12 looked up in the sieve of
+    :func:`_irreducibles`, above by Rabin's test (:func:`_rabin`)."""
+    if 1 <= p.degree <= _SIEVE_MAX_DEG:
+        return p.bits in _irreducibles(p.degree)
+    return _rabin(p)
+
+
+def _rabin(p: BinaryPoly) -> bool:
     """Rabin irreducibility test over F2."""
     d = p.degree
     if d < 1:
@@ -251,16 +324,35 @@ def enumerate_irreducibles(d: int) -> list[BinaryPoly]:
     """
     if d < 1:
         raise GF2Error("degree must be >= 1")
-    return list(_irreducibles(d))
+    return list(_irreducibles(d).values())
 
 
 @cache
-def _irreducibles(d: int) -> tuple[BinaryPoly, ...]:
-    if d == 1:
-        return (BinaryPoly(2), BinaryPoly(3))  # x and x+1
-    # constant term must be 1, else divisible by x
-    return tuple(p for p in map(BinaryPoly, range((1 << d) + 1, 2 << d, 2))
-                 if is_irreducible(p))
+def _irreducibles(d: int) -> dict[int, BinaryPoly]:
+    """The monic irreducibles of degree d by their bits, ascending.
+
+    Up to degree 12 by a sieve: the product of each irreducible p of degree
+    a <= d/2 with each monic q of degree d - a is struck out, and what is
+    left is irreducible.  q runs over its low bits in Gray-code order, so
+    each product is the last one plus a shift of p.  Above degree 12 every
+    candidate with a constant term (else x divides it) is tested by Rabin.
+    """
+    if d > _SIEVE_MAX_DEG:
+        cands = map(BinaryPoly, range((1 << d) + 1, 2 << d, 2))
+        return {p.bits: p for p in cands if _rabin(p)}
+    top = 1 << d
+    struck = bytearray(top)  # at bits - x^d
+    for a in range(1, d // 2 + 1):
+        e = d - a
+        for p in _irreducibles(a):
+            shifts = [p << b for b in range(e)]
+            v = p << e
+            struck[v ^ top] = 1
+            for i in range(1, 1 << e):
+                v ^= shifts[(i & -i).bit_length() - 1]
+                struck[v ^ top] = 1
+    return {b: BinaryPoly(b) for b in range(top, 2 * top)
+            if not struck[b ^ top]}
 
 
 # Irreducible field polynomials for the standardized binary curves.

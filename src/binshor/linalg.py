@@ -5,26 +5,66 @@ mat-vec a popcount-parity; the largest matrices built are n x n at n = 571.
 The kernels work a byte at a time: a transpose reads one byte plane of the
 columns per 8 rows (or, for at most 8 columns, writes each row as one
 byte), and products and the PLU of a square matrix use the method of Four
-Russians (a 256-entry table of XORs per 8 rows).  A tall n x d matrix
-(d < n: the CRT recombination and correction maps, d <= 10) is built and
-factored on its d columns instead, as n-bit ints, by :func:`plu_columns`:
-O(d^2) big-int operations and no row built.  All constructed matrices are
+Russians (a 256-entry table of XORs per 8 rows).  A product whose left
+operand has few ones (a low power of a squaring matrix) instead XORs one
+row of the right operand per one.  The PLU can be given a limit on its
+off-diagonal entries and stop without factors once they pass it; the
+squaring choice uses that to drop a fused map that has already lost.  The
+powers of a squaring matrix are composed on one another, and kept only
+inside a :func:`squaring_powers` block.  A tall n x d matrix (d < n: the
+CRT recombination and correction maps, d <= 10) is built and factored on
+its d columns instead, as n-bit ints, by :func:`plu_columns`: O(d^2)
+big-int operations and no row built.  All constructed matrices are
 validated in the tests against the polynomial oracles in
 :mod:`binshor.gf2`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
-from .gf2 import BinaryPoly, FieldSpec, GF2Error, ModulusSet, clmod
+from .gf2 import (BinaryPoly, FieldSpec, GF2Error, ModulusSet, cldivmod, clmod,
+                  clmul)
 
 # _BIT_CHARS[i] translates a byte to b"1" if its bit i is set, else b"0"
 _BIT_CHARS = [bytes(b"01"[(v >> i) & 1] for v in range(256))
               for i in range(8)]
 # translates the digits b"0"/b"1" to the bytes 0/1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# one XOR of the row-sparse product costs about as much as this many
+# per-entry steps of the table product (measured at n = 163 and 571)
+_SPARSE_COST = 3
+
+
+def _matmul_sparse(a_rows: list[int], b_rows: list[int]) -> list[int]:
+    """Rows of A @ B: each row of A selects the rows of B it XORs."""
+    out = []
+    for r in a_rows:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= b_rows[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return out
+
+
+def _matmul_tables(a_rows: list[int], b_rows: list[int], ncols: int
+                   ) -> list[int]:
+    """Rows of A @ B (A with ``ncols`` columns) by the method of Four
+    Russians: byte k of each row of A looks up the XOR of its subset of
+    rows 8k..8k+7 of B in a 256-entry table, one table alive at a time."""
+    nb = (ncols + 7) >> 3
+    data = b"".join(r.to_bytes(nb, "little") for r in a_rows)
+    rows = [0] * len(a_rows)
+    for k in range(nb):
+        table = [0]
+        for r in b_rows[8 * k:8 * k + 8]:
+            table += [t ^ r for t in table]
+        rows = [a ^ table[v] for a, v in zip(rows, data[k::nb])]
+    return rows
 
 
 class SingularMatrixError(GF2Error):
@@ -94,17 +134,14 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise GF2Error("dimension mismatch")
-        nb = (self.ncols + 7) >> 3
-        data = b"".join(r.to_bytes(nb, "little") for r in self.rows)
-        rows = [0] * self.nrows
-        for k in range(nb):
-            # XORs of every subset of rows 8k..8k+7 of other, looked up by
-            # byte k of each row of self; one table alive at a time
-            table = [0]
-            for r in other.rows[8 * k:8 * k + 8]:
-                table += [t ^ r for t in table]
-            rows = [a ^ table[v] for a, v in zip(rows, data[k::nb])]
-        return BitMatrix(rows, other.ncols)
+        # a row-sparse left operand (a low power of a squaring matrix has a
+        # few ones per row) is cheaper one XOR per one than by tables
+        ones = sum(map(int.bit_count, self.rows))
+        if ones * _SPARSE_COST < ((self.ncols + 7) >> 3) * (256 + self.nrows):
+            return BitMatrix(_matmul_sparse(self.rows, other.rows),
+                             other.ncols)
+        return BitMatrix(_matmul_tables(self.rows, other.rows, self.ncols),
+                         other.ncols)
 
     def __pow__(self, k: int) -> "BitMatrix":
         if self.nrows != self.ncols:
@@ -180,7 +217,8 @@ def _cycle_swaps(moved: dict[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def plu_decompose(M: BitMatrix) -> PLUFactors:
+def plu_decompose(M: BitMatrix, limit: int | None = None
+                  ) -> PLUFactors | None:
     """PLU decomposition over GF(2) for a square or tall matrix.
 
     Pivoting is leftmost-nonzero with row swaps only, so gate counts derived
@@ -192,6 +230,13 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     the same result as one at a time: a row below a block is cleared by
     the one combination of the block's pivot rows that matches its block
     bits, found in a 256-entry table.
+
+    With ``limit``, None is returned as soon as the strict entries of the
+    d pivot rows (those of L left of the diagonal and of U right of it,
+    final once a row is chosen) sum past it; the sum only grows, so the
+    factors are returned exactly when their strict entries number at most
+    ``limit``.  For a square matrix that is the fan-in CNOT count of
+    :class:`~binshor.synth.LinearMap`.
     """
     n, d = M.shape
     if n < d:
@@ -200,6 +245,7 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
     # bits d and up of a working row collect its L entries (L[i, c] at d + c)
     A = list(M.rows)
     perm = list(range(n))  # tracks source row currently at each position
+    spent = 0  # strict entries of the pivot rows so far
     for c0 in range(0, d, 8):
         B = min(8, d - c0)
         # the block bits of the rows at positions c0 and on, as they were
@@ -231,6 +277,10 @@ def plu_decompose(M: BitMatrix) -> PLUFactors:
                 if (a >> (c0 + k)) & 1:
                     a ^= wk
             A[c0 + t] = a
+            if limit is not None:
+                spent += a.bit_count() - 1  # all but the diagonal of U
+                if spent > limit:
+                    return None
             w.append((a & mask) | (1 << (d + c0 + t)))
             v = a >> c0
             below = cols[t] & ~((2 << p) - 1)  # rows after the pivot
@@ -309,23 +359,6 @@ def plu_columns(cols: list[int], n: int
     return L, BitMatrix.from_columns(work, d), rest, tuple(swaps)
 
 
-def const_mul_matrix(h: BinaryPoly, field: FieldSpec) -> BitMatrix:
-    """n x n matrix of multiplication by the fixed nonzero element h.
-
-    Column k holds the coefficients of x^k * h mod p.
-    """
-    if h.is_zero():
-        raise SingularMatrixError("constant multiplication by zero", rank=0)
-    if h.degree >= field.n:
-        raise GF2Error("constant degree out of range")
-    cols = []
-    acc = h.bits
-    for _ in range(field.n):
-        cols.append(acc)
-        acc = clmod(acc << 1, field.p.bits)
-    return BitMatrix.from_columns(cols, field.n)
-
-
 @cache
 def reduction_matrix(m_i: BinaryPoly, n: int) -> BitMatrix:
     """d x (n-d) matrix reducing the high part of an (n-1)-degree polynomial.
@@ -333,50 +366,85 @@ def reduction_matrix(m_i: BinaryPoly, n: int) -> BitMatrix:
     Column k holds the coefficients of x^(k+d) mod m_i, so that
     f mod m_i = f_low + M @ f_high.  Built once per (m_i, n): the matrix is
     shared by every caller and must not be modified.
+
+    The rows are built whole, as (n-d)-bit ints.  x^(j+1) mod m_i is
+    x^j mod m_i shifted up, plus m_i where its top bit t_j is set.  So row
+    i is row i-1, plus the row t of top bits where bit i of m_i is set,
+    shifted up one column, with bit i of m_i in column 0 (x^d mod m_i).
+    Row d-1 is t itself: as a power series in y, t = Q / m*, where
+    m* = y^d m_i(1/y) and Q = (m* - 1) / y, and 1 / m* mod y^(n-d) is the
+    quotient of x^(n-1) by m_i with its n-d bits reversed.
     """
     d = m_i.degree
     if not 1 <= d < n:
         raise GF2Error("reduction modulus degree out of range")
-    cols = []
-    top = 1 << d
-    acc = clmod(top, m_i.bits)
-    for _ in range(n - d):
-        cols.append(acc)
-        acc <<= 1  # acc is reduced, so one conditional subtraction reduces
-        if acc & top:
-            acc ^= m_i.bits
-    return BitMatrix.from_columns(cols, d)
+    m, width = m_i.bits, n - d
+    mask = (1 << width) - 1
+    inv = int(format(cldivmod(1 << (n - 1), m)[0], f"0{width}b")[::-1], 2)
+    q = int(format(m ^ (1 << d), f"0{d}b")[::-1], 2)
+    t = clmul(inv, q) & mask
+    rows, row = [], 0
+    for i in range(d):
+        if (m >> i) & 1:
+            row = (((row ^ t) << 1) | 1) & mask
+        else:
+            row = (row << 1) & mask
+        rows.append(row)
+    return BitMatrix(rows, width)
 
 
-@cache
-def _squaring_powers(field: FieldSpec) -> dict[int, BitMatrix]:
-    """The powers S^k of one field's squaring matrix built so far, by k."""
-    cols = [clmod(1 << (2 * j), field.p.bits) for j in range(field.n)]
-    return {1: BitMatrix.from_columns(cols, field.n)}
+# the powers S^k of a field's squaring matrix made so far, by k, for each
+# field inside a squaring_powers() block
+_POWERS: dict[FieldSpec, dict[int, BitMatrix]] = {}
+
+
+@contextmanager
+def squaring_powers(field: FieldSpec):
+    """Keep the powers of ``field``'s squaring matrix that
+    :func:`squaring_matrix` makes inside the block, so that later ones are
+    composed from them; they are dropped when the outermost such block for
+    the field ends."""
+    if field in _POWERS:
+        yield
+        return
+    _POWERS[field] = {}
+    try:
+        yield
+    finally:
+        del _POWERS[field]
 
 
 def squaring_matrix(field: FieldSpec, k: int = 1) -> BitMatrix:
     """n x n matrix of the k-fold Frobenius f -> f^(2^k) mod p.
 
-    Powers of one field are kept and composed, S^(a+b) = S^a @ S^b, so a
-    sequence of k (an addition chain's) costs a few products in all.  The
-    returned matrix is shared: do not modify it.
+    S^k is composed from the powers of S held.  With j the largest below
+    k, S^(2j) = S^j @ S^j is made while 2j < k; then r = k - j <= j, and
+    S^k = S^r @ S^j, S^r made the same way first.  Powers of one matrix
+    commute, so the order does not change the result; the smaller power
+    goes on the left, where its few ones per row make the row-sparse
+    product cheap.  Inside a :func:`squaring_powers` block the powers are
+    kept, so the k an inversion asks for (terms of its addition chain) cost
+    one or two products each; outside one, S^k costs O(log k) products and
+    the powers are dropped on return.  The returned matrix may be shared:
+    do not modify it.
     """
     if k < 1:
         raise GF2Error("k must be >= 1")
-    powers = _squaring_powers(field)
-    if k not in powers:
-        top = max(powers)
-        while 2 * top <= k:  # so that k splits into O(log k) stored powers
-            powers[2 * top] = powers[top] @ powers[top]
-            top *= 2
-        acc, rest = None, k
-        while rest:
-            a = max(j for j in powers if j <= rest)
-            rest -= a
-            acc = powers[a] if acc is None else acc @ powers[a]
-        powers[k] = acc
-    return powers[k]
+    powers = _POWERS.get(field, {})
+    if not powers:
+        cols = [clmod(1 << (2 * j), field.p.bits) for j in range(field.n)]
+        powers[1] = BitMatrix.from_columns(cols, field.n)
+
+    def power(k):
+        while k not in powers:
+            j = max(i for i in powers if i < k)
+            if 2 * j < k:
+                powers[2 * j] = powers[j] @ powers[j]
+            else:
+                powers[k] = power(k - j) @ powers[j]
+        return powers[k]
+
+    return power(k)
 
 
 def crt_recombination_matrix(q_i: BinaryPoly, m: BinaryPoly,

@@ -43,12 +43,12 @@ def _plan_cache(fn):
 
 def clear_caches():
     """Drop the cached plans, the keyed-block tally store and the memoised
-    field data (irreducibles, modulus-set checks, CRT constants, reduction
-    matrices, squaring maps)."""
+    field data (irreducibles, byte-division tables, modulus-set checks, CRT
+    constants, reduction matrices, squaring maps)."""
     for fn in (_cached_formulas, _cached_inner_set, modmult_plan, field_for,
                inversion_plan, pointadd_plan, gf2._irreducibles,
-               gf2.validate_modulus_set, gf2.crt_cofactors, gf2.crt_constants,
-               linalg.reduction_matrix, linalg._squaring_powers,
+               gf2._byte_tables, gf2.validate_modulus_set, gf2.crt_cofactors,
+               gf2.crt_constants, linalg.reduction_matrix,
                synth.squaring_method):
         fn.cache_clear()
     TALLIES.clear()
@@ -79,7 +79,8 @@ def field_for(n: int, poly_bits: int | None = None) -> FieldSpec:
     except GF2Error:
         if n < 2:
             raise GF2Error("extension degree must be >= 2") from None
-        # enumerate_irreducibles(n)[0], without testing the rest of degree n
+        # enumerate_irreducibles(n)[0], without a Rabin test of the rest of
+        # degree n when n is above the sieve's degrees
         bits = next(b for b in range((1 << n) + 1, 2 << n, 2)
                     if is_irreducible(BinaryPoly(b)))
         return FieldSpec(n, BinaryPoly(bits))

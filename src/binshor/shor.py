@@ -40,11 +40,14 @@ def qrom_costs(k: int) -> tuple[int, float, float]:
 class AVWeights:
     """Per-primitive active-volume weights.
 
-    The per-gate constants come from a calibration against the reference
-    modular-multiplication AV totals (the authoritative per-primitive
-    numbers live in external architecture work); the lookup weights are
-    calibrated against the phase-estimation AV totals.  All weights must be
-    non-negative.
+    The cnot, swap and toffoli weights are the relative least-squares fit
+    of the CNOT, swap and Toffoli counts of the synthesized multipliers at
+    n = 163, 233, 283 and 571 to the reference modular-multiplication AV
+    totals: they minimise the sum of (w . counts_n / total_n - 1)^2, and
+    the shipped values are that fit to 6 decimals (a Tier-1 test redoes
+    it).  The lookup weights are said to be calibrated against the
+    phase-estimation AV totals; where they come from has not been checked.
+    All weights must be finite and non-negative.
     """
 
     KEYS = ("cnot", "swap", "toffoli", "lookup_per_item_bit", "lookup_per_item")
@@ -53,6 +56,9 @@ class AVWeights:
         for key in self.KEYS:
             if key not in values:
                 raise GF2Error(f"missing active-volume weight {key!r}")
+            if not math.isfinite(values[key]):
+                raise GF2Error(f"active-volume weight {key!r} is "
+                               f"{values[key]}, not a finite number")
             if values[key] < 0:
                 raise GF2Error(f"negative active-volume weight {key!r}")
         self.values = dict(values)

@@ -13,13 +13,19 @@ and so does each distinct piece inside it (a CRT recombination factor,
 the correction map, a reduction step, a squaring, a residue product per
 formula and factor).
 Emitters call only sink methods (one per gate kind, the group bounds,
-``fanin``/``fanout`` for a CNOT row into or out of one wire, and ``block``),
-so each sink keeps blocks its own way: a :class:`~binshor.circuit.Circuit`
-stores every gate, reverses a reversed block in place and drops the group
-bounds, and a :class:`CountSink` adds a CNOT row's count at once and adds,
-for every copy of a keyed block, the tally it stored in :data:`TALLIES` the
-first time.  A :class:`CountSink` is the one sink that keeps groups: its
-census sums their units by label and leaves out a reversed block's.
+``fanin``/``fanout`` for a CNOT row into or out of one wire,
+``fanin_columns`` for a CNOT block held by its columns, such as a tall
+map's lower block, and ``block``), so each sink keeps blocks its own way:
+a :class:`~binshor.circuit.Circuit` stores every gate (a column-held block
+as the rows of its transpose), reverses a reversed block in place and
+drops the group bounds, and a :class:`CountSink` adds a CNOT row's or a
+column-held block's count at once and adds, for every copy of a keyed
+block, the tally it stored in :data:`TALLIES` the first time.  A
+:class:`CountSink` is the one sink that keeps groups: its census sums their
+units by label and leaves out a reversed block's.  A k-fold squaring is
+one fused map only when its CNOTs do not pass those of k single
+squarings, and its factorisation stops once they do
+(:func:`squaring_method`).
 Each plan's ``layout()`` is the one place its registers are named.
 :func:`emit_over_layout` emits a plan, or any emitter, over the wires of
 a layout's registers: into the layout itself, which builds the circuit,
@@ -51,6 +57,7 @@ from .linalg import (
     crt_recombination_matrix,
     correction_matrix,
     squaring_matrix,
+    squaring_powers,
 )
 from .formulas import KaratsubaFormula
 
@@ -93,6 +100,9 @@ class CountSink:
     def fanout(self, c, wires, mask: int):
         self.counts.cnot += mask.bit_count()
 
+    def fanin_columns(self, src, cols, dst):
+        self.counts.cnot += sum(map(int.bit_count, cols))
+
     def begin_group(self, label, units=1):
         self.census[label] = self.census.get(label, 0) + units
 
@@ -130,12 +140,6 @@ class CountSink:
 
 # -- leaf emitters -----------------------------------------------------------
 
-def emit_cnot_matrix(sink, M: BitMatrix, src, dst):
-    """|s, d> -> |s, d + M s>: one CNOT per set entry (row = target)."""
-    for i, row in enumerate(M.rows):
-        sink.fanin(src, row, dst[i])
-
-
 def emit_addition(sink, src, dst):
     for s, d in zip(src, dst):
         sink.cnot(s, d)
@@ -161,7 +165,7 @@ class LinearMap:
     then an L stage; ``swaps`` apply P.  A square M is factored by
     :func:`~binshor.linalg.plu_decompose`, a tall one on its d columns by
     :func:`~binshor.linalg.plu_columns`, and ``rest`` is held by column
-    (d x (n-d)), to be transposed to its rows when the map is emitted.
+    (d x (n-d)) and handed whole to the sink's ``fanin_columns``.
     """
 
     L: BitMatrix               # top d rows of L
@@ -170,11 +174,17 @@ class LinearMap:
     swaps: tuple
 
     @classmethod
-    def of(cls, M: BitMatrix) -> "LinearMap":
+    def of(cls, M: BitMatrix, limit: int | None = None
+           ) -> "LinearMap | None":
+        """The map of M.  For a square M with ``limit``, None once its
+        fan-in CNOTs number more (:func:`~binshor.linalg.plu_decompose`
+        stops there); a tall M ignores ``limit``."""
         n, d = M.shape
         if d < n:
             return cls.of_columns(M.transpose().rows, n)
-        plu = plu_decompose(M)
+        plu = plu_decompose(M, limit=limit)
+        if plu is None:
+            return None
         return cls(plu.L, plu.U, None, tuple(plu.transpositions()))
 
     @classmethod
@@ -190,8 +200,7 @@ class LinearMap:
 
         def build(s):
             if self.rest is not None:
-                emit_cnot_matrix(s, self.rest.transpose(), wires[:d],
-                                 wires[d:])
+                s.fanin_columns(wires[:d], self.rest.rows, wires[d:])
             # the U stage in ascending rows, f_i += sum_{j>i} U_ij f_j, then
             # the L stage in descending rows, f_i += sum_{j<i} L_ij f_j
             for i, row in enumerate(self.U.rows):
@@ -655,7 +664,11 @@ class InversionPlan:
         wires."""
         if len(work) < (self.num_registers - 1) * self.n:
             raise GF2Error("workspace too small for the schedule")
-        sink.block(lambda s: self._emit(s, fw, work), key=(self,))
+        # the schedule squares by chain terms: their powers of the squaring
+        # matrix are composed on one another while the square maps are
+        # chosen, and dropped after
+        with squaring_powers(self.field):
+            sink.block(lambda s: self._emit(s, fw, work), key=(self,))
 
     def _emit(self, sink, fw, work):
         w = self.slots(fw, work)
@@ -693,8 +706,10 @@ def squaring_method(field: FieldSpec, k: int
     Returns (method, map, reps): the circuit applies ``map`` in place
     ``reps`` times.  Squaring has order n on GF(2^n), so k counts modulo n
     and a multiple of n is the empty fused circuit.  Comparison is by
-    :meth:`LinearMap.cnot_equiv`; ties go to the fused circuit.  Memoised
-    per (field, k): the single squaring is factorised once per field.
+    :meth:`LinearMap.cnot_equiv`; ties go to the fused circuit.  The fused
+    map's factorisation stops as soon as its fan-in CNOTs alone pass the k
+    single squarings' count, since it has lost by then.  Memoised per
+    (field, k): the single squaring is factorised once per field.
     """
     k %= field.n
     if k == 0:
@@ -702,8 +717,9 @@ def squaring_method(field: FieldSpec, k: int
     if k == 1:
         return ("fused", LinearMap.of(squaring_matrix(field, 1)), 1)
     single = squaring_method(field, 1)[1]
-    fused = LinearMap.of(squaring_matrix(field, k))
-    if fused.cnot_equiv() <= k * single.cnot_equiv():
+    limit = k * single.cnot_equiv()
+    fused = LinearMap.of(squaring_matrix(field, k), limit)
+    if fused is not None and fused.cnot_equiv() <= limit:
         return ("fused", fused, 1)
     return ("sequential", single, k)
 

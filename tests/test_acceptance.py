@@ -32,7 +32,6 @@ from binshor.shor import (
 from binshor.synth import (
     LinearMap,
     emit_addition,
-    emit_cnot_matrix,
     emit_correction,
     emit_kmult,
     emit_over_layout,
@@ -41,7 +40,8 @@ from binshor.synth import (
     synth_crt_modmult,
     synth_flt_inversion,
 )
-from binshor.linalg import const_mul_matrix, reduction_matrix
+from binshor.linalg import reduction_matrix
+from helpers import const_mul_matrix, emit_cnot_matrix
 
 FIELDS = (163, 233, 283, 571)
 
@@ -405,3 +405,21 @@ def test_criterion_9_av_calibration(field_plans):
             f"inv {100 * (inv_av / TABLE_AV_INV[n] - 1):+.1f}%, "
             f"pa {100 * (pa.active_volume / TABLE_AV_PA[n] - 1):+.1f}%")
     report(9, ok, "; ".join(details))
+
+
+def test_av_weights_are_the_multiplier_fit(field_plans):
+    # cnot, swap and toffoli in av_weights.txt are, to 6 decimals, the
+    # relative least-squares fit of the four multipliers' counts to
+    # TABLE_AV_MM: each row is counts_n / total_n, fitted to 1
+    import numpy as np
+
+    rows = []
+    for n in FIELDS:
+        c = field_plans[n]["modmult"].counts()
+        rows.append([c.cnot / TABLE_AV_MM[n], c.swap / TABLE_AV_MM[n],
+                     c.toffoli / TABLE_AV_MM[n]])
+    fit, *_ = np.linalg.lstsq(np.array(rows), np.ones(len(FIELDS)),
+                              rcond=None)
+    shipped = AVWeights.load_default()
+    assert ([round(float(w), 6) for w in fit]
+            == [shipped[k] for k in ("cnot", "swap", "toffoli")])

@@ -503,3 +503,58 @@ def test_pointadd_contract_needs_the_ladder_back_at_0():
     pts = plan.curve.points()
     pairs = list(itertools.product(range(len(pts)), repeat=2))
     assert cli.pointadd_sweep(plan, circ, pts, pairs) is not None
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the shipped data directory as ``BINSHOR_DATA``, with every
+    cache that holds what was read from it dropped before and after."""
+    import shutil
+
+    import binshor.pipeline as pipeline
+    from binshor.datafiles import data_dir
+
+    shutil.copytree(data_dir(), tmp_path / "data")
+    monkeypatch.setenv("BINSHOR_DATA", str(tmp_path / "data"))
+    pipeline.clear_caches()
+    yield tmp_path / "data"
+    monkeypatch.delenv("BINSHOR_DATA")
+    pipeline.clear_caches()
+
+
+@pytest.mark.parametrize("value", ["1e400", "inf", "-inf", "nan"])
+def test_non_finite_av_weight_is_one_error_line(data_copy, capsys, value):
+    path = data_copy / "av_weights.txt"
+    path.write_text(path.read_text().replace("cnot = 3.966510",
+                                             f"cnot = {value}"))
+    rc, out, err = run(capsys, "estimate", "--field", "163")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: active-volume weight 'cnot' is ")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "formula d5.txt is empty"),
+    ("# only a comment\n", "formula d5.txt is empty"),
+    ("5\n", "formula d5.txt: the header '5' is not the two integers d v"),
+    ("5 x\n", "formula d5.txt: the header '5 x' is not the two integers d v"),
+    ("5 13 2\n", "formula d5.txt: the header '5 13 2' is not the two "
+                  "integers d v"),
+    ("5 13\n10000\n", "formula d5.txt: d = 5 and v = 13 need 22 rows, "
+                        "found 1"),
+])
+def test_broken_formula_file_is_one_error_line(data_copy, capsys, text,
+                                               reason):
+    (data_copy / "formulas" / "d5.txt").write_text(text)
+    rc, out, err = run(capsys, "synth", "--field", "4", "--counts-only")
+    assert (rc, out, err) == (2, "", f"error: {reason}\n")
+
+
+def test_truncated_formula_file_is_one_error_line(data_copy, capsys):
+    path = data_copy / "formulas" / "d5.txt"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    rc, out, err = run(capsys, "synth", "--field", "4", "--counts-only")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: formula d5.txt: ")
+    assert err.count("\n") == 1

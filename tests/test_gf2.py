@@ -339,3 +339,18 @@ def test_field_axioms_mult_table_gf256_exhaustive():
                           np.arange(size, dtype=np.uint16), sparse=True)
     assert np.array_equal(table[table[a, b], c], table[a, table[b, c]])
     assert np.array_equal(table[a, b ^ c], table[a, b] ^ table[a, c])
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sieve_equals_the_rabin_enumeration(d):
+    want = [b for b in range(1 << d, 2 << d)
+            if binshor.gf2._rabin(BinaryPoly(b))]
+    assert [p.bits for p in enumerate_irreducibles(d)] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**14 - 1))
+def test_is_irreducible_agrees_with_rabin_through_degree_13(bits):
+    # degrees up to 12 are looked up in the sieve, 13 goes to Rabin
+    p = BinaryPoly(bits)
+    assert is_irreducible(p) == binshor.gf2._rabin(p)

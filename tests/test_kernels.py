@@ -13,12 +13,23 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from binshor.gf2 import STANDARD_POLYS, FieldSpec, GF2Error, clmod
+from binshor.gf2 import (
+    STANDARD_POLYS,
+    BinaryPoly,
+    FieldSpec,
+    GF2Error,
+    _divmod_bytes,
+    cldivmod,
+    clmod,
+)
 from binshor.linalg import (
     BitMatrix,
     SingularMatrixError,
+    _matmul_sparse,
+    _matmul_tables,
     plu_columns,
     plu_decompose,
+    reduction_matrix,
     squaring_matrix,
 )
 
@@ -268,3 +279,97 @@ def test_plu_columns_needs_a_tall_matrix():
     for cols, n in (([0b01, 0b10], 2), ([], 3), ([0b1000], 3)):
         with pytest.raises(GF2Error):
             plu_columns(cols, n)
+
+
+def divmod_reference(a, m):
+    dm = m.bit_length() - 1
+    q = 0
+    while a.bit_length() - 1 >= dm:
+        shift = a.bit_length() - 1 - dm
+        q ^= 1 << shift
+        a ^= m << shift
+    return q, a
+
+
+small_moduli = st.integers(1, 16).flatmap(
+    lambda d: st.integers(1 << d, (2 << d) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**1200), st.integers(0, 2**90)),
+       small_moduli)
+@example(1 << 80, 0b11)          # one past the byte path's length
+@example((1 << 80) - 1, 0b11)    # at it
+@example(0, 0b1011)
+@example((1 << 1200) - 1, (1 << 16) | 0b101101)
+def test_byte_division_matches_bit_serial_division(a, m):
+    want = divmod_reference(a, m)
+    assert _divmod_bytes(a, m) == want
+    assert _divmod_bytes(a, m, quotient=False) == (0, want[1])
+    assert cldivmod(a, m) == want
+    assert clmod(a, m) == want[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized(80), sized(80), sized(80), st.data())
+def test_sparse_and_table_products_agree(a, b, c, data):
+    # both kernels of A @ B, whichever one the operator would pick
+    A = data.draw(sparse_or_dense_rows(a, b))
+    B = data.draw(sparse_or_dense_rows(b, c))
+    want = matmul_reference(A, B)
+    assert _matmul_sparse(A, B) == want
+    assert _matmul_tables(A, B, b) == want
+
+
+def strict_entries(plu):
+    """The entries of L left of its diagonal and of U right of it."""
+    return sum(r.bit_count() - 1 for r in plu.L.rows + plu.U.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized(70), st.integers(0, 2**32 - 1))
+@example(571, 7)
+def test_plu_stops_exactly_past_its_budget(d, seed):
+    # an invertible square matrix: no factors exactly when their strict
+    # entries number more than the limit, else the factors without one
+    rng = random.Random(seed)
+    while True:
+        M = BitMatrix([rng.getrandbits(d) for _ in range(d)], d)
+        if M.rank() == d:
+            break
+    full = plu_decompose(M)
+    spent = strict_entries(full)
+    for limit in (spent - 1, spent, spent + 1, 0,
+                  rng.randint(0, 2 * spent + 2)):
+        got = plu_decompose(M, limit=limit)
+        if spent > limit:
+            assert got is None
+        else:
+            assert got == full
+
+
+def reduction_columns_reference(m, n):
+    """The columns x^(k+d) mod m, k < n - d, stepped one shift at a time."""
+    d = m.bit_length() - 1
+    cols, acc = [], clmod_reference(1 << d, m)
+    for _ in range(n - d):
+        cols.append(acc)
+        acc <<= 1
+        if acc >> d:
+            acc ^= m
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda d: st.tuples(st.integers(1 << d, (2 << d) - 1),
+                        st.integers(d + 1, 600))))
+@example((0b100, 3))             # x^2, one column
+@example((0b1011, 571))          # x^3 + x + 1 at n = 571
+def test_reduction_matrix_rows_match_its_columns(case):
+    m, n = case
+    M = reduction_matrix.__wrapped__(BinaryPoly(m), n)
+    d = m.bit_length() - 1
+    assert M.shape == (d, n - d)
+    assert M.rows == from_columns_reference(
+        reduction_columns_reference(m, n), d)

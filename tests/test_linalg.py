@@ -15,7 +15,6 @@ from binshor.gf2 import (
 from binshor.linalg import (
     BitMatrix,
     SingularMatrixError,
-    const_mul_matrix,
     correction_matrix,
     crt_recombination_matrix,
     plu_decompose,
@@ -24,6 +23,7 @@ from binshor.linalg import (
 )
 from binshor.datafiles import load_modulus_set
 from binshor.gf2 import crt_constants
+from helpers import const_mul_matrix
 
 P3 = BinaryPoly.from_terms(3, 1, 0)
 F3 = FieldSpec(3, P3)

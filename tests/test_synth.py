@@ -20,8 +20,7 @@ from binshor.gf2 import (
     field_inv,
     poly_mul_mod,
 )
-from binshor.linalg import (BitMatrix, const_mul_matrix, plu_decompose,
-                            squaring_matrix)
+from binshor.linalg import BitMatrix, plu_decompose, squaring_matrix
 from binshor.pipeline import (
     field_for,
     inversion_plan,
@@ -35,7 +34,6 @@ from binshor.synth import (
     LinearMap,
     ModmultPlan,
     emit_addition,
-    emit_cnot_matrix,
     emit_controlled_addition,
     emit_controlled_constants,
     emit_correction,
@@ -48,6 +46,7 @@ from binshor.synth import (
     synth_crt_modmult,
     synth_flt_inversion,
 )
+from helpers import const_mul_matrix, emit_cnot_matrix
 
 FORMULAS = {d: load_formula(d) for d in range(1, 9)}
 
@@ -269,6 +268,27 @@ def test_square_tie_prefers_fused():
     f4 = FieldSpec(4, enumerate_irreducibles(4)[0])
     # k = 1: fused and sequential coincide
     assert squaring_method(f4, 1)[0] == "fused"
+
+
+# the squaring choice (F: fused, S: sequential) for each k the inversion of
+# each standard field squares by
+SQUARING_CHOICES = {
+    163: "1F 3F 9S 27F 54F",
+    233: "1F 2F 3F 7S 14S 29S 58F 116F",
+    283: "1F 2S 3S 6S 15S 47F 141F",
+    571: "1F 2F 3S 7S 14S 28S 57F 114F 285F",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SQUARING_CHOICES))
+def test_squaring_choices_are_pinned(n):
+    plan = inversion_plan(n)
+    asked = {abs(op[2]) % n for op in plan._schedule if op[0] == "sq"}
+    asked |= {op[4] for op in plan._schedule if op[0] == "mult" and op[4]}
+    want = dict((int(c[:-1]), c[-1]) for c in SQUARING_CHOICES[n].split())
+    assert asked == set(want)
+    got = {k: squaring_method(plan.field, k)[0][0].upper() for k in want}
+    assert got == want
 
 
 def test_square_k2_matches_double_square():
@@ -531,6 +551,9 @@ class TallySink:
 
     def fanout(self, c, wires, mask):
         self.gates += ["cnot"] * mask.bit_count()
+
+    def fanin_columns(self, src, cols, dst):
+        self.gates += ["cnot"] * sum(c.bit_count() for c in cols)
 
     def begin_group(self, label, units=1):
         self.groups.append((label, units))
