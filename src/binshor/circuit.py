@@ -261,7 +261,7 @@ def _planes(ints: list[int], words: int) -> memoryview:
     return memoryview(raw).cast("Q", (len(ints), words))
 
 
-def _plane_ints(planes: memoryview) -> list[int]:
+def plane_ints(planes: memoryview) -> list[int]:
     """Each plane as one int: bit 64*w + b is bit b of word w."""
     nbytes, raw = 8 * planes.shape[1], planes.tobytes()
     return [int.from_bytes(raw[i:i + nbytes], "little")
@@ -282,7 +282,7 @@ def simulate_planes(circuit: Circuit, planes: memoryview) -> memoryview:
         raise GF2Error(f"plane count {planes.shape[0]} != qubit count "
                        f"{circuit.width}")
     # a gate is one or two big-int operations on whole planes
-    pl = _plane_ints(planes)
+    pl = plane_ints(planes)
     words = planes.shape[1]
     full = (1 << (64 * words)) - 1
     for g in circuit.gates:
@@ -309,18 +309,6 @@ def pack_planes(inputs: list[int], width: int) -> memoryview:
         raise GF2Error("input out of range for qubit count")
     rows = BitMatrix.from_columns(inputs, width).rows if count else [0] * width
     return _planes(rows, max(1, -(-count // 64)))  # cast refuses 0 words
-
-
-def unpack_planes(planes: memoryview, count: int) -> list[int]:
-    """Inverse of :func:`pack_planes`: the first ``count`` basis states."""
-    if count > 64 * planes.shape[1]:
-        raise GF2Error(f"{count} cases requested from "
-                       f"{64 * planes.shape[1]} lanes")
-    if not count:
-        return []
-    lanes = (1 << count) - 1  # an X gate sets the lanes past count
-    return BitMatrix.from_columns([v & lanes for v in _plane_ints(planes)],
-                                  count).rows
 
 
 def emit_mcx_lowered(sink, controls, t: int, anc):

@@ -7,12 +7,15 @@ import json
 import random
 import sys
 from contextlib import contextmanager
+from functools import reduce
+from operator import or_, xor
 from pathlib import Path
 
 from . import pipeline
-from .circuit import CircuitWriter, parse
-from .gf2 import BinaryPoly, GF2Error, field_inv, poly_mul_mod
-from .oracle import first_mismatch
+from .circuit import CircuitWriter, pack_planes, parse, plane_ints
+from .gf2 import (BinaryPoly, GF2Error, field_inv, planes_mul_mod,
+                  poly_mul_mod)
+from .oracle import differ, first_mismatch
 from .physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from .shor import (AVWeights, optimize_window, pointadd_cost, round_sig,
                    stream_pointadd_counts)
@@ -112,18 +115,24 @@ def modmult_sweep(circ, layout, p: BinaryPoly, cases):
     mod p) on the registers of ``layout``, every other wire at 0. Returns
     None or the first failing (index, input, got, want), as whole states."""
     fo, go, ho = (layout.reg(name)[0] for name in "fgh")  # bit offsets
+    n = p.degree
 
     def state(f, g, h):
         return (f << fo) | (g << go) | (h << ho)
 
-    def want(i):
-        f, g, h = cases[i]
-        prod = poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
-        return state(f, g, h ^ prod)
-
     states = [state(*case) for case in cases]
-    bad = first_mismatch(circ, states, lambda i, out: out == want(i))
-    return bad and (bad[0], states[bad[0]], bad[1], want(bad[0]))
+    planes = pack_planes(states, circ.width)
+    want = plane_ints(planes)
+    prod = planes_mul_mod(want[fo:fo + n], want[go:go + n], p.bits)
+    want[ho:ho + n] = map(xor, want[ho:ho + n], prod)
+    bad = first_mismatch(circ, planes, len(states),
+                         lambda out: differ(out, want))
+    if bad is None:
+        return None
+    i, got = bad
+    f, g, h = cases[i]
+    prod = poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
+    return i, states[i], got, state(f, g, h ^ prod)
 
 
 def inversion_sweep(plan, circ, vals):
@@ -132,16 +141,24 @@ def inversion_sweep(plan, circ, vals):
     first failing (index, result slot, f^-1, temp slot)."""
     slots = plan.slots(*map(plan.layout().reg, ("f", "w")))
     fo, ro, to = (slots[i][0] for i in (0, plan.result_slot, plan.temp_slot))
-    mask = (1 << plan.n) - 1
+    n, mask = plan.n, (1 << plan.n) - 1
+    planes = pack_planes([v << fo for v in vals], circ.width)
+    f = plane_ints(planes)[fo:fo + n]
+    one = [(1 << len(vals)) - 1] + [0] * (n - 1)  # the planes of 1
 
-    def inverse(v):
-        return field_inv(BinaryPoly(v), plan.field).bits
+    def failing(out):
+        # result * f = 1 checks the one inverse without computing it
+        return (differ(out[fo:fo + n], f) | reduce(or_, out[to:to + n], 0)
+                | differ(planes_mul_mod(out[ro:ro + n], f,
+                                        plan.field.p.bits), one))
 
-    bad = first_mismatch(circ, [v << fo for v in vals], lambda i, out: (
-        (out >> fo) & mask == vals[i] and (out >> to) & mask == 0
-        and (out >> ro) & mask == inverse(vals[i])))
-    return bad and (bad[0], (bad[1] >> ro) & mask, inverse(vals[bad[0]]),
-                    (bad[1] >> to) & mask)
+    bad = first_mismatch(circ, planes, len(vals), failing)
+    if bad is None:
+        return None
+    i, out = bad
+    return (i, (out >> ro) & mask,
+            field_inv(BinaryPoly(vals[i]), plan.field).bits,
+            (out >> to) & mask)
 
 
 def pointadd_sweep(plan, circ, pts, pairs):
@@ -157,13 +174,13 @@ def pointadd_sweep(plan, circ, pts, pairs):
     def point(p):
         return (p.x.bits << x1) | (p.y.bits << y1)
 
-    def added(k, out):
-        i, j = pairs[k]
-        return out == point(ec_add_classical(pts[i], pts[j],
-                                             plan.curve)) | tails[j]
-
-    return first_mismatch(circ, [point(pts[i]) | tails[j] for i, j in pairs],
-                          added)
+    sums = [point(ec_add_classical(pts[i], pts[j], plan.curve)) | tails[j]
+            for i, j in pairs]
+    want = plane_ints(pack_planes(sums, circ.width))
+    return first_mismatch(
+        circ, pack_planes([point(pts[i]) | tails[j] for i, j in pairs],
+                          circ.width),
+        len(pairs), lambda out: differ(out, want))
 
 
 def _validate_circuit_file(args, exhaustive: bool) -> int:

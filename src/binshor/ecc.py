@@ -50,22 +50,38 @@ class CurveSpec:
                                  f"not an element of GF(2^{self.field.n})")
 
     def contains(self, pt: "ECPoint") -> bool:
-        if pt.is_infinity():
-            return True
-        f = self.field
-        x, y = pt.x, pt.y
-        lhs = f.mul(y, y) + f.mul(x, y)
-        rhs = f.mul(f.mul(x, x), x) + f.mul(self.a, f.mul(x, x)) + self.b
-        return lhs == rhs
+        return pt.is_infinity() or self._has(pt.x.bits, pt.y.bits)
+
+    def _has(self, x: int, y: int) -> bool:
+        """(x, y), of field elements' bits, solves y (y + x) = x^2 (x + a)
+        + b, the curve equation."""
+        if (x | y) >> self.field.n:
+            return False
+        mul = self.field.ops[0]
+        return mul(y, y ^ x) == mul(mul(x, x), x ^ self.a.bits) ^ self.b.bits
 
     def points(self) -> list["ECPoint"]:
-        """All affine points plus the point at infinity (brute force)."""
-        pts = [INFINITY]
-        for xv in range(1 << self.field.n):
-            for yv in range(1 << self.field.n):
-                pt = ECPoint(BinaryPoly(xv), BinaryPoly(yv))
-                if not pt.is_infinity() and self.contains(pt):
-                    pts.append(pt)
+        """All affine points plus the point at infinity, in ascending (x, y)
+        order, in O(2^n): at x = 0 the curve reads y^2 = b, and elsewhere y
+        = x z turns it into z^2 + z = x + a + b/x^2, whose roots z and z + 1
+        a table of z^2 + z gives."""
+        n = self.field.n
+        mul, inv = self.field.ops
+        a, b = self.a.bits, self.b.bits
+        roots = [None] * (1 << n)  # z^2 + z -> its even root z
+        for z in range(0, 1 << n, 2):
+            roots[mul(z, z) ^ z] = z
+        sqrt_b = b  # b^(2^(n-1)), whose square is b^(2^n) = b
+        for _ in range(n - 1):
+            sqrt_b = mul(sqrt_b, sqrt_b)
+        pts = [INFINITY, ECPoint(BinaryPoly(0), BinaryPoly(sqrt_b))]
+        for x in range(1, 1 << n):
+            w = inv(x)
+            z = roots[x ^ a ^ mul(b, mul(w, w))]
+            if z is not None:
+                y = mul(x, z)
+                pts += [ECPoint(BinaryPoly(x), BinaryPoly(v))
+                        for v in sorted((y, y ^ x))]
         return pts
 
 
@@ -89,27 +105,31 @@ INFINITY = ECPoint(BinaryPoly(0), BinaryPoly(0))
 
 
 def ec_add_classical(p1: ECPoint, p2: ECPoint, curve: CurveSpec) -> ECPoint:
-    """Group law with all exceptional branches."""
-    for p in (p1, p2):
-        if not curve.contains(p):
+    """Group law with all exceptional branches, on the bits of the
+    coordinates with the field's :attr:`~binshor.gf2.FieldSpec.ops` (log
+    tables up to degree 16)."""
+    mul, inv = curve.field.ops
+    x1, y1, x2, y2 = p1.x.bits, p1.y.bits, p2.x.bits, p2.y.bits
+    for p, x, y in ((p1, x1, y1), (p2, x2, y2)):
+        if (x or y) and not curve._has(x, y):
             raise CurveError(f"point ({p.x}, {p.y}) is not on the curve")
-    if p2.is_infinity():
+    if not (x2 or y2):
         return p1
-    if p1.is_infinity():
+    if not (x1 or y1):
         return p2
-    f = curve.field
-    if p1 == p2.neg():
+    if x1 == x2 and y1 == y2 ^ x2:  # P1 = -P2
         return INFINITY
-    if p1 == p2:
-        # doubling; x2 != 0 here since x2 = 0 would be the self-inverse case
-        lam = p2.x + f.mul(p2.y, f.inv(p2.x))
-        x3 = f.mul(lam, lam) + lam + curve.a
-        y3 = f.mul(p2.x, p2.x) + f.mul(lam + BinaryPoly(1), x3)
-        return ECPoint(x3, y3)
-    lam = f.mul(p1.y + p2.y, f.inv(p1.x + p2.x))
-    x3 = f.mul(lam, lam) + lam + p1.x + p2.x + curve.a
-    y3 = f.mul(p2.x + x3, lam) + x3 + p2.y
-    return ECPoint(x3, y3)
+    if x1 == x2:
+        # doubling: P and -P are the curve's only points at x; x2 != 0 here
+        # since x2 = 0 would be the self-inverse case
+        lam = x2 ^ mul(y2, inv(x2))
+        x3 = mul(lam, lam) ^ lam ^ curve.a.bits
+        y3 = mul(x2, x2) ^ mul(lam ^ 1, x3)
+    else:
+        lam = mul(y1 ^ y2, inv(x1 ^ x2))
+        x3 = mul(lam, lam) ^ lam ^ x1 ^ x2 ^ curve.a.bits
+        y3 = mul(x2 ^ x3, lam) ^ x3 ^ y2
+    return ECPoint(BinaryPoly(x3), BinaryPoly(y3))
 
 
 def ec_scalar_mul(k: int, p: ECPoint, curve: CurveSpec) -> ECPoint:

@@ -16,6 +16,12 @@ constants of a degree-~2n product cost about n/4 steps per factor, not
 2n.  The irreducibles of degree at most 12 come from a sieve that strikes
 every product of lower-degree ones, and :func:`is_irreducible` looks those
 degrees up there; Rabin's test answers larger degrees.
+
+A field of degree at most 16 multiplies and inverts by log and antilog
+tables (:func:`_log_tables`), built once per field polynomial from an
+element checked to generate the multiplicative group.  The oracle sweeps
+multiply on bit-planes (:func:`planes_mul_mod`): one AND and one XOR per
+pair of coefficients for all the cases of a sweep at once.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from typing import Callable
 
 
 class GF2Error(ValueError):
@@ -235,6 +242,25 @@ def poly_mul_mod(a: BinaryPoly, b: BinaryPoly, m: BinaryPoly) -> BinaryPoly:
     return BinaryPoly(clmod(clmul(a.bits, b.bits), m.bits))
 
 
+def planes_mul_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """f g mod p on bit-planes: plane i of an element holds its coefficient
+    of x^i in every lane, for the n = deg p planes of f and of g.  A
+    schoolbook product, n^2 ANDs and XORs of lane ints, folded from the top
+    by the low terms of p: x^k = x^(k-n) (p - x^n)."""
+    n = p.bit_length() - 1
+    prod = [0] * (2 * n - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                prod[i + j] ^= fi & gj
+    low = [t for t in range(n) if (p >> t) & 1]
+    for k in range(2 * n - 2, n - 1, -1):
+        if prod[k]:
+            for t in low:
+                prod[k - n + t] ^= prod[k]
+    return prod[:n]
+
+
 def poly_gcd(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
     x, y = a.bits, b.bits
     while y:
@@ -364,6 +390,41 @@ STANDARD_POLYS = {
 }
 
 
+# fields of at most this degree multiply and invert by _log_tables
+_TABLES_MAX_DEG = 16
+
+
+@cache
+def _log_tables(p: int) -> tuple[array, array]:
+    """(exp, log) of the field GF(2)[x]/(p), p irreducible of degree n <=
+    16: exp[i] = g^i for 0 <= i < 2(2^n - 1), so that a sum of two logs
+    needs no reduction, and log[g^i] = i.  g is the least element (as an
+    int) of order 2^n - 1, x when p is primitive: g^((2^n - 1)/r) != 1 for
+    every prime r dividing 2^n - 1."""
+    n = p.bit_length() - 1
+    order = (1 << n) - 1
+
+    def power(a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = clmod(clmul(r, a), p)
+            a, e = clmod(clmul(a, a), p), e >> 1
+        return r
+
+    primes = _prime_divisors(order)
+    g = next(g for g in range(2, 1 << n)
+             if all(power(g, order // r) != 1 for r in primes))
+    exp, v = [], 1
+    for _ in range(order):
+        exp.append(v)
+        v = clmod(clmul(v, g), p)
+    log = array("H", bytes(2 << n))
+    for i, v in enumerate(exp):
+        log[v] = i
+    return array("H", exp * 2), log
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(2^n) described by its extension degree and irreducible modulus."""
@@ -376,8 +437,24 @@ class FieldSpec:
             raise GF2Error(f"modulus degree {self.p.degree} != n = {self.n}")
         if self.n < 2:
             raise GF2Error("extension degree must be >= 2")
-        if not is_irreducible(self.p):
+        # the standard polynomials are proved irreducible by the test suite
+        if self.p != STANDARD_POLYS.get(self.n) and not is_irreducible(self.p):
             raise GF2Error(f"{self.p} is not irreducible")
+
+    # computed on first use; equality and hashing still use n and p
+    @cached_property
+    def ops(self) -> tuple[Callable[[int, int], int], Callable[[int], int]]:
+        """(mul, inv) on the bits of field elements (below x^n; inv of a
+        nonzero one): by the log tables of :func:`_log_tables` up to degree
+        16, else by clmul and clmod and extended Euclid."""
+        p = self.p.bits
+        if self.n > _TABLES_MAX_DEG:
+            return (lambda a, b: clmod(clmul(a, b), p),
+                    lambda a: clmod(poly_egcd(a, p)[1], p))
+        exp, log = _log_tables(p)
+        order = (1 << self.n) - 1
+        return (lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+                lambda a: exp[order - log[a]])
 
     @classmethod
     def standard(cls, n: int) -> "FieldSpec":
@@ -386,14 +463,18 @@ class FieldSpec:
         return cls(n, STANDARD_POLYS[n])
 
     def mul(self, a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
-        return poly_mul_mod(a, b, self.p)
+        """a b mod p; by :attr:`ops` when both are elements of the field."""
+        if (a.bits | b.bits) >> self.n:
+            return poly_mul_mod(a, b, self.p)
+        return BinaryPoly(self.ops[0](a.bits, b.bits))
 
     def inv(self, a: BinaryPoly) -> BinaryPoly:
         return field_inv(a, self)
 
 
 def field_inv(a: BinaryPoly, field: FieldSpec) -> BinaryPoly:
-    """Multiplicative inverse in GF(2^n) via extended Euclid.
+    """Multiplicative inverse in GF(2^n) by :attr:`FieldSpec.ops`: log
+    tables up to degree 16, else extended Euclid.
 
     Deliberately independent of the exponentiation-based inversion circuits,
     so circuit validation checks against a genuinely different computation.
@@ -402,7 +483,7 @@ def field_inv(a: BinaryPoly, field: FieldSpec) -> BinaryPoly:
         raise ZeroDivisionGF2Error("zero has no inverse")
     if a.degree >= field.n:
         raise GF2Error("element degree out of range")
-    return poly_inv_mod(a, field.p)
+    return BinaryPoly(field.ops[1](a.bits))
 
 
 @dataclass(frozen=True)

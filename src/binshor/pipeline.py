@@ -43,12 +43,12 @@ def _plan_cache(fn):
 
 def clear_caches():
     """Drop the cached plans, the keyed-block tally store and the memoised
-    field data (irreducibles, byte-division tables, modulus-set checks, CRT
-    constants, reduction matrices, squaring maps)."""
+    field data (irreducibles, byte-division tables, log tables, modulus-set
+    checks, CRT constants, reduction matrices, squaring maps)."""
     for fn in (_cached_formulas, _cached_inner_set, modmult_plan, field_for,
                inversion_plan, pointadd_plan, gf2._irreducibles,
-               gf2._byte_tables, gf2.validate_modulus_set, gf2.crt_cofactors,
-               gf2.crt_constants, linalg.reduction_matrix,
+               gf2._byte_tables, gf2._log_tables, gf2.validate_modulus_set,
+               gf2.crt_cofactors, gf2.crt_constants, linalg.reduction_matrix,
                synth.squaring_method):
         fn.cache_clear()
     TALLIES.clear()

@@ -20,7 +20,6 @@ from binshor.pipeline import (
     modmult_plan,
     pointadd_plan,
 )
-from binshor.oracle import first_mismatch
 from binshor.physical import AVParams, BaselineParams, av_estimate, baseline_estimate
 from binshor.shor import (
     AVWeights,
@@ -41,7 +40,8 @@ from binshor.synth import (
     synth_flt_inversion,
 )
 from binshor.linalg import reduction_matrix
-from helpers import const_mul_matrix, emit_cnot_matrix
+from helpers import (const_mul_matrix, emit_cnot_matrix,
+                     first_mismatch_by_case)
 
 FIELDS = (163, 233, 283, 571)
 
@@ -199,7 +199,8 @@ def test_criterion_6_av_physical():
 
 def _sweep(circ, cases, oracle):
     inputs = list(cases)
-    bad = first_mismatch(circ, inputs, lambda i, o: o == oracle(inputs[i]))
+    bad = first_mismatch_by_case(circ, inputs,
+                                 lambda i, o: o == oracle(inputs[i]))
     if bad is None:
         return None
     v, o = inputs[bad[0]], bad[1]

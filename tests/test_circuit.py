@@ -22,12 +22,11 @@ from binshor.circuit import (
     serialize,
     simulate,
     simulate_planes,
-    unpack_planes,
 )
 from binshor.gf2 import GF2Error
 from binshor.linalg import BitMatrix
 from binshor.synth import CountSink, emit_addition, emit_over_layout
-from helpers import emit_cnot_matrix
+from helpers import emit_cnot_matrix, unpack_planes
 from test_synth import TallySink
 
 
@@ -632,9 +631,23 @@ def test_serialize_matches_reference(registers, ops):
 
 
 @st.composite
+def _column_fan_ops(draw):
+    """A CNOT block given by its columns: column j holds the targets, among
+    the ``dst`` wires, of a CNOT from ``src[j]``."""
+    qs = draw(st.permutations(range(WIDTH)))
+    k = draw(st.integers(1, WIDTH - 1))
+    cols = draw(st.lists(st.integers(0, (1 << (WIDTH - k)) - 1),
+                         min_size=k, max_size=k))
+    return "fanin_columns", (qs[:k], cols, qs[k:])
+
+
+@st.composite
 def _fan_ops(draw):
-    """A CNOT fan-in or fan-out row over WIDTH wires."""
-    kind = draw(st.sampled_from(["fanin", "fanout"]))
+    """A CNOT fan-in or fan-out row over WIDTH wires, or a CNOT block given
+    by its columns (:func:`_column_fan_ops`)."""
+    kind = draw(st.sampled_from(["fanin", "fanout", "fanin_columns"]))
+    if kind == "fanin_columns":
+        return draw(_column_fan_ops())
     qs = draw(st.permutations(range(WIDTH)))
     mask = draw(st.integers(0, (1 << (WIDTH - 1)) - 1))
     return kind, ((qs[1:], mask, qs[0]) if kind == "fanin"
@@ -647,8 +660,8 @@ def _block(rev, body, keyed):
     return ("block", rev, body, ("drawn", repr(body)) if keyed else None)
 
 
-# gate calls, fan rows, groups and nested blocks (forwards or reversed,
-# keyed or not)
+# gate calls, fan rows, column blocks, groups and nested blocks (forwards
+# or reversed, keyed or not)
 _BLOCK_BODIES = st.recursive(
     st.lists(st.one_of(_gate_ops(), _fan_ops()), max_size=6),
     lambda body: st.lists(st.one_of(
@@ -758,10 +771,10 @@ def test_circuit_reverses_a_block_like_a_buffer_replay(before, body):
 @settings(max_examples=200, deadline=None)
 @given(_BLOCK_BODIES, st.booleans(), st.booleans())
 def test_count_sink_and_circuit_read_the_same_stream(body, rev1, rev2):
-    # keyed, reversed and nested blocks with fan rows: a CountSink tallies
-    # what a Circuit materializes, and keeps the census of a TallySink.  The
-    # body is played once in place and twice more as a keyed block, so the
-    # second copy reads the stored tally.
+    # keyed, reversed and nested blocks with fan rows and column blocks: a
+    # CountSink tallies what a Circuit materializes, and keeps the census of
+    # a TallySink.  The body is played once in place and twice more as a
+    # keyed block, so the second copy reads the stored tally.
     import binshor.synth as synth
 
     ops = [*body, _block(rev1, body, True), _block(rev2, body, True)]
@@ -798,17 +811,6 @@ def test_writer_writes_what_a_circuit_serializes(body, flush_gates):
     assert out.getvalue() == serialize(circ)
     assert writer.written == len(circ.gates)
     assert writer.gates == []
-
-
-@st.composite
-def _column_fan_ops(draw):
-    """A CNOT block given by its columns: column j holds the targets, among
-    the ``dst`` wires, of a CNOT from ``src[j]``."""
-    qs = draw(st.permutations(range(WIDTH)))
-    k = draw(st.integers(1, WIDTH - 1))
-    cols = draw(st.lists(st.integers(0, (1 << (WIDTH - k)) - 1),
-                         min_size=k, max_size=k))
-    return "fanin_columns", (qs[:k], cols, qs[k:])
 
 
 @settings(max_examples=200, deadline=None)

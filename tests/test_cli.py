@@ -7,6 +7,8 @@ import binshor.cli as cli
 from binshor.cli import main
 from binshor.pipeline import (field_for, inversion_plan, modmult_plan,
                               pointadd_plan)
+from helpers import (inversion_sweep_by_case, modmult_sweep_by_case,
+                     pointadd_sweep_by_case)
 
 
 def run(capsys, *argv):
@@ -503,6 +505,83 @@ def test_pointadd_contract_needs_the_ladder_back_at_0():
     pts = plan.curve.points()
     pairs = list(itertools.product(range(len(pts)), repeat=2))
     assert cli.pointadd_sweep(plan, circ, pts, pairs) is not None
+
+
+# -- the plane checks report what the per-case sweeps do ----------------------
+
+def test_modmult_sweep_is_the_per_case_sweep():
+    plan = modmult_plan(4)
+    layout = plan.layout()
+    circ = cli.synth_crt_modmult(plan)
+    f, g, h = (layout.reg(name) for name in "fgh")
+    cases = list(itertools.product(range(16), repeat=3))
+    p = field_for(4).p
+    # each extra gate breaks some lanes only, and not from lane 0
+    for mutation in itertools.chain([None], _mutants(circ, [
+            ("cnot", f[1], h[2]), ("ccx", f[2], g[3], g[0]),
+            ("cnot", h[3], f[0])])):
+        got = cli.modmult_sweep(circ, layout, p, cases)
+        assert got == modmult_sweep_by_case(circ, layout, p, cases), mutation
+        assert got[0] > 0 if mutation else got is None
+
+
+@pytest.mark.parametrize("mutation", [
+    ("f", 1, "temp", 0),      # a dirty temp slot
+    ("result", 1, "f", 0),    # f not restored
+    ("f", 1, "result", 2),    # a wrong result
+], ids=["dirty-temp", "f-not-restored", "wrong-result"])
+def test_inversion_mutants_get_the_per_case_counterexample(mutation,
+                                                           monkeypatch,
+                                                           capsys):
+    # one CNOT more, from a bit that is 0 in the first lanes: the CLI line
+    # of the plane check is the one the per-case sweep gives
+    plan = inversion_plan(4)
+    slots = plan.slots(*map(plan.layout().reg, ("f", "w")))
+    named = {"f": slots[0], "temp": slots[plan.temp_slot],
+             "result": slots[plan.result_slot]}
+    src, i, dst, j = mutation
+    synth = cli.synth_flt_inversion
+    circs = []
+
+    def mutated(plan):
+        circ = synth(plan)
+        circ.cnot(named[src][i], named[dst][j])
+        circs.append(circ)
+        return circ
+
+    monkeypatch.setattr(cli, "synth_flt_inversion", mutated)
+    rc, out, _ = run(capsys, "validate", "--field", "4")
+    assert rc == 1
+    vals = list(range(1, 16))
+    k, got, want, temp = inversion_sweep_by_case(plan, circs[0], vals)
+    line = ("FAIL  inversion exhaustive  f={:#x} got {:#x} want {:#x}".format(
+        vals[k], got, want) + (f" temp {temp:#x}" if temp else ""))
+    assert [s for s in out.splitlines() if s.startswith("FAIL")] == [line]
+    assert k > 0
+
+
+def test_pointadd_sweep_is_the_per_case_sweep():
+    plan = pointadd_plan(4, 0, 1)
+    layout = plan.layout()
+    circ = cli.synth_ecpointadd(plan)
+    pts = plan.curve.points()
+    pairs = list(itertools.product(range(len(pts)), repeat=2))
+    y1, x2, lr = (layout.reg(name) for name in ("y1", "x2", "lr"))
+    # each extra gate breaks some lanes only, and not from lane 0
+    for mutation in itertools.chain([None], _mutants(circ, [
+            ("cnot", x2[1], y1[0]), ("ccx", x2[0], x2[1], lr[2])])):
+        got = cli.pointadd_sweep(plan, circ, pts, pairs)
+        assert got == pointadd_sweep_by_case(plan, circ, pts, pairs), mutation
+        assert got[0] > 0 if mutation else got is None
+
+
+@pytest.mark.parametrize("poly", ["15", "%x" % (1 << 163 | 1)],
+                         ids=["n4", "n163"])
+def test_reducible_poly_is_one_error_line(capsys, poly):
+    # a --poly of a standard degree is still tested for irreducibility
+    rc, out, err = run(capsys, "synth", "--poly", poly, "--counts-only")
+    assert (rc, out) == (2, "")
+    assert err.endswith(" is not irreducible\n") and err.count("\n") == 1
 
 
 @pytest.fixture

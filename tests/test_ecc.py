@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binshor.circuit import Circuit, Register, counts, simulate
 from binshor.cli import pointadd_sweep
@@ -19,10 +20,11 @@ from binshor.ecc import (
     slope_for,
     synth_ecpointadd,
 )
-from binshor.gf2 import BinaryPoly
+from binshor.gf2 import BinaryPoly, FieldSpec
 from binshor.pipeline import field_for, pointadd_plan
 from binshor.shor import stream_pointadd_counts
 from binshor.synth import emit_over_layout
+from helpers import ec_add_reference, points_brute_force
 from test_synth import TallySink
 
 F4 = field_for(4)
@@ -104,6 +106,83 @@ def test_off_curve_rejected():
     if not CURVE4.contains(bad):
         with pytest.raises(CurveError):
             ec_add_classical(bad, INFINITY, CURVE4)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_points_are_the_brute_force_points_in_order(n, a):
+    curve = CurveSpec(field_for(n), BinaryPoly(a), BinaryPoly(1))
+    assert curve.points() == points_brute_force(curve)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(1, (1 << n) - 1))))
+def test_points_of_drawn_curves(case):
+    n, a, b = case
+    curve = CurveSpec(field_for(n), BinaryPoly(a), BinaryPoly(b))
+    assert curve.points() == points_brute_force(curve)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_group_law_is_the_reference_on_every_pair(n):
+    for a, b in ((0, 1), (1, 1), ((1 << n) - 2, 3)):
+        curve = CurveSpec(field_for(n), BinaryPoly(a), BinaryPoly(b))
+        pts = curve.points()
+        for p1 in pts:
+            for p2 in pts:
+                assert (ec_add_classical(p1, p2, curve)
+                        == ec_add_reference(p1, p2, curve))
+
+
+def _points_by_half_trace(curve, xs):
+    """Points of a curve over a field of odd degree n: z^2 + z = c has the
+    root z = sum of c^(4^i) for i <= (n-1)/2 (the half-trace) when it has
+    any, and y = x z."""
+    f = curve.field
+    pts = []
+    for xv in xs:
+        x = BinaryPoly(xv)
+        w = f.inv(x)
+        c = x + curve.a + f.mul(curve.b, f.mul(w, w))
+        z, t = BinaryPoly(0), c
+        for _ in range((f.n + 1) // 2):
+            z += t
+            t = f.mul(f.mul(t, t), f.mul(t, t))
+        if f.mul(z, z) + z == c:
+            y = f.mul(x, z)
+            pts += [ECPoint(x, y), ECPoint(x, y + x)]
+    return pts
+
+
+def test_group_law_is_the_reference_at_163():
+    # above degree 16 the same law runs on clmul and extended Euclid
+    rng = random.Random(163)
+    curve = CurveSpec(FieldSpec.standard(163), BinaryPoly(1), BinaryPoly(
+        rng.getrandbits(163) | 1))
+    pts = _points_by_half_trace(curve, [rng.getrandbits(163) | 1
+                                        for _ in range(8)])
+    assert len(pts) >= 4 and all(curve.contains(p) for p in pts)
+    pts += [INFINITY, pts[0].neg()]
+    for p1 in pts:
+        for p2 in pts:
+            assert (ec_add_classical(p1, p2, curve)
+                    == ec_add_reference(p1, p2, curve))
+
+
+@pytest.mark.parametrize("n", [4, 163])
+def test_off_curve_points_raise(n):
+    curve = CurveSpec(field_for(n), BinaryPoly(1), BinaryPoly(1))
+    pts = (curve.points() if n == 4 else
+           _points_by_half_trace(curve, range(3, 99, 2)))
+    on = next(p for p in pts if p.x.bits > 1)
+    # y + 1 is neither y nor y + x; an x of degree n is no field element
+    for bad in (ECPoint(on.x, on.y + BinaryPoly(1)),
+                ECPoint(on.x + BinaryPoly(1 << n), on.y)):
+        assert not curve.contains(bad)
+        for p1, p2 in ((bad, INFINITY), (INFINITY, bad), (on, bad)):
+            with pytest.raises(CurveError, match="is not on the curve"):
+                ec_add_classical(p1, p2, curve)
 
 
 def test_scalar_mul_edges():

@@ -7,6 +7,7 @@ from binshor.gf2 import (
     FieldSpec,
     ModulusSet,
     STANDARD_POLYS,
+    GF2Error,
     ZeroDivisionGF2Error,
     ZeroModulusError,
     InvalidModulusSetError,
@@ -19,11 +20,15 @@ from binshor.gf2 import (
     field_inv,
     is_irreducible,
     parse_modulus_set,
+    planes_mul_mod,
     poly_gcd,
+    poly_inv_mod,
     poly_mul_mod,
     validate_modulus_set,
 )
 from binshor.datafiles import load_modulus_set
+from binshor.linalg import BitMatrix
+from binshor.pipeline import field_for
 
 
 P3 = BinaryPoly.from_terms(3, 1, 0)  # x^3+x+1
@@ -175,9 +180,98 @@ def test_degree2_unique():
 
 
 def test_standard_polys_irreducible():
+    # FieldSpec skips its irreducibility test for these four, on this proof
     for n, p in STANDARD_POLYS.items():
         assert p.degree == n
+        assert binshor.gf2._rabin(p)
         assert is_irreducible(p)
+
+
+def test_field_spec_still_tests_other_polys_of_standard_degrees():
+    for n in STANDARD_POLYS:
+        with pytest.raises(GF2Error, match="not irreducible"):
+            FieldSpec(n, BinaryPoly.from_terms(n, 1))  # x divides it
+        with pytest.raises(GF2Error, match="not irreducible"):
+            FieldSpec(n, BinaryPoly.from_terms(n, 0))  # x + 1 divides it
+
+
+@st.composite
+def irreducible_polys(draw, degrees):
+    """An irreducible polynomial of a drawn degree: the first at or above a
+    drawn one, wrapping round within the degree."""
+    n = draw(degrees)
+    start = draw(st.integers(1 << n, (2 << n) - 1))
+    cands = [*range(start, 2 << n), *range(1 << n, start)]
+    return next(BinaryPoly(b) for b in cands if is_irreducible(BinaryPoly(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(irreducible_polys(st.integers(2, 16)),
+                 st.just(STANDARD_POLYS[163])), st.data())
+def test_planes_mul_mod_is_poly_mul_mod_per_lane(p, data):
+    n = p.degree
+    element = st.integers(0, (1 << n) - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1,
+                               max_size=130))
+    fs, gs = zip(*pairs)
+    prod = planes_mul_mod(BitMatrix.from_columns(list(fs), n).rows,
+                          BitMatrix.from_columns(list(gs), n).rows, p.bits)
+    got = BitMatrix.from_columns(prod, len(pairs)).rows
+    assert got == [poly_mul_mod(BinaryPoly(f), BinaryPoly(g), p).bits
+                   for f, g in pairs]
+
+
+def _check_tables(field, pairs):
+    mul, inv = field.ops
+    for a, b in pairs:
+        want = poly_mul_mod(BinaryPoly(a), BinaryPoly(b), field.p)
+        assert mul(a, b) == want.bits
+        assert field.mul(BinaryPoly(a), BinaryPoly(b)) == want
+        if a:
+            want = poly_inv_mod(BinaryPoly(a), field.p)
+            assert inv(a) == want.bits
+            assert field_inv(BinaryPoly(a), field) == want
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_log_tables_on_every_pair(n):
+    field = field_for(n)
+    _check_tables(field, [(a, b) for a in range(1 << n)
+                          for b in range(1 << n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(irreducible_polys(st.integers(2, 16)), st.data())
+def test_log_tables_on_samples(p, data):
+    element = st.integers(0, (1 << p.degree) - 1)
+    _check_tables(FieldSpec(p.degree, p), data.draw(
+        st.lists(st.tuples(element, element), min_size=1, max_size=50)))
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_log_tables_on_samples_of_field_for(n):
+    import random
+
+    rng = random.Random(n)
+    _check_tables(field_for(n), [(rng.getrandbits(n), rng.getrandbits(n))
+                                 for _ in range(500)])
+
+
+def test_log_tables_find_a_generator_when_x_is_not_one():
+    # x has order 51 modulo the AES polynomial x^8+x^4+x^3+x+1 (field_for(8))
+    p = field_for(8).p
+    assert p.bits == 0x11B
+    assert clmod(1 << 51, p.bits) == 1
+    exp, log = binshor.gf2._log_tables(p.bits)
+    assert exp[1] == 0b11  # x + 1 generates the group instead
+    assert sorted(exp[:255]) == list(range(1, 256)) and exp[255] == 1
+    assert all(log[exp[i]] == i for i in range(255))
+
+
+def test_field_mul_reduces_operands_outside_the_field():
+    f = field_for(4)
+    a, b = BinaryPoly(0b110101), BinaryPoly(0b1011)
+    assert f.mul(a, b) == poly_mul_mod(a, b, f.p)
 
 
 def test_crt_constants_single_factor():

@@ -25,12 +25,13 @@ def test_field_for_16():
 
 def test_clear_caches_empties_the_tally_store():
     # and the memoised field data that plans are built from
-    memos = (gf2._irreducibles, gf2.validate_modulus_set, gf2.crt_cofactors,
-             gf2.crt_constants, linalg.reduction_matrix,
+    memos = (gf2._irreducibles, gf2._log_tables, gf2.validate_modulus_set,
+             gf2.crt_cofactors, gf2.crt_constants, linalg.reduction_matrix,
              synth.squaring_method)
     before = modmult_plan(5).counts()
     inversion_plan(5).counts()
     enumerate_irreducibles(5)
+    field_for(5).ops
     assert TALLIES
     assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()

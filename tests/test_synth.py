@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import binshor.synth
 from binshor.cli import inversion_sweep, modmult_sweep
 from binshor.circuit import Circuit, Register, counts, simulate
-from binshor.oracle import first_mismatch
 from binshor.datafiles import load_chain, load_formula
 from binshor.gf2 import (
     BinaryPoly,
@@ -46,7 +45,8 @@ from binshor.synth import (
     synth_crt_modmult,
     synth_flt_inversion,
 )
-from helpers import const_mul_matrix, emit_cnot_matrix
+from helpers import (const_mul_matrix, emit_cnot_matrix,
+                     first_mismatch_by_case)
 
 FORMULAS = {d: load_formula(d) for d in range(1, 9)}
 
@@ -139,7 +139,7 @@ def test_in_place_const_mul_oracle_gf163():
     c = emit_over_layout(Circuit([Register("f", 163)]), LinearMap.of(M).emit)
     assert counts(c).cnot <= 163 * 163 - 163
     inputs = [rng.getrandbits(163) for _ in range(1000)]
-    assert first_mismatch(c, inputs, lambda i, o: o == poly_mul_mod(
+    assert first_mismatch_by_case(c, inputs, lambda i, o: o == poly_mul_mod(
         BinaryPoly(inputs[i]), h, f163.p).bits) is None
 
 
