@@ -24,8 +24,6 @@ holds the whole text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import GF2Error
 from .linalg import BitMatrix
 
@@ -33,20 +31,29 @@ from .linalg import BitMatrix
 REG_KINDS = ("input", "output", "ancilla-clean", "ancilla-garbage", "flag")
 
 
-@dataclass(frozen=True)
 class Register:
-    name: str
-    width: int
-    kind: str = "input"
+    __slots__ = ("name", "width", "kind")
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise GF2Error(f"register {self.name} must have width >= 1")
-        if self.kind not in REG_KINDS:
-            raise GF2Error(f"unknown register kind {self.kind!r}")
+    def __init__(self, name: str, width: int, kind: str = "input"):
+        if width < 1:
+            raise GF2Error(f"register {name} must have width >= 1")
+        if kind not in REG_KINDS:
+            raise GF2Error(f"unknown register kind {kind!r}")
+        self.name = name
+        self.width = width
+        self.kind = kind
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Register) and self.name == other.name
+                and self.width == other.width and self.kind == other.kind)
+
+    def __hash__(self):
+        return hash((self.name, self.width, self.kind))
+
+    def __repr__(self):
+        return f"Register({self.name!r}, {self.width}, {self.kind!r})"
 
 
-@dataclass
 class GateCounts:
     """Exact per-kind gate tallies plus qubit bookkeeping.
 
@@ -54,14 +61,29 @@ class GateCounts:
     cost no Toffolis in the fault-tolerant accounting.
     """
 
-    not_: int = 0
-    cnot: int = 0
-    swap: int = 0
-    toffoli: int = 0
-    ccx_uncompute: int = 0
-    qubits_total: int = 0
-    ancilla_clean: int = 0
-    ancilla_garbage: int = 0
+    __slots__ = ("not_", "cnot", "swap", "toffoli", "ccx_uncompute",
+                 "qubits_total", "ancilla_clean", "ancilla_garbage")
+
+    def __init__(self, not_: int = 0, cnot: int = 0, swap: int = 0,
+                 toffoli: int = 0, ccx_uncompute: int = 0,
+                 qubits_total: int = 0, ancilla_clean: int = 0,
+                 ancilla_garbage: int = 0):
+        self.not_ = not_
+        self.cnot = cnot
+        self.swap = swap
+        self.toffoli = toffoli
+        self.ccx_uncompute = ccx_uncompute
+        self.qubits_total = qubits_total
+        self.ancilla_clean = ancilla_clean
+        self.ancilla_garbage = ancilla_garbage
+
+    def __eq__(self, other) -> bool:  # mutable, so unhashable
+        return (isinstance(other, GateCounts)
+                and self.as_dict() == other.as_dict())
+
+    def __repr__(self):
+        return "GateCounts(" + ", ".join(
+            f"{k}={getattr(self, k)}" for k in self.__slots__) + ")"
 
     def as_dict(self) -> dict:
         return {

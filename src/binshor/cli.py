@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from contextlib import contextmanager
@@ -85,6 +84,8 @@ def cmd_synth(args) -> int:
             writer.flush()
         report["emitted"] = args.emit
         report["gates"] = writer.written
+    import json  # only the commands that print JSON load it
+
     out = json.dumps(report, indent=2)
     if args.out:
         with _write_atomic(args.out) as f:
@@ -309,6 +310,8 @@ def cmd_estimate(args) -> int:
     if not rows:
         print("warning: empty scenario list; nothing to do", file=sys.stderr)
         return 0
+    import json
+
     report = json.dumps(rows, indent=2)
     if args.out:
         with _write_atomic(args.out) as f:

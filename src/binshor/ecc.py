@@ -14,7 +14,6 @@ exceptional-case repairs, using the arithmetic plans from
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .circuit import Circuit, Register, emit_mcx_lowered
 from .gf2 import BinaryPoly, FieldSpec, GF2Error, field_inv
@@ -33,21 +32,31 @@ class CurveError(GF2Error):
     pass
 
 
-@dataclass(frozen=True)
 class CurveSpec:
     """Ordinary binary curve y^2 + xy = x^3 + a x^2 + b over GF(2^n)."""
 
-    field: FieldSpec
-    a: BinaryPoly
-    b: BinaryPoly
+    __slots__ = ("field", "a", "b")
 
-    def __post_init__(self):
-        if self.b.is_zero():
+    def __init__(self, field: FieldSpec, a: BinaryPoly, b: BinaryPoly):
+        if b.is_zero():
             raise CurveError("b must be nonzero (ordinary curve)")
-        for name, c in (("a", self.a), ("b", self.b)):
-            if c.degree >= self.field.n:
+        for name, c in (("a", a), ("b", b)):
+            if c.degree >= field.n:
                 raise CurveError(f"curve coefficient {name} = {c.bits:#x} is "
-                                 f"not an element of GF(2^{self.field.n})")
+                                 f"not an element of GF(2^{field.n})")
+        self.field = field
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CurveSpec) and self.field == other.field
+                and self.a == other.a and self.b == other.b)
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b))
+
+    def __repr__(self):
+        return f"CurveSpec({self.field!r}, {self.a!r}, {self.b!r})"
 
     def contains(self, pt: "ECPoint") -> bool:
         return pt.is_infinity() or self._has(pt.x.bits, pt.y.bits)
@@ -85,12 +94,24 @@ class CurveSpec:
         return pts
 
 
-@dataclass(frozen=True)
 class ECPoint:
     """Affine point; (0, 0) represents the point at infinity."""
 
-    x: BinaryPoly
-    y: BinaryPoly
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: BinaryPoly, y: BinaryPoly):
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ECPoint) and self.x == other.x
+                and self.y == other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"ECPoint({self.x!r}, {self.y!r})"
 
     def is_infinity(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
@@ -154,10 +175,13 @@ def slope_for(pt: ECPoint, field: FieldSpec) -> BinaryPoly:
     return pt.x + field.mul(pt.y, field_inv(pt.x, field))
 
 
-@dataclass(frozen=True)
 class WindowTable:
-    s: int
-    entries: tuple[tuple[ECPoint, BinaryPoly], ...]
+    __slots__ = ("s", "entries")
+
+    def __init__(self, s: int,
+                 entries: tuple[tuple[ECPoint, BinaryPoly], ...]):
+        self.s = s
+        self.entries = entries
 
 
 def build_window_table(r: ECPoint, s: int, curve: CurveSpec) -> WindowTable:

@@ -15,27 +15,28 @@ is rejected before any circuit uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import GF2Error, clmul, data_lines
 from .linalg import BitMatrix
 
 BEST_PRODUCT_COUNTS = {1: 1, 2: 3, 3: 6, 4: 9, 5: 13, 6: 17, 7: 22, 8: 26}
 
 
-@dataclass(frozen=True, eq=False)  # by identity: a formula keys a block
 class KaratsubaFormula:
-    """Product masks T (v x d) and recombination R ((2d-1) x v)."""
+    """Product masks T (v x d) and recombination R ((2d-1) x v).
 
-    d: int
-    T: BitMatrix
-    R: BitMatrix
-    source: str = "generated"
+    Compared and hashed by identity: a formula keys a block.
+    """
 
-    def __post_init__(self):
-        v = self.T.nrows
-        if self.T.ncols != self.d or self.R.shape != (2 * self.d - 1, v):
+    __slots__ = ("d", "T", "R", "source")
+
+    def __init__(self, d: int, T: BitMatrix, R: BitMatrix,
+                 source: str = "generated"):
+        if T.ncols != d or R.shape != (2 * d - 1, T.nrows):
             raise GF2Error("formula dimensions inconsistent")
+        self.d = d
+        self.T = T
+        self.R = R
+        self.source = source
 
     @property
     def v(self) -> int:

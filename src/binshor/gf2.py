@@ -27,9 +27,8 @@ pair of coefficients for all the cases of a sweep at once.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache, cached_property, reduce
-from typing import Callable
 
 
 class GF2Error(ValueError):
@@ -425,21 +424,29 @@ def _log_tables(p: int) -> tuple[array, array]:
     return array("H", exp * 2), log
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """GF(2^n) described by its extension degree and irreducible modulus."""
 
-    n: int
-    p: BinaryPoly
-
-    def __post_init__(self):
-        if self.p.degree != self.n:
-            raise GF2Error(f"modulus degree {self.p.degree} != n = {self.n}")
-        if self.n < 2:
+    def __init__(self, n: int, p: BinaryPoly):
+        if p.degree != n:
+            raise GF2Error(f"modulus degree {p.degree} != n = {n}")
+        if n < 2:
             raise GF2Error("extension degree must be >= 2")
         # the standard polynomials are proved irreducible by the test suite
-        if self.p != STANDARD_POLYS.get(self.n) and not is_irreducible(self.p):
-            raise GF2Error(f"{self.p} is not irreducible")
+        if p != STANDARD_POLYS.get(n) and not is_irreducible(p):
+            raise GF2Error(f"{p} is not irreducible")
+        self.n = n
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FieldSpec) and self.n == other.n
+                and self.p == other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.p))
+
+    def __repr__(self):
+        return f"FieldSpec({self.n}, {self.p!r})"
 
     # computed on first use; equality and hashing still use n and p
     @cached_property
@@ -486,7 +493,6 @@ def field_inv(a: BinaryPoly, field: FieldSpec) -> BinaryPoly:
     return BinaryPoly(field.ops[1](a.bits))
 
 
-@dataclass(frozen=True)
 class ModulusSet:
     """Pairwise-coprime factors m_i = base^exp steering CRT multiplication.
 
@@ -494,13 +500,11 @@ class ModulusSet:
     irreducibles, which makes the m_i pairwise coprime.
     """
 
-    factors: tuple[tuple[BinaryPoly, int], ...]
-
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[BinaryPoly, int], ...]):
+        if not factors:
             raise InvalidModulusSetError("empty modulus set")
         seen = set()
-        for base, exp in self.factors:
+        for base, exp in factors:
             if exp < 1:
                 raise InvalidModulusSetError("factor exponent must be >= 1")
             if not is_irreducible(base):
@@ -508,6 +512,16 @@ class ModulusSet:
             if base.bits in seen:
                 raise InvalidModulusSetError(f"repeated base {base}")
             seen.add(base.bits)
+        self.factors = factors
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ModulusSet) and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"ModulusSet({self.factors!r})"
 
     # computed on first access; equality and hashing still use ``factors``
     @cached_property

@@ -22,7 +22,6 @@ validated in the tests against the polynomial oracles in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 
 from .gf2 import (BinaryPoly, FieldSpec, GF2Error, ModulusSet, cldivmod, clmod,
@@ -178,7 +177,6 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-@dataclass(frozen=True)
 class PLUFactors:
     """M = P @ L @ U with P a permutation, L unit-lower, U upper triangular.
 
@@ -186,9 +184,16 @@ class PLUFactors:
     (P[i, perm[i]] = 1), i.e. P applied to a vector v gives v[perm[i]] at i.
     """
 
-    perm: tuple[int, ...]
-    L: BitMatrix
-    U: BitMatrix
+    __slots__ = ("perm", "L", "U")
+
+    def __init__(self, perm: tuple[int, ...], L: BitMatrix, U: BitMatrix):
+        self.perm = perm
+        self.L = L
+        self.U = U
+
+    def __eq__(self, other) -> bool:  # a BitMatrix is unhashable, so is this
+        return (isinstance(other, PLUFactors) and self.perm == other.perm
+                and self.L == other.L and self.U == other.U)
 
     def transpositions(self) -> list[tuple[int, int]]:
         """Decompose the permutation into transpositions (one per swap gate)."""

@@ -17,9 +17,9 @@ Each plan's contract is one sweep in :mod:`binshor.cli` (``modmult_sweep``,
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import reduce
 from operator import or_, xor
-from typing import Callable
 
 from .circuit import Circuit, plane_ints, simulate_planes
 

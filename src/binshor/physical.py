@@ -9,35 +9,35 @@ modules; spacetime volume 2 b_AV in logical blocks of d^3 resource states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class BaselineParams:
-    code_cycle_time: float = 1e-6     # seconds; 1e-3 for the slow devices
-    failure_budget: float = 0.05
-    t_per_toffoli: int = 4
+    __slots__ = ("code_cycle_time", "failure_budget", "t_per_toffoli")
 
-    def __post_init__(self):
-        if not 0 < self.failure_budget < 1:
+    def __init__(self, code_cycle_time: float = 1e-6,
+                 failure_budget: float = 0.05, t_per_toffoli: int = 4):
+        if not 0 < failure_budget < 1:
             raise ValueError("failure budget must be in (0, 1)")
-        if not (math.isfinite(self.code_cycle_time)
-                and self.code_cycle_time > 0):
+        if not (math.isfinite(code_cycle_time) and code_cycle_time > 0):
             raise ValueError(f"cycle time must be finite and positive, got "
-                             f"{self.code_cycle_time}")
+                             f"{code_cycle_time}")
+        self.code_cycle_time = code_cycle_time  # s; 1e-3 for slow devices
+        self.failure_budget = failure_budget
+        self.t_per_toffoli = t_per_toffoli
 
 
-@dataclass(frozen=True)
 class AVParams:
-    r_im: float = 1e9                 # resource states per second per module
-    delay: float = 1e-6               # seconds of fiber delay per module
-    failure_budget: float = 0.05
+    __slots__ = ("r_im", "delay", "failure_budget")
 
-    def __post_init__(self):
-        for name, v in (("r_im", self.r_im), ("delay", self.delay)):
+    def __init__(self, r_im: float = 1e9, delay: float = 1e-6,
+                 failure_budget: float = 0.05):
+        for name, v in (("r_im", r_im), ("delay", delay)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"AV parameter {name} must be finite and "
                                  f"positive, got {v}")
+        self.r_im = r_im        # resource states per second per module
+        self.delay = delay      # seconds of fiber delay per module
+        self.failure_budget = failure_budget
 
 
 def _finite_positive(what: str, v: float) -> float:
@@ -49,15 +49,16 @@ def _finite_positive(what: str, v: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
 class PhysicalEstimate:
-    distance: int
-    device_size: float                # physical qubits or interleaving modules
-    runtime_avg: float                # seconds, includes the 10/9 retry factor
+    __slots__ = ("distance", "device_size", "runtime_avg")
 
-    def __post_init__(self):
-        _finite_positive("device size", self.device_size)
-        _finite_positive("runtime", self.runtime_avg)
+    def __init__(self, distance: int, device_size: float,
+                 runtime_avg: float):
+        _finite_positive("device size", device_size)
+        _finite_positive("runtime", runtime_avg)
+        self.distance = distance
+        self.device_size = device_size  # qubits or interleaving modules
+        self.runtime_avg = runtime_avg  # seconds, with the 10/9 retry factor
 
     @property
     def runtime_display(self) -> str:

@@ -6,7 +6,6 @@ same data files the same way.
 
 from __future__ import annotations
 
-import inspect
 from functools import lru_cache, wraps
 
 from .datafiles import (
@@ -27,15 +26,32 @@ def load_formulas() -> dict:
 
 def _plan_cache(fn):
     """``lru_cache`` keyed on the arguments with defaults filled in, so
-    ``f(5)`` and ``f(5, None)`` share one entry (and one plan build)."""
-    sig = inspect.signature(fn)
+    ``f(5)``, ``f(5, None)`` and ``f(n=5)`` share one entry (and one plan
+    build).
+
+    The key is every parameter in order, each from the call or else from
+    its default; ``fn`` takes only positional-or-keyword parameters, whose
+    names ``fn.__code__`` lists and whose defaults are ``fn.__defaults__``.
+    This binds without ``inspect.signature``, whose import every process
+    would pay.  A call that does not bind (an extra positional argument, an
+    unknown or repeated keyword, a missing argument) goes to ``fn`` itself,
+    which raises its own ``TypeError``.
+    """
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
+        rest = names[len(args):]
+        if len(args) > len(names) or any(k not in rest for k in kwargs):
+            return fn(*args, **kwargs)
+        try:
+            key = args + tuple(kwargs[k] if k in kwargs else defaults[k]
+                               for k in rest)
+        except KeyError:  # a parameter without a default was left out
+            return fn(*args, **kwargs)
+        return cached(*key)
 
     wrapper.cache_clear = cached.cache_clear
     return wrapper

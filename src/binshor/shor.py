@@ -8,23 +8,26 @@ is bookkeeping over exact classical gate counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gf2 import GF2Error
 from .synth import CountSink, count_plan
 from .ecc import PointAddPlan
 
 
-@dataclass
 class LogicalCost:
     """Gate totals for one algorithm block; Toffoli terms may be non-integer
     because odd window remainders contribute 2^(r/2+1) uncomputation terms."""
 
-    toffoli: float = 0.0
-    cnot: float = 0.0
-    swap: float = 0.0
-    qubits: int = 0
-    active_volume: float = 0.0
+    __slots__ = ("toffoli", "cnot", "swap", "qubits", "active_volume")
+
+    def __init__(self, toffoli: float = 0.0, cnot: float = 0.0,
+                 swap: float = 0.0, qubits: int = 0,
+                 active_volume: float = 0.0):
+        self.toffoli = toffoli
+        self.cnot = cnot
+        self.swap = swap
+        self.qubits = qubits
+        self.active_volume = active_volume
 
 
 # QROM uncomputation active volume; fixed by the measurement-based

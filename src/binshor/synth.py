@@ -36,7 +36,6 @@ widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .circuit import Circuit, GateCounts, Register, counts as circuit_counts
@@ -154,7 +153,6 @@ def emit_controlled_constants(sink, ctrl, c: BinaryPoly, dst):
     sink.fanout(ctrl, dst, c.bits)
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """An n x d full-column-rank map M as CNOTs and swaps on n wires,
     |f, 0> -> |M f> with f on the first d (in place when n = d).
@@ -168,10 +166,14 @@ class LinearMap:
     (d x (n-d)) and handed whole to the sink's ``fanin_columns``.
     """
 
-    L: BitMatrix               # top d rows of L
-    U: BitMatrix
-    rest: BitMatrix | None     # d x (n-d), by column; None for a square map
-    swaps: tuple
+    __slots__ = ("L", "U", "rest", "swaps")
+
+    def __init__(self, L: BitMatrix, U: BitMatrix, rest: BitMatrix | None,
+                 swaps: tuple):
+        self.L = L              # top d rows of L
+        self.U = U
+        self.rest = rest        # d x (n-d), by column; None for a square map
+        self.swaps = swaps
 
     @classmethod
     def of(cls, M: BitMatrix, limit: int | None = None
@@ -334,14 +336,18 @@ def emit_correction(sink, omega: int, n: int, fw, gw, tw):
 
 # -- modular multiplication plan ---------------------------------------------
 
-@dataclass
 class _Factor:
-    m: BinaryPoly
-    d: int
-    reduction: BitMatrix | None
-    q: LinearMap               # the CRT recombination map Q_i, n x d
-    formula: KaratsubaFormula | None
-    inner: "ModmultPlan | None"
+    __slots__ = ("m", "d", "reduction", "q", "formula", "inner")
+
+    def __init__(self, m: BinaryPoly, d: int, reduction: BitMatrix | None,
+                 q: LinearMap, formula: KaratsubaFormula | None,
+                 inner: ModmultPlan | None):
+        self.m = m
+        self.d = d
+        self.reduction = reduction
+        self.q = q              # the CRT recombination map Q_i, n x d
+        self.formula = formula
+        self.inner = inner
 
 
 class ModmultPlan:
@@ -484,7 +490,6 @@ def count_plan(plan) -> CountSink:
 
 # -- addition chains and inversion -------------------------------------------
 
-@dataclass(frozen=True)
 class AdditionChain:
     """Chain from 1 to n-1; decreasing entries mark register-clearing steps.
 
@@ -492,10 +497,10 @@ class AdditionChain:
     after the leading 1; the workspace multiplier is R = 2l - l_tilde + 1.
     """
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        t = self.terms
+    def __init__(self, terms: tuple[int, ...]):
+        t = terms
         if not t or t[0] != 1:
             raise GF2Error("chain must start at 1")
         live = {1}
@@ -514,8 +519,18 @@ class AdditionChain:
                     raise GF2Error("cannot clear input term 1")
                 live.discard(v)
             prev = v
-        if self.target not in live:
-            raise GF2Error(f"chain target {self.target} is cleared")
+        if max(t) not in live:
+            raise GF2Error(f"chain target {max(t)} is cleared")
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AdditionChain) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return f"AdditionChain({self.terms!r})"
 
     @property
     def target(self) -> int:

@@ -637,3 +637,25 @@ def test_truncated_formula_file_is_one_error_line(data_copy, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: formula d5.txt: ")
     assert err.count("\n") == 1
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # every binshor process pays this import before it reads a data file;
+    # -S keeps the modules that site and .pth files load out of the count
+    import ast
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import binshor.cli\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    added = set(ast.literal_eval(out))
+    assert "binshor.cli" in added
+    heavy = added & {"dataclasses", "inspect", "typing", "json", "numpy"}
+    assert not heavy, sorted(heavy)

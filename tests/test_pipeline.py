@@ -12,6 +12,39 @@ def test_plan_cache_ignores_spelled_out_defaults():
     assert modmult_plan(5) is modmult_plan(5, None)
     assert inversion_plan(5).modmult is modmult_plan(5)
     assert pointadd_plan(5) is pointadd_plan(5, 1, 1, None)
+    # positional, keyword and left-out defaults: the same object
+    spellings = {
+        modmult_plan: [((5,), {}), ((5, None), {}), ((), {"n": 5}),
+                       ((5,), {"poly_bits": None}),
+                       ((), {"poly_bits": None, "n": 5})],
+        field_for: [((5,), {}), ((5, None), {}), ((), {"n": 5}),
+                    ((), {"poly_bits": None, "n": 5})],
+        inversion_plan: [((5,), {}), ((5, True), {}), ((5, True, None), {}),
+                         ((5,), {"poly_bits": None}),
+                         ((), {"clearing": True, "n": 5}),
+                         ((5,), {"poly_bits": None, "clearing": True})],
+        pointadd_plan: [((5,), {}), ((5, 1), {}), ((5, 1, 1, None), {}),
+                        ((5,), {"b_bits": 1}),
+                        ((5, 1), {"poly_bits": None, "b_bits": 1}),
+                        ((), {"n": 5, "a_bits": 1, "b_bits": 1,
+                              "poly_bits": None})],
+    }
+    for fn, calls in spellings.items():
+        first = fn(*calls[0][0], **calls[0][1])
+        for args, kwargs in calls[1:]:
+            assert fn(*args, **kwargs) is first, (fn.__name__, args, kwargs)
+        nparams = len(calls[-1][1]) + len(calls[-1][0])
+        for args, kwargs, text in (
+                ((5,), {"unknown": 1}, "unexpected keyword argument 'unk"),
+                ((5,), {"n": 5}, "multiple values for argument 'n'"),
+                ((5,) + (None,) * nparams, {}, "positional argument"),
+                ((), {}, "missing .*argument: 'n'")):
+            with pytest.raises(TypeError, match=text):
+                fn(*args, **kwargs)
+    # a changed argument is another entry
+    assert inversion_plan(5, False) is not inversion_plan(5)
+    assert field_for(5, 0b101001) is not field_for(5)
+    assert pointadd_plan(5, 0) is not pointadd_plan(5)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
